@@ -5,37 +5,13 @@ Per-pixel mixture-of-Gaussians background maintenance, an edge-difference
 model, and a global linear shadow transform feed a Bayesian labeling
 energy with an MRF smoothness prior, minimized per frame by a Highest
 Confidence First solver.
+
+This namespace holds the engine API; each layer lives in its own module.
 """
 
-from shadowseg.background import (
-    BackgroundModel,
-    GaussianComponent,
-    MixtureGrid,
-    PixelMixture,
-    init_static,
-    match_component,
-    select_background,
-    update_mixture,
-)
-from shadowseg.edge import EdgeModel, background_edge_model, frame_edges
-from shadowseg.energy import (
-    BACKGROUND,
-    FOREGROUND,
-    SHADOW,
-    UNCOMMITTED,
-    PriorParams,
-    initial_prior,
-    local_potential,
-    pair_potential,
-    total_energy,
-    update_label_bias,
-)
-from shadowseg.evaluate import EvalReport, evaluate, label_boundary_mask
-from shadowseg.likelihood import build_potential_tables, edge_potential, intensity_potential
-from shadowseg.optimizer import HcfResult, brute_force_map, hcf_minimize, stability
-from shadowseg.pipeline import EngineConfig, EngineState, FrameDiagnostics, pooled_variance, process_frame
-from shadowseg.pgmio import PgmError, read_frame, read_labels, read_pgm, write_labels, write_pgm
-from shadowseg.shadow import ShadowParams, fit_shadow, initial_shadow_params, update_shadow
-from shadowseg.synth import SynthScene, background_pattern, generate_synthetic, render_scene
+from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
+from shadowseg.pgmio import PgmError, read_frame, read_labels, write_labels
+from shadowseg.pipeline import (EngineConfig, EngineState, FrameDiagnostics,
+                                detection_potentials, process_frame)
 
 __version__ = "0.1.0"

@@ -8,45 +8,22 @@ when nothing matches the lowest-weight component is replaced.  The
 component with the largest weight/stddev ratio is the background
 hypothesis at that pixel.
 
-Scalar single-pixel operations define the semantics; :class:`MixtureGrid`
-is the vectorized equivalent used by the per-frame engine and follows the
-scalar operations bit for bit.
+:class:`MixtureGrid` applies these rules to every pixel at once; the
+scalar single-pixel versions in ``tests/oracles.py`` are the reference it
+is tested against bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 K_DEFAULT = 3
-ALPHA_DEFAULT = 0.02
 MATCH_SIGMAS = 3.0
 INIT_WEIGHT = 0.05      # replacement component weight, pre-normalization
 INIT_VARIANCE = 900.0   # replacement / placeholder component variance
 VARIANCE_FLOOR = 4.0    # keeps noiseless input from collapsing a component
-
-
-@dataclass
-class GaussianComponent:
-    weight: float
-    mean: float
-    variance: float
-
-
-@dataclass
-class PixelMixture:
-    """Ordered list of exactly K Gaussian components for one pixel."""
-
-    components: list[GaussianComponent]
-
-    def __post_init__(self):
-        if not 3 <= len(self.components) <= 5:
-            raise ValueError("mixture must hold 3 to 5 components")
-
-    def weights_sum(self) -> float:
-        return sum(c.weight for c in self.components)
 
 
 @dataclass
@@ -57,66 +34,6 @@ class BackgroundModel:
     variance: np.ndarray  # (H, W) float64, strictly positive
 
 
-def _check_order(mixture: PixelMixture) -> list[int]:
-    # Descending weight/stddev; storage index breaks ties.
-    ratios = [c.weight / math.sqrt(c.variance) for c in mixture.components]
-    return sorted(range(len(ratios)), key=lambda i: (-ratios[i], i))
-
-
-def match_component(mixture: PixelMixture, g: float) -> int | None:
-    """Index of the first component with ``|g - mean| <= 3 stddev``,
-    checked in descending weight/stddev order.  None when nothing matches.
-    """
-    g = float(g)
-    for i in _check_order(mixture):
-        c = mixture.components[i]
-        if abs(g - c.mean) <= MATCH_SIGMAS * math.sqrt(c.variance):
-            return i
-    return None
-
-
-def update_mixture(mixture: PixelMixture, g: float, alpha: float) -> PixelMixture:
-    """One recursive history update for one pixel.
-
-    The matched component blends toward the observation with rate alpha
-    (means and variances of the others are untouched); if nothing matches,
-    the lowest-weight component is replaced by a fresh one centered at the
-    observation.  Weights are renormalized to sum 1 afterwards.
-    """
-    g = float(g)
-    matched = match_component(mixture, g)
-    out = [GaussianComponent(c.weight, c.mean, c.variance) for c in mixture.components]
-    if matched is not None:
-        c = out[matched]
-        diff = g - c.mean
-        out[matched] = GaussianComponent(
-            (1.0 - alpha) * c.weight + alpha,
-            (1.0 - alpha) * c.mean + alpha * g,
-            max((1.0 - alpha) * c.variance + alpha * diff * diff, VARIANCE_FLOOR),
-        )
-    else:
-        weights = [c.weight for c in out]
-        lowest = weights.index(min(weights))
-        out[lowest] = GaussianComponent(INIT_WEIGHT, g, INIT_VARIANCE)
-    total = sum(c.weight for c in out)
-    for i, c in enumerate(out):
-        out[i] = GaussianComponent(c.weight / total, c.mean, c.variance)
-    return PixelMixture(out)
-
-
-def select_background(mixture: PixelMixture) -> tuple[float, float]:
-    """(mean, variance) of the component maximizing weight/stddev;
-    ties go to the lowest component index."""
-    best = 0
-    best_ratio = -math.inf
-    for i, c in enumerate(mixture.components):
-        ratio = c.weight / math.sqrt(c.variance)
-        if ratio > best_ratio:
-            best, best_ratio = i, ratio
-    chosen = mixture.components[best]
-    return chosen.mean, chosen.variance
-
-
 class MixtureGrid:
     """All per-pixel mixtures of a frame, stored as (K, H, W) arrays."""
 
@@ -125,36 +42,20 @@ class MixtureGrid:
         self.means = np.asarray(means, dtype=np.float64)
         self.variances = np.asarray(variances, dtype=np.float64)
         self.k = self.weights.shape[0]
-        self.height, self.width = self.weights.shape[1:]
 
     @classmethod
-    def seed(cls, frame: np.ndarray, k: int = K_DEFAULT,
-             variance: float = INIT_VARIANCE) -> "MixtureGrid":
+    def seed(cls, frame: np.ndarray, k: int = K_DEFAULT) -> "MixtureGrid":
         """Mixtures for a fresh scene: the first component carries the frame
         at full weight, the rest are zero-weight placeholders."""
         h, w = frame.shape
         weights = np.zeros((k, h, w))
         weights[0] = 1.0
         means = np.broadcast_to(np.asarray(frame, dtype=np.float64), (k, h, w)).copy()
-        variances = np.full((k, h, w), float(variance))
+        variances = np.full((k, h, w), INIT_VARIANCE)
         return cls(weights, means, variances)
 
-    def pixel(self, row: int, col: int) -> PixelMixture:
-        return PixelMixture([
-            GaussianComponent(float(self.weights[i, row, col]),
-                              float(self.means[i, row, col]),
-                              float(self.variances[i, row, col]))
-            for i in range(self.k)
-        ])
-
-    def set_pixel(self, row: int, col: int, mixture: PixelMixture) -> None:
-        for i, c in enumerate(mixture.components):
-            self.weights[i, row, col] = c.weight
-            self.means[i, row, col] = c.mean
-            self.variances[i, row, col] = c.variance
-
     def update(self, frame: np.ndarray, alpha: float) -> None:
-        """Vectorized equivalent of `update_mixture` at every pixel."""
+        """One recursive history update of every pixel's mixture."""
         g = np.asarray(frame, dtype=np.float64)[None]          # (1, H, W)
         w, mu, var = self.weights, self.means, self.variances
         sigma = np.sqrt(var)
@@ -182,7 +83,8 @@ class MixtureGrid:
         self.variances = var_new
 
     def select_background(self) -> BackgroundModel:
-        """Vectorized equivalent of `select_background` at every pixel."""
+        """Per pixel, the component maximizing weight/stddev; ties go to the
+        lowest component index."""
         best = np.argmax(self.weights / np.sqrt(self.variances), axis=0)
         mean = np.take_along_axis(self.means, best[None], 0)[0]
         variance = np.take_along_axis(self.variances, best[None], 0)[0]
@@ -203,10 +105,6 @@ def init_static(frames: list[np.ndarray], k: int = K_DEFAULT) -> tuple[Backgroun
     mean = stack.mean(axis=0)
     variance = np.maximum(stack.var(axis=0, ddof=1), VARIANCE_FLOOR)
 
-    h, w = shape
-    weights = np.zeros((k, h, w))
-    weights[0] = 1.0
-    means = np.broadcast_to(mean, (k, h, w)).copy()
-    variances = np.full((k, h, w), INIT_VARIANCE)
-    variances[0] = variance
-    return BackgroundModel(mean, variance), MixtureGrid(weights, means, variances)
+    mixtures = MixtureGrid.seed(mean, k)
+    mixtures.variances[0] = variance
+    return BackgroundModel(mean, variance), mixtures

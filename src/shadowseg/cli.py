@@ -12,33 +12,27 @@ segment flags may also come from a plain key=value config file
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
 import sys
 
-import numpy as np
-
-from shadowseg.edge import EdgeModel, frame_edges
 from shadowseg.evaluate import evaluate
-from shadowseg.likelihood import build_potential_tables, dump_potentials
+from shadowseg.likelihood import dump_potentials
 from shadowseg.pgmio import PgmError, read_frame, read_labels, write_labels
-from shadowseg.pipeline import (EngineConfig, EngineState, pooled_variance,
-                                process_frame)
+from shadowseg.pipeline import EngineConfig, EngineState, detection_potentials, process_frame
 from shadowseg.synth import generate_synthetic, scene_preset
+
+# Not called here; bound so that bench/spans.py can trace them on this module.
+from shadowseg.edge import frame_edges  # noqa: F401
+from shadowseg.likelihood import build_potential_tables  # noqa: F401
+from shadowseg.pipeline import pooled_variance  # noqa: F401
 
 DIAG_HEADER = "k,F,n_bg,n_shadow,n_fg,a,c,visits"
 
-# segment settings: (config-file key, type, default)
-_SEGMENT_KEYS = {
-    "input": str, "out": str, "bg_init": int, "alpha": float,
-    "k_gaussians": int, "lambda1": float, "lambda2": float,
-    "ymax": float, "diag": str, "dump_potentials": str,
-}
-_SEGMENT_DEFAULTS = {
-    "bg_init": 0, "alpha": 0.02, "k_gaussians": 3,
-    "lambda1": 10.0, "lambda2": 4.0, "ymax": 255.0,
-}
+# segment setting names that differ from their EngineConfig field
+_CONFIG_FIELDS = {"ymax": "y_max"}
 
 
 def _frame_paths(source: str) -> list[str]:
@@ -52,6 +46,7 @@ def _frame_paths(source: str) -> list[str]:
 
 
 def _read_config_file(path) -> dict:
+    types = _setting_types()
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -62,17 +57,17 @@ def _read_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _SEGMENT_KEYS:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            values[key] = _SEGMENT_KEYS[key](value.strip())
+            values[key] = types[key](value.strip())
     return values
 
 
 def _resolve_segment_settings(args) -> dict:
-    settings = dict(_SEGMENT_DEFAULTS)
+    settings = {"bg_init": 0}
     if args.config:
         settings.update(_read_config_file(args.config))
-    for key in _SEGMENT_KEYS:
+    for key in _setting_types():
         flag_value = getattr(args, key)
         if flag_value is not None:
             settings[key] = flag_value
@@ -85,14 +80,15 @@ def _resolve_segment_settings(args) -> dict:
 
 def _cmd_segment(args) -> int:
     settings = _resolve_segment_settings(args)
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    config = EngineConfig(**{_CONFIG_FIELDS.get(key, key): value
+                             for key, value in settings.items()
+                             if _CONFIG_FIELDS.get(key, key) in fields})
     paths = _frame_paths(settings["input"])
     bg_init = settings["bg_init"]
     if bg_init >= len(paths):
         raise ValueError(f"bg-init {bg_init} leaves no frames to process "
                          f"(sequence has {len(paths)})")
-    config = EngineConfig(k_gaussians=settings["k_gaussians"], alpha=settings["alpha"],
-                          lambda1=settings["lambda1"], lambda2=settings["lambda2"],
-                          y_max=settings["ymax"])
     if bg_init > 0:
         boot = [read_frame(p) for p in paths[:bg_init]]
         state = EngineState.from_static(boot, config)
@@ -109,13 +105,7 @@ def _cmd_segment(args) -> int:
     for path in remaining:
         frame = read_frame(path)
         if dump_dir:
-            eh, ev = frame_edges(frame.astype(float))
-            pooled = pooled_variance(state.background)
-            flat = np.full_like(state.background.mean, 2.0 * pooled)
-            det = EdgeModel(state.edges.mean_h, state.edges.mean_v, flat, flat)
-            u1, u2 = build_potential_tables(frame.astype(float), eh, ev,
-                                            state.background.mean, pooled,
-                                            det, state.shadow, config.y_max)
+            u1, u2 = detection_potentials(state, frame)
             dump_potentials(u1, u2, os.path.join(dump_dir,
                                                  f"potentials_{state.k + 1:04d}.f64"))
         labels, diag = process_frame(state, frame)
@@ -155,13 +145,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shadowseg",
-                                     description="Background / shadow / foreground "
-                                                 "segmentation of grayscale sequences")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    seg = sub.add_parser("segment", help="label a PGM frame sequence")
+def _segment_arguments(seg: argparse.ArgumentParser) -> None:
+    """The `segment` flags: the one list of setting names and types."""
     seg.add_argument("--input", help="frame directory or glob")
     seg.add_argument("--out", help="directory for label maps")
     seg.add_argument("--bg-init", dest="bg_init", type=int,
@@ -176,6 +161,24 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--config", help="key=value settings file; flags override")
     seg.add_argument("--dump-potentials", dest="dump_potentials",
                      help="directory for raw per-frame potential tables")
+
+
+def _setting_types() -> dict:
+    """Setting name -> type, for every `segment` flag but --config."""
+    seg = argparse.ArgumentParser(add_help=False)
+    _segment_arguments(seg)
+    return {action.dest: action.type or str for action in seg._actions
+            if action.dest != "config"}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="shadowseg",
+                                     description="Background / shadow / foreground "
+                                                 "segmentation of grayscale sequences")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    seg = sub.add_parser("segment", help="label a PGM frame sequence")
+    _segment_arguments(seg)
     seg.set_defaults(func=_cmd_segment)
 
     syn = sub.add_parser("synth", help="render a synthetic sequence with ground truth")

@@ -46,16 +46,6 @@ def initial_prior(lambda1: float = LAMBDA1_DEFAULT, lambda2: float = LAMBDA2_DEF
     return PriorParams(bias=np.full(3, -1.0 / 3.0), lambda1=lambda1, lambda2=lambda2)
 
 
-def pair_potential(label_x: int, label_y: int, dist_sq: float) -> float:
-    """0 for agreeing labels, 1/dist_sq otherwise.  Labels must be committed."""
-    return 0.0 if label_x == label_y else 1.0 / dist_sq
-
-
-def unary_costs(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> np.ndarray:
-    """Per-label per-pixel cost outside the pair terms: U1 + U2 + lambda1*bias."""
-    return u1 + u2 + prior.lambda1 * prior.bias[:, None, None]
-
-
 def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> float:
     """Objective value of a fully committed labeling."""
     if (labels == UNCOMMITTED).any():
@@ -70,26 +60,6 @@ def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: Prio
         b = labels[dr:, max(0, dc):labels.shape[1] - max(0, -dc)]
         pair += np.count_nonzero(a != b) / d2
     return energy + prior.lambda2 * pair
-
-
-def local_potential(row: int, col: int, label: int, labels: np.ndarray,
-                    u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> float:
-    """Conditional posterior potential of one candidate label at one site.
-
-    Pair terms run over the committed 8-neighbors; uncommitted neighbors
-    contribute nothing.
-    """
-    height, width = labels.shape
-    f = float(u1[label - 1, row, col] + u2[label - 1, row, col])
-    f += prior.lambda1 * float(prior.bias[label - 1])
-    disagreement = 0.0
-    for dr, dc, d2 in NEIGHBORS_8:
-        r, c = row + dr, col + dc
-        if 0 <= r < height and 0 <= c < width:
-            s = labels[r, c]
-            if s != UNCOMMITTED and s != label:
-                disagreement += 1.0 / d2
-    return f + prior.lambda2 * disagreement
 
 
 def update_label_bias(prior: PriorParams, counts, alpha: float) -> PriorParams:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shadowseg.energy import (LABELS, NEIGHBORS_8, PAIR_DIRECTIONS, PriorParams,
-                              UNCOMMITTED, local_potential, total_energy)
+from shadowseg.energy import NEIGHBORS_8, UNCOMMITTED, PriorParams, total_energy
 
 
 @dataclass
@@ -31,30 +30,6 @@ class HcfResult:
     commits: int
     relabels: int
     trace: list[tuple[str, float]]   # ("commit"|"relabel", running energy after)
-
-
-def stability(row: int, col: int, labels: np.ndarray, u1: np.ndarray,
-              u2: np.ndarray, prior: PriorParams) -> tuple[float, int]:
-    """Confidence score and preferred label of one site in the field.
-
-    Uncommitted sites score minus the gap between the two best labels
-    (always <= 0); committed sites score the cheapest alternative minus
-    the current cost, so negative means a relabel would pay off. Returns
-    (score, best label); ties prefer the smallest label.
-    """
-    f = [local_potential(row, col, s, labels, u1, u2, prior) for s in LABELS]
-    best = 1
-    if f[1] < f[best - 1]:
-        best = 2
-    if f[2] < f[best - 1]:
-        best = 3
-    current = int(labels[row, col])
-    if current == UNCOMMITTED:
-        second = min(f[i] for i in range(3) if i != best - 1)
-        return f[best - 1] - second, best
-    cur = f[current - 1]
-    best_other = min(v for i, v in enumerate(f) if i != current - 1)
-    return best_other - cur, best
 
 
 def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResult:
@@ -146,33 +121,3 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     grid = np.array(labels, dtype=np.int64).reshape(height, width)
     return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
                      visits=visits, commits=commits, relabels=relabels, trace=trace)
-
-
-def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
-    """Exhaustive MAP over all labelings; only feasible for tiny grids.
-
-    Ties resolve to the labeling that is lexicographically smallest in
-    raster order. Returns (labels, energy).
-    """
-    _, height, width = u1.shape
-    n = height * width
-    if n > 12:
-        raise ValueError(f"grid of {n} sites is too large to enumerate")
-
-    digits = np.unravel_index(np.arange(3 ** n), (3,) * n)
-    assign = np.stack(digits, axis=1)                   # (3^n, n), values 0..2
-
-    unary = (u1 + u2).reshape(3, n)
-    energies = unary[assign, np.arange(n)].sum(axis=1)
-    energies += prior.lambda1 * prior.bias[assign].sum(axis=1)
-
-    for dr, dc, d2 in PAIR_DIRECTIONS:
-        for r in range(height - dr):
-            for c in range(max(0, -dc), width - max(0, dc)):
-                y1 = r * width + c
-                y2 = (r + dr) * width + (c + dc)
-                energies += (prior.lambda2 / d2) * (assign[:, y1] != assign[:, y2])
-
-    best = int(np.argmin(energies))
-    grid = (assign[best] + 1).reshape(height, width).astype(np.int64)
-    return grid, float(energies[best])

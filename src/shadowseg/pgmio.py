@@ -1,8 +1,8 @@
 """Binary PGM (P5) reading and writing, plus the label-map encoding.
 
-Only 8-bit binary PGM is supported (maxval up to 255). Label maps are
-stored as ordinary PGM files with background = 0, shadow = 128 and
-foreground = 255.
+Only 8-bit binary PGM is supported (maxval up to 255), and sequence
+frames must use maxval 255. Label maps are stored as ordinary PGM files
+with background = 0, shadow = 128 and foreground = 255.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ def write_pgm(path, pixels, maxval: int = 255) -> None:
 
 
 def read_frame(path) -> np.ndarray:
-    """Read one sequence frame; just the pixels, maxval discarded."""
-    pixels, _ = read_pgm(path)
+    """Read one sequence frame, which must use the full 0..255 scale."""
+    pixels, maxval = read_pgm(path)
+    if maxval != 255:
+        raise PgmError(f"{path}: frame maxval is {maxval}, expected 255")
     return pixels
 
 

@@ -1,0 +1,206 @@
+"""Scalar reference implementations the engine is tested against.
+
+The library keeps only the vectorized engine. These single-pixel and
+single-site versions spell out the same semantics one step at a time:
+
+- the mixture of Gaussians for one pixel (`PixelMixture`, `match_component`,
+  `update_mixture`, `select_background`), which `MixtureGrid` follows bit
+  for bit, and `pixel` to read one pixel's mixture out of a grid;
+- the clique terms of the labeling energy (`pair_potential`,
+  `unary_costs`, `local_potential`);
+- the HCF stability score of one site (`stability`) and an exhaustive
+  MAP search for tiny grids (`brute_force_map`).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
+                                  VARIANCE_FLOOR, MixtureGrid)
+from shadowseg.energy import (LABELS, NEIGHBORS_8, PAIR_DIRECTIONS, PriorParams,
+                              UNCOMMITTED)
+
+
+# --- mixture of Gaussians, one pixel -------------------------------------------
+
+@dataclass
+class GaussianComponent:
+    weight: float
+    mean: float
+    variance: float
+
+
+@dataclass
+class PixelMixture:
+    """Ordered list of exactly K Gaussian components for one pixel."""
+
+    components: list[GaussianComponent]
+
+    def __post_init__(self):
+        if not 3 <= len(self.components) <= 5:
+            raise ValueError("mixture must hold 3 to 5 components")
+
+    def weights_sum(self) -> float:
+        return sum(c.weight for c in self.components)
+
+
+def _check_order(mixture: PixelMixture) -> list[int]:
+    # Descending weight/stddev; storage index breaks ties.
+    ratios = [c.weight / math.sqrt(c.variance) for c in mixture.components]
+    return sorted(range(len(ratios)), key=lambda i: (-ratios[i], i))
+
+
+def match_component(mixture: PixelMixture, g: float) -> int | None:
+    """Index of the first component with ``|g - mean| <= 3 stddev``,
+    checked in descending weight/stddev order.  None when nothing matches.
+    """
+    g = float(g)
+    for i in _check_order(mixture):
+        c = mixture.components[i]
+        if abs(g - c.mean) <= MATCH_SIGMAS * math.sqrt(c.variance):
+            return i
+    return None
+
+
+def update_mixture(mixture: PixelMixture, g: float, alpha: float) -> PixelMixture:
+    """One recursive history update for one pixel.
+
+    The matched component blends toward the observation with rate alpha
+    (means and variances of the others are untouched); if nothing matches,
+    the lowest-weight component is replaced by a fresh one centered at the
+    observation.  Weights are renormalized to sum 1 afterwards.
+    """
+    g = float(g)
+    matched = match_component(mixture, g)
+    out = [GaussianComponent(c.weight, c.mean, c.variance) for c in mixture.components]
+    if matched is not None:
+        c = out[matched]
+        diff = g - c.mean
+        out[matched] = GaussianComponent(
+            (1.0 - alpha) * c.weight + alpha,
+            (1.0 - alpha) * c.mean + alpha * g,
+            max((1.0 - alpha) * c.variance + alpha * diff * diff, VARIANCE_FLOOR),
+        )
+    else:
+        weights = [c.weight for c in out]
+        lowest = weights.index(min(weights))
+        out[lowest] = GaussianComponent(INIT_WEIGHT, g, INIT_VARIANCE)
+    total = sum(c.weight for c in out)
+    for i, c in enumerate(out):
+        out[i] = GaussianComponent(c.weight / total, c.mean, c.variance)
+    return PixelMixture(out)
+
+
+def select_background(mixture: PixelMixture) -> tuple[float, float]:
+    """(mean, variance) of the component maximizing weight/stddev;
+    ties go to the lowest component index."""
+    best = 0
+    best_ratio = -math.inf
+    for i, c in enumerate(mixture.components):
+        ratio = c.weight / math.sqrt(c.variance)
+        if ratio > best_ratio:
+            best, best_ratio = i, ratio
+    chosen = mixture.components[best]
+    return chosen.mean, chosen.variance
+
+
+def pixel(grid: MixtureGrid, row: int, col: int) -> PixelMixture:
+    """The mixture stored at one pixel of `grid`."""
+    return PixelMixture([
+        GaussianComponent(float(grid.weights[i, row, col]),
+                          float(grid.means[i, row, col]),
+                          float(grid.variances[i, row, col]))
+        for i in range(grid.k)
+    ])
+
+
+# --- labeling energy, one site -------------------------------------------------
+
+def pair_potential(label_x: int, label_y: int, dist_sq: float) -> float:
+    """0 for agreeing labels, 1/dist_sq otherwise.  Labels must be committed."""
+    return 0.0 if label_x == label_y else 1.0 / dist_sq
+
+
+def unary_costs(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> np.ndarray:
+    """Per-label per-pixel cost outside the pair terms: U1 + U2 + lambda1*bias."""
+    return u1 + u2 + prior.lambda1 * prior.bias[:, None, None]
+
+
+def local_potential(row: int, col: int, label: int, labels: np.ndarray,
+                    u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> float:
+    """Conditional posterior potential of one candidate label at one site.
+
+    Pair terms run over the committed 8-neighbors; uncommitted neighbors
+    contribute nothing.
+    """
+    height, width = labels.shape
+    f = float(u1[label - 1, row, col] + u2[label - 1, row, col])
+    f += prior.lambda1 * float(prior.bias[label - 1])
+    disagreement = 0.0
+    for dr, dc, d2 in NEIGHBORS_8:
+        r, c = row + dr, col + dc
+        if 0 <= r < height and 0 <= c < width:
+            s = labels[r, c]
+            if s != UNCOMMITTED and s != label:
+                disagreement += 1.0 / d2
+    return f + prior.lambda2 * disagreement
+
+
+# --- optimizer -----------------------------------------------------------------
+
+def stability(row: int, col: int, labels: np.ndarray, u1: np.ndarray,
+              u2: np.ndarray, prior: PriorParams) -> tuple[float, int]:
+    """Confidence score and preferred label of one site in the field.
+
+    Uncommitted sites score minus the gap between the two best labels
+    (always <= 0); committed sites score the cheapest alternative minus
+    the current cost, so negative means a relabel would pay off. Returns
+    (score, best label); ties prefer the smallest label.
+    """
+    f = [local_potential(row, col, s, labels, u1, u2, prior) for s in LABELS]
+    best = 1
+    if f[1] < f[best - 1]:
+        best = 2
+    if f[2] < f[best - 1]:
+        best = 3
+    current = int(labels[row, col])
+    if current == UNCOMMITTED:
+        second = min(f[i] for i in range(3) if i != best - 1)
+        return f[best - 1] - second, best
+    cur = f[current - 1]
+    best_other = min(v for i, v in enumerate(f) if i != current - 1)
+    return best_other - cur, best
+
+
+def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
+    """Exhaustive MAP over all labelings; only feasible for tiny grids.
+
+    Ties resolve to the labeling that is lexicographically smallest in
+    raster order. Returns (labels, energy).
+    """
+    _, height, width = u1.shape
+    n = height * width
+    if n > 12:
+        raise ValueError(f"grid of {n} sites is too large to enumerate")
+
+    digits = np.unravel_index(np.arange(3 ** n), (3,) * n)
+    assign = np.stack(digits, axis=1)                   # (3^n, n), values 0..2
+
+    unary = (u1 + u2).reshape(3, n)
+    energies = unary[assign, np.arange(n)].sum(axis=1)
+    energies += prior.lambda1 * prior.bias[assign].sum(axis=1)
+
+    for dr, dc, d2 in PAIR_DIRECTIONS:
+        for r in range(height - dr):
+            for c in range(max(0, -dc), width - max(0, dc)):
+                y1 = r * width + c
+                y2 = (r + dr) * width + (c + dc)
+                energies += (prior.lambda2 / d2) * (assign[:, y1] != assign[:, y2])
+
+    best = int(np.argmin(energies))
+    grid = (assign[best] + 1).reshape(height, width).astype(np.int64)
+    return grid, float(energies[best])

@@ -7,24 +7,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from shadowseg import (
+from oracles import (
     GaussianComponent,
-    MixtureGrid,
     PixelMixture,
     brute_force_map,
-    edge_potential,
-    evaluate,
-    fit_shadow,
-    hcf_minimize,
-    initial_prior,
-    label_boundary_mask,
     local_potential,
-    total_energy,
-    update_label_bias,
     update_mixture,
 )
 from shadowseg import EngineConfig, EngineState, process_frame
-from shadowseg.background import BackgroundModel
+from shadowseg.background import BackgroundModel, MixtureGrid
+from shadowseg.energy import initial_prior, total_energy, update_label_bias
+from shadowseg.evaluate import evaluate, label_boundary_mask
+from shadowseg.likelihood import edge_potential
+from shadowseg.optimizer import hcf_minimize
+from shadowseg.shadow import fit_shadow
 from shadowseg.cli import main
 from shadowseg.edge import background_edge_model
 from shadowseg.energy import FOREGROUND, PriorParams, SHADOW

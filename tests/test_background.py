@@ -6,17 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from shadowseg import (
-    BackgroundModel,
+from oracles import (
     GaussianComponent,
-    MixtureGrid,
     PixelMixture,
-    init_static,
     match_component,
+    pixel,
     select_background,
     update_mixture,
 )
-from shadowseg.background import INIT_VARIANCE, INIT_WEIGHT, VARIANCE_FLOOR
+from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, VARIANCE_FLOOR,
+                                  BackgroundModel, MixtureGrid, init_static)
 
 
 def mk(triples):
@@ -176,14 +175,14 @@ def test_grid_update_matches_scalar_updates():
     grid = MixtureGrid(weights.copy(), means.copy(), variances.copy())
 
     frames = [rng.uniform(0, 255, size=(h, w)) for _ in range(5)]
-    scalar = {(r, c): grid.pixel(r, c) for r in range(h) for c in range(w)}
+    scalar = {(r, c): pixel(grid, r, c) for r in range(h) for c in range(w)}
     for frame in frames:
         grid.update(frame, alpha=0.1)
         for (r, c), mix in scalar.items():
             scalar[(r, c)] = update_mixture(mix, float(frame[r, c]), alpha=0.1)
 
     for (r, c), mix in scalar.items():
-        got = grid.pixel(r, c)
+        got = pixel(grid, r, c)
         for a, b in zip(got.components, mix.components):
             assert math.isclose(a.weight, b.weight, rel_tol=1e-9, abs_tol=1e-12)
             assert math.isclose(a.mean, b.mean, rel_tol=1e-9, abs_tol=1e-12)
@@ -201,7 +200,7 @@ def test_grid_select_matches_scalar_selection():
     assert isinstance(bg, BackgroundModel)
     for r in range(h):
         for c in range(w):
-            mean, var = select_background(grid.pixel(r, c))
+            mean, var = select_background(pixel(grid, r, c))
             assert bg.mean[r, c] == mean
             assert bg.variance[r, c] == var
 

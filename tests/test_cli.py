@@ -7,10 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from shadowseg import EdgeModel, EngineState, build_potential_tables
+from shadowseg import EngineState
 from shadowseg.cli import DIAG_HEADER, _read_config_file, main
-from shadowseg.edge import frame_edges
-from shadowseg.likelihood import dump_potentials
+from shadowseg.edge import EdgeModel, frame_edges
+from shadowseg.likelihood import build_potential_tables, dump_potentials
 from shadowseg.pgmio import read_frame, read_labels, write_labels, write_pgm
 from shadowseg.pipeline import EngineConfig, pooled_variance
 from shadowseg.synth import SynthScene, generate_synthetic

@@ -4,7 +4,8 @@ distribution they induce."""
 import numpy as np
 import pytest
 
-from shadowseg import BackgroundModel, EdgeModel, background_edge_model, frame_edges
+from shadowseg.background import BackgroundModel
+from shadowseg.edge import EdgeModel, background_edge_model, frame_edges
 
 
 def test_constant_frame_has_zero_edges():

@@ -4,16 +4,9 @@ and the adaptive per-label bias."""
 import numpy as np
 import pytest
 
-from shadowseg import (
-    PriorParams,
-    initial_prior,
-    local_potential,
-    pair_potential,
-    total_energy,
-    update_label_bias,
-)
-from shadowseg.energy import LABELS, PAIR_DIRECTIONS, UNCOMMITTED
-from shadowseg.energy import unary_costs
+from oracles import local_potential, pair_potential, unary_costs
+from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, UNCOMMITTED, PriorParams,
+                              initial_prior, total_energy, update_label_bias)
 
 
 def flat_prior(lambda1=0.0, lambda2=0.0):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shadowseg import evaluate, label_boundary_mask
+from shadowseg.evaluate import evaluate, label_boundary_mask
 
 
 def test_identity_prediction_is_perfect():

@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from shadowseg import (
-    BACKGROUND,
-    FOREGROUND,
-    SHADOW,
-    EdgeModel,
-    ShadowParams,
-    build_potential_tables,
-    edge_potential,
-    intensity_potential,
-)
-from shadowseg.likelihood import EDGE_DENSITY_FLOOR, dump_potentials
+from shadowseg import BACKGROUND, FOREGROUND, SHADOW
+from shadowseg.edge import EdgeModel
+from shadowseg.likelihood import (EDGE_DENSITY_FLOOR, build_potential_tables,
+                                  dump_potentials, edge_potential, intensity_potential)
+from shadowseg.shadow import ShadowParams
 
 Y_MAX = 255.0
 NO_SHADOW = ShadowParams(gain=1.0, offset=0.0)

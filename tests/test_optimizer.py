@@ -4,16 +4,9 @@ relabel loop, and agreement with exhaustive enumeration."""
 import numpy as np
 import pytest
 
-from shadowseg import (
-    PriorParams,
-    brute_force_map,
-    hcf_minimize,
-    initial_prior,
-    local_potential,
-    stability,
-    total_energy,
-)
-from shadowseg.energy import unary_costs
+from oracles import brute_force_map, local_potential, stability, unary_costs
+from shadowseg.energy import PriorParams, initial_prior, total_energy
+from shadowseg.optimizer import hcf_minimize
 
 
 def site_tables(f_values):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shadowseg import PgmError, read_frame, read_labels, read_pgm, write_labels, write_pgm
+from shadowseg.pgmio import PgmError, read_frame, read_labels, read_pgm, write_labels, write_pgm
 
 
 def test_round_trip_preserves_every_byte_value(tmp_path):

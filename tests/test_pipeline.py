@@ -6,19 +6,12 @@ import copy
 import numpy as np
 import pytest
 
-from shadowseg import (
-    BackgroundModel,
-    EdgeModel,
-    EngineConfig,
-    EngineState,
-    build_potential_tables,
-    pooled_variance,
-    process_frame,
-    total_energy,
-)
-from shadowseg.background import VARIANCE_FLOOR
-from shadowseg.edge import frame_edges
-from shadowseg.energy import BACKGROUND, SHADOW
+from shadowseg import EngineConfig, EngineState, process_frame
+from shadowseg.background import VARIANCE_FLOOR, BackgroundModel
+from shadowseg.edge import EdgeModel, frame_edges
+from shadowseg.energy import BACKGROUND, SHADOW, total_energy
+from shadowseg.likelihood import build_potential_tables
+from shadowseg.pipeline import pooled_variance
 from shadowseg.synth import SynthScene, background_pattern, render_scene
 
 

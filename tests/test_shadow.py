@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shadowseg import ShadowParams, fit_shadow, initial_shadow_params, update_shadow
-from shadowseg.shadow import GAIN_MAX, GAIN_MIN, MIN_SHADOW_PIXELS
+from shadowseg.shadow import (GAIN_MAX, GAIN_MIN, MIN_SHADOW_PIXELS, ShadowParams,
+                              fit_shadow, initial_shadow_params, update_shadow)
 
 
 def normal_equations_oracle(g, b):

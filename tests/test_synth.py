@@ -4,10 +4,10 @@ reproducibility, and the on-disk layout."""
 import numpy as np
 import pytest
 
-from shadowseg import SynthScene, background_pattern, generate_synthetic, render_scene
 from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
 from shadowseg.pgmio import read_frame, read_labels
-from shadowseg.synth import scene_preset
+from shadowseg.synth import (SynthScene, background_pattern, generate_synthetic,
+                             render_scene, scene_preset)
 
 
 def quiet_scene(**overrides):
