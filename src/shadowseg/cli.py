@@ -86,6 +86,8 @@ def _cmd_segment(args) -> int:
                              if _CONFIG_FIELDS.get(key, key) in fields})
     paths = _frame_paths(settings["input"])
     bg_init = settings["bg_init"]
+    if bg_init < 0:
+        raise ValueError(f"bg-init must be >= 0 (0: adaptive start), got {bg_init}")
     if bg_init >= len(paths):
         raise ValueError(f"bg-init {bg_init} leaves no frames to process "
                          f"(sequence has {len(paths)})")

@@ -8,42 +8,98 @@ clique terms against committed neighbors only, so uncommitted sites never
 penalize anyone. Energy decreases monotonically and the procedure stops
 when no committed site can strictly improve.
 
-The priority queue uses lazy deletion: each site carries a version
-counter, and stale heap entries are dropped on pop.
+The sweep runs in a small C kernel (`_hcf.c`), compiled with the system
+`cc` on first use and loaded with ctypes. Its labels, energy, counts and
+trace are bit-identical to `_hcf_python`, the reference loop, which runs
+instead when the kernel cannot be built or loaded.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from shadowseg.energy import NEIGHBORS_8, UNCOMMITTED, PriorParams, total_energy
 
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hcf.c")
+# no -ffast-math or -march: both would break parity with the Python loop
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_OFFSETS = np.array([(dr, dc) for dr, dc, _ in NEIGHBORS_8], dtype=np.int64)
+_TRACE_KINDS = ("commit", "relabel")
+
 
 @dataclass
 class HcfResult:
     labels: np.ndarray          # (H, W) ints in {1, 2, 3}
     energy: float               # total posterior energy of the labeling
-    visits: int                 # heap pops that survived staleness checks
+    visits: int                 # sites taken from the queue (stale entries not counted)
     commits: int
     relabels: int
-    trace: list[tuple[str, float]]   # ("commit"|"relabel", running energy after)
+    # with trace=True: ("commit"|"relabel", running energy after), else None
+    trace: list[tuple[str, float]] | None
 
 
-def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResult:
+def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
+                 trace: bool = False) -> HcfResult:
     """Label every pixel of the frame, minimizing the posterior energy.
 
-    `u1` and `u2` are (3, H, W) potential tables indexed by label-1.
+    `u1` and `u2` are (3, H, W) potential tables indexed by label-1. With
+    `trace`, the result lists every commit and relabel in order.
     """
+    sweep = _kernel()
+    if sweep is None:
+        return _hcf_python(u1, u2, prior, trace=trace)
+    base = np.ascontiguousarray(_site_potentials(u1, u2, prior), dtype=np.float64)
+    if base.ndim != 3 or base.shape[0] != 3:
+        raise ValueError(f"potential tables must be (3, H, W), got {base.shape}")
+    _, height, width = base.shape
+    n = height * width
+    weights = np.array([prior.lambda2 / d2 for _, _, d2 in NEIGHBORS_8], dtype=np.float64)
+    labels = np.empty(n, dtype=np.int64)
+    counts = np.empty(3, dtype=np.int64)
+    # sized for the n commits; when relabels overflow it, the kernel
+    # reports how many events there were and runs again at that size
+    capacity = n if trace else 0
+    while True:
+        kinds = np.empty(capacity, dtype=np.uint8)
+        energies = np.empty(capacity, dtype=np.float64)
+        n_events = sweep(base.ctypes.data, height, width, _OFFSETS.ctypes.data,
+                         weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
+                         kinds.ctypes.data, energies.ctypes.data, capacity)
+        if n_events < 0:
+            raise MemoryError("HCF kernel could not allocate its work arrays")
+        if not trace or n_events <= capacity:
+            break
+        capacity = n_events
+    events = None
+    if trace:
+        events = [(_TRACE_KINDS[k], e) for k, e in
+                  zip(kinds[:n_events].tolist(), energies[:n_events].tolist())]
+    grid = labels.reshape(height, width)
+    visits, commits, relabels = counts.tolist()
+    return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
+                     visits=visits, commits=commits, relabels=relabels, trace=events)
+
+
+def _site_potentials(u1, u2, prior: PriorParams) -> np.ndarray:
+    """Local potentials with no committed neighbors: data terms plus bias."""
+    return u1 + u2 + prior.lambda1 * prior.bias[:, None, None]
+
+
+def _hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
+                trace: bool = False) -> HcfResult:
+    """The reference sweep, with a lazy-deletion heap: each site carries a
+    version counter, and stale heap entries are dropped on pop."""
     _, height, width = u1.shape
     n = height * width
-    lam1 = prior.lambda1
     lam2 = prior.lambda2
 
-    # Local potentials with no committed neighbors: data terms plus bias.
-    base = u1 + u2 + lam1 * prior.bias[:, None, None]
+    base = _site_potentials(u1, u2, prior)
     f = base.transpose(1, 2, 0).ravel().tolist()    # flat, site-major
 
     part = np.partition(base, 1, axis=0)
@@ -56,7 +112,7 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
 
     visits = commits = relabels = 0
     running = 0.0
-    trace: list[tuple[str, float]] = []
+    events: list[tuple[str, float]] | None = [] if trace else None
 
     while heap:
         _, y, ver = heapq.heappop(heap)
@@ -75,14 +131,16 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
             labels[y] = best
             commits += 1
             running += best_f
-            trace.append(("commit", running))
+            if trace:
+                events.append(("commit", running))
         else:
             if best_f >= f[b + old - 1]:
                 continue
             labels[y] = best
             relabels += 1
             running += best_f - f[b + old - 1]
-            trace.append(("relabel", running))
+            if trace:
+                events.append(("relabel", running))
 
         r, c = divmod(y, width)
         for dr, dc, d2 in NEIGHBORS_8:
@@ -120,4 +178,52 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
 
     grid = np.array(labels, dtype=np.int64).reshape(height, width)
     return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
-                     visits=visits, commits=commits, relabels=relabels, trace=trace)
+                     visits=visits, commits=commits, relabels=relabels, trace=events)
+
+
+@functools.cache
+def _kernel():
+    """The compiled sweep, loaded on first use; None when it cannot be built
+    or loaded, and the Python loop runs instead."""
+    return _load_kernel(_SOURCE)
+
+
+def _load_kernel(source: str):
+    """`hcf_sweep` from `source`, built into the same directory unless a
+    build of this exact source, flags and machine is there already; None
+    when the source, the compiler or a writable directory is missing."""
+    import hashlib          # only here: it adds a few ms to the optimizer import
+
+    machine = os.uname().machine
+    try:
+        with open(source, "rb") as fh:
+            code = fh.read()
+        digest = hashlib.sha256(code + " ".join(_CFLAGS + (machine,)).encode()).hexdigest()
+        library = os.path.join(os.path.dirname(source), f"_hcf-{digest[:16]}-{machine}.so")
+        if not os.path.exists(library):
+            _build(source, library)
+        sweep = ctypes.CDLL(library).hcf_sweep
+    except OSError:
+        return None
+    sweep.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    sweep.restype = ctypes.c_int64
+    return sweep
+
+
+def _build(source: str, library: str) -> None:
+    """Compile `source` into `library`, through a temporary file so that a
+    concurrent or interrupted build never leaves a partial library."""
+    import subprocess       # only here: needed only when no build is cached
+
+    tmp = f"{library}.{os.getpid()}.tmp"
+    try:
+        proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, source],
+                              capture_output=True, text=True, check=False)
+        if proc.returncode != 0:
+            raise OSError(f"cc exited with code {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -98,7 +98,7 @@ def test_criterion_03_energy_decreases_monotonically_across_relabels():
         u2 = rng.normal(0.0, 2.0, size=(3, h, w))
         prior = initial_prior(lambda1=float(rng.uniform(0, 3)),
                               lambda2=float(rng.uniform(0.5, 4.0)))
-        res = hcf_minimize(u1, u2, prior)
+        res = hcf_minimize(u1, u2, prior, trace=True)
         for i, (kind, energy) in enumerate(res.trace):
             if kind == "relabel":
                 relabels_seen += 1

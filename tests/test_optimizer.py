@@ -104,7 +104,7 @@ def test_trace_relabels_strictly_decrease():
         u2 = rng.normal(0, 2, size=(3, 6, 6))
         prior = initial_prior(lambda1=float(rng.uniform(0, 3)),
                               lambda2=float(rng.uniform(0.5, 4)))
-        res = hcf_minimize(u1, u2, prior)
+        res = hcf_minimize(u1, u2, prior, trace=True)
         assert res.relabels == sum(kind == "relabel" for kind, _ in res.trace)
         for i, (kind, energy) in enumerate(res.trace):
             if kind == "relabel":
@@ -119,7 +119,7 @@ def test_trace_ends_at_reported_energy():
         u1 = rng.normal(0, 2, size=(3, 5, 7))
         u2 = rng.normal(0, 2, size=(3, 5, 7))
         prior = initial_prior(lambda1=1.0, lambda2=2.0)
-        res = hcf_minimize(u1, u2, prior)
+        res = hcf_minimize(u1, u2, prior, trace=True)
         assert np.isclose(res.trace[-1][1], res.energy, rtol=1e-8, atol=1e-8)
         assert np.isclose(res.energy, total_energy(res.labels, u1, u2, prior),
                           rtol=1e-9, atol=1e-9)
@@ -163,8 +163,8 @@ def test_deterministic_across_runs():
     u1 = rng.normal(size=(3, 8, 8))
     u2 = rng.normal(size=(3, 8, 8))
     prior = initial_prior(lambda1=2.0, lambda2=3.0)
-    a = hcf_minimize(u1, u2, prior)
-    b = hcf_minimize(u1, u2, prior)
+    a = hcf_minimize(u1, u2, prior, trace=True)
+    b = hcf_minimize(u1, u2, prior, trace=True)
     assert np.array_equal(a.labels, b.labels)
     assert a.energy == b.energy
     assert a.trace == b.trace

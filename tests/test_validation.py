@@ -63,6 +63,23 @@ def test_segment_rejects_out_of_range_settings(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_segment_rejects_negative_bg_init(tmp_path, capsys):
+    frame_dir = tiny_frames(tmp_path)
+    out = tmp_path / "labels"
+    assert main(["segment", "--input", str(frame_dir), "--out", str(out),
+                 "--bg-init", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bg-init" in err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {frame_dir}\nout = {out}\nbg_init = -1\n")
+    assert main(["segment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bg-init" in err
+    assert not out.exists()
+
+
 def test_config_file_settings_are_validated_too(tmp_path, capsys):
     frame_dir = tiny_frames(tmp_path)
     cfg = tmp_path / "run.cfg"
