@@ -1,78 +1,92 @@
-/* Highest-confidence-first sweep, compiled.
+/* The compiled kernels of shadowseg, loaded with ctypes by
+   shadowseg._native: the highest-confidence-first sweep (hcf_sweep), and
+   the per-pixel mixture update and background selection (mixture_update,
+   mixture_select).
 
-   The visit loop of shadowseg.optimizer._hcf_python, replaying its float64
-   additions and subtractions in the same order, so labels, counts and the
-   running energy come out bit-identical. Built with -ffp-contract=off so
-   that no multiply-add is fused.
+   Each replays the float64 arithmetic of its reference, operation by
+   operation and in the same order, so results come out bit-identical:
+   hcf_sweep follows shadowseg.optimizer._hcf_python, the mixture kernels
+   follow the numpy bodies of shadowseg.background.MixtureGrid. Built with
+   -ffp-contract=off so that no multiply-add is fused, and without
+   -ffast-math. */
 
-   The priority queue is an indexed binary heap: one slot per site, keyed
-   (score, site), updated or removed in place. The Python loop's
-   lazy-deletion heap holds at most one live entry per site and pops live
-   entries in (score, site) order, so both visit the sites in one order.
-
-   Loaded with ctypes by shadowseg.optimizer; see hcf_sweep below. */
-
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
+/* The HCF priority queue is an indexed binary heap: one entry per site,
+   carrying its (score, site) key inline, updated or removed in place.
+   The Python loop's lazy-deletion heap holds at most one live entry per
+   site and pops live entries in (score, site) order, so both visit the
+   sites in one order. */
+
 typedef struct {
-    int64_t *heap;      /* sites in heap order */
+    double score;
+    int64_t site;
+} Entry;
+
+typedef struct {
+    Entry *heap;
     int64_t *slot;      /* index of each site in heap, -1 when absent */
-    double *score;      /* key of each site */
     int64_t size;
 } Queue;
 
-static int before(const Queue *q, int64_t a, int64_t b)
+static int before(Entry a, Entry b)
 {
-    return q->score[a] < q->score[b] || (q->score[a] == q->score[b] && a < b);
+    return a.score < b.score || (a.score == b.score && a.site < b.site);
 }
 
-static void place(Queue *q, int64_t i, int64_t site)
+static void place(Queue *q, int64_t i, Entry e)
 {
-    q->heap[i] = site;
-    q->slot[site] = i;
+    q->heap[i] = e;
+    q->slot[e.site] = i;
 }
 
 static void sift_up(Queue *q, int64_t i)
 {
-    int64_t site = q->heap[i];
+    Entry e = q->heap[i];
     while (i > 0) {
         int64_t parent = (i - 1) / 2;
-        if (!before(q, site, q->heap[parent]))
+        if (!before(e, q->heap[parent]))
             break;
         place(q, i, q->heap[parent]);
         i = parent;
     }
-    place(q, i, site);
+    place(q, i, e);
 }
 
 static void sift_down(Queue *q, int64_t i)
 {
-    int64_t site = q->heap[i];
+    Entry e = q->heap[i];
     for (;;) {
         int64_t child = 2 * i + 1;
         if (child >= q->size)
             break;
-        if (child + 1 < q->size && before(q, q->heap[child + 1], q->heap[child]))
+        if (child + 1 < q->size && before(q->heap[child + 1], q->heap[child]))
             child++;
-        if (!before(q, q->heap[child], site))
+        if (!before(q->heap[child], e))
             break;
         place(q, i, q->heap[child]);
         i = child;
     }
-    place(q, i, site);
+    place(q, i, e);
 }
 
 /* Key `site` by `score`, inserting it when absent. */
 static void set_score(Queue *q, int64_t site, double score)
 {
-    q->score[site] = score;
-    if (q->slot[site] < 0) {
-        place(q, q->size++, site);
-        sift_up(q, q->size - 1);
+    Entry e = {score, site};
+    int64_t i = q->slot[site];
+    if (i < 0) {
+        i = q->size++;
+        q->heap[i] = e;
+        sift_up(q, i);
+    } else if (before(e, q->heap[i])) {
+        q->heap[i] = e;
+        sift_up(q, i);
     } else {
-        sift_up(q, q->slot[site]);
-        sift_down(q, q->slot[site]);
+        q->heap[i] = e;
+        sift_down(q, i);
     }
 }
 
@@ -82,11 +96,11 @@ static void drop(Queue *q, int64_t site)
     if (i < 0)
         return;
     q->slot[site] = -1;
-    int64_t last = q->heap[--q->size];
+    Entry last = q->heap[--q->size];
     if (i < q->size) {
         place(q, i, last);
         sift_up(q, i);
-        sift_down(q, q->slot[last]);
+        sift_down(q, q->slot[last.site]);
     }
 }
 
@@ -115,13 +129,11 @@ int64_t hcf_sweep(const double *base, int64_t height, int64_t width,
 
     /* + 1: malloc(0) may return NULL on an empty grid */
     double *f = malloc((3 * n + 1) * sizeof(double));
-    Queue q = {malloc((n + 1) * sizeof(int64_t)), malloc((n + 1) * sizeof(int64_t)),
-               malloc((n + 1) * sizeof(double)), n};
-    if (f == NULL || q.heap == NULL || q.slot == NULL || q.score == NULL) {
+    Queue q = {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), n};
+    if (f == NULL || q.heap == NULL || q.slot == NULL) {
         free(f);
         free(q.heap);
         free(q.slot);
-        free(q.score);
         return -1;
     }
 
@@ -143,15 +155,14 @@ int64_t hcf_sweep(const double *base, int64_t height, int64_t width,
         } else {
             mid = c < hi ? c : hi;
         }
-        q.score[y] = lo - mid;
-        q.heap[y] = y;
+        q.heap[y] = (Entry){lo - mid, y};
         q.slot[y] = y;
     }
     for (int64_t i = n / 2 - 1; i >= 0; i--)
         sift_down(&q, i);
 
     while (q.size > 0) {
-        int64_t y = q.heap[0];
+        int64_t y = q.heap[0].site;
         drop(&q, y);
         visits++;
         double *fy = f + 3 * y;
@@ -237,9 +248,90 @@ int64_t hcf_sweep(const double *base, int64_t height, int64_t width,
     free(f);
     free(q.heap);
     free(q.slot);
-    free(q.score);
     counts[0] = visits;
     counts[1] = commits;
     counts[2] = relabels;
     return commits + relabels;
+}
+
+/* One recursive update of every pixel's mixture, in place:
+   MixtureGrid._update_numpy pixel by pixel.
+
+   weights, means, variances
+             (k, n) components, lane-major, updated in place
+   frame     n observations
+   alpha     learning rate; the other four are the constants of
+             shadowseg.background, passed so that they live in one place
+
+   The observation matches the component of largest weight/stddev, first
+   index on ties, among those within match_sigmas standard deviations
+   (numpy: the first match in a stable descending argsort). A match pulls
+   that component toward the observation; with none, the first component
+   of lowest weight is replaced. The weights are then renormalized by
+   their sum taken from lane 0 upward. */
+void mixture_update(double *weights, double *means, double *variances,
+                    const double *frame, int64_t k, int64_t n, double alpha,
+                    double match_sigmas, double init_weight, double init_variance,
+                    double variance_floor)
+{
+    double keep = 1.0 - alpha;
+    for (int64_t i = 0; i < n; i++) {
+        double g = frame[i];
+        int64_t match = -1;
+        double match_rank = 0.0;
+        for (int64_t j = 0; j < k; j++) {
+            int64_t at = j * n + i;
+            double sigma = sqrt(variances[at]);
+            double rank = weights[at] / sigma;
+            if (fabs(g - means[at]) <= match_sigmas * sigma
+                && (match < 0 || rank > match_rank)) {
+                match = j;
+                match_rank = rank;
+            }
+        }
+        if (match >= 0) {
+            int64_t at = match * n + i;
+            double d = g - means[at];
+            double v = keep * variances[at] + alpha * d * d;
+            weights[at] = keep * weights[at] + alpha;
+            means[at] = keep * means[at] + alpha * g;
+            /* np.maximum, which keeps a NaN */
+            variances[at] = v < variance_floor ? variance_floor : v;
+        } else {
+            int64_t low = 0;
+            for (int64_t j = 1; j < k; j++)
+                if (weights[j * n + i] < weights[low * n + i])
+                    low = j;
+            int64_t at = low * n + i;
+            weights[at] = init_weight;
+            means[at] = g;
+            variances[at] = init_variance;
+        }
+        double total = weights[i];
+        for (int64_t j = 1; j < k; j++)
+            total += weights[j * n + i];
+        for (int64_t j = 0; j < k; j++)
+            weights[j * n + i] /= total;
+    }
+}
+
+/* Per pixel, the mean and variance of the component of largest
+   weight/stddev, first index on ties: MixtureGrid._select_numpy.
+   Inputs as for mixture_update; mean and variance are n outputs. */
+void mixture_select(const double *weights, const double *means, const double *variances,
+                    int64_t k, int64_t n, double *mean, double *variance)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t best = 0;
+        double best_rank = weights[i] / sqrt(variances[i]);
+        for (int64_t j = 1; j < k; j++) {
+            double rank = weights[j * n + i] / sqrt(variances[j * n + i]);
+            if (rank > best_rank) {
+                best = j;
+                best_rank = rank;
+            }
+        }
+        mean[i] = means[best * n + i];
+        variance[i] = variances[best * n + i];
+    }
 }

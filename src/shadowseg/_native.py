@@ -1,0 +1,95 @@
+"""The compiled kernels: the HCF sweep, and the per-pixel mixture update
+and background selection, all in `_native.c`.
+
+The source is compiled with the system `cc` on first use and loaded with
+ctypes. `library()` returns None when that fails, after one
+RuntimeWarning naming the reason; callers then run their Python and
+numpy reference code, which gives bit-identical results, only slower.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import warnings
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
+# -fno-math-errno lets sqrt compile to one instruction, with no libm call.
+# No -ffast-math, -march or -ffp-contract=fast: each would break parity
+# with the reference code.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+# name -> (argtypes, restype), as declared in _native.c
+_SIGNATURES = {
+    "hcf_sweep": ([_P, _I, _I, _P, _P, _P, _P, _P, _P, _I], _I),
+    "mixture_update": ([_P, _P, _P, _P, _I, _I, _D, _D, _D, _D, _D], None),
+    "mixture_select": ([_P, _P, _P, _I, _I, _P, _P], None),
+}
+
+
+@functools.cache
+def library():
+    """The compiled kernels, loaded on first use; None when they cannot be
+    built or loaded, and the reference code runs instead."""
+    return _load(_SOURCE)
+
+
+def _load(source: str):
+    """The kernels of `source`, built into the same directory unless a build
+    of this exact source, flags and machine is there already; None, with a
+    RuntimeWarning naming the reason, when that fails."""
+    try:
+        lib = ctypes.CDLL(_built(source))
+    except OSError as exc:
+        warnings.warn(f"shadowseg: compiled kernels unavailable ({exc}); HCF and the "
+                      "mixture updates run in the much slower Python and numpy "
+                      "reference code", RuntimeWarning)
+        return None
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        function = getattr(lib, name)
+        function.argtypes = argtypes
+        function.restype = restype
+    return lib
+
+
+def _built(source: str) -> str:
+    """Path of the library built from `source`, building it when missing."""
+    import hashlib          # only here: it adds a few ms to the package import
+
+    machine = os.uname().machine
+    try:
+        with open(source, "rb") as fh:
+            code = fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read the kernel source {source}: {exc.strerror}") from None
+    digest = hashlib.sha256(code + " ".join(_CFLAGS + (machine,)).encode()).hexdigest()
+    directory, name = os.path.split(source)
+    library = os.path.join(directory, f"{os.path.splitext(name)[0]}-{digest[:16]}-{machine}.so")
+    if not os.path.exists(library):
+        if not os.access(directory, os.W_OK):
+            raise OSError(f"cannot write the build into {directory}")
+        _build(source, library)
+    return library
+
+
+def _build(source: str, library: str) -> None:
+    """Compile `source` into `library`, through a temporary file so that a
+    concurrent or interrupted build never leaves a partial library."""
+    import subprocess       # only here: needed only when no build is cached
+
+    tmp = f"{library}.{os.getpid()}.tmp"
+    try:
+        try:
+            proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, source],
+                                  capture_output=True, text=True, check=False)
+        except FileNotFoundError:
+            raise OSError("no C compiler: cc is not on PATH") from None
+        if proc.returncode != 0:
+            first = (proc.stderr.strip().splitlines() or ["no message"])[0]
+            raise OSError(f"cc exited with code {proc.returncode}: {first}")
+        os.replace(tmp, library)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

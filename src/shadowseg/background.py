@@ -8,9 +8,12 @@ when nothing matches the lowest-weight component is replaced.  The
 component with the largest weight/stddev ratio is the background
 hypothesis at that pixel.
 
-:class:`MixtureGrid` applies these rules to every pixel at once; the
-scalar single-pixel versions in ``tests/oracles.py`` are the reference it
-is tested against bit for bit.
+:class:`MixtureGrid` applies these rules to every pixel at once, in the
+C kernels `mixture_update` and `mixture_select` (`_native.c`, see
+`shadowseg._native`). Its numpy bodies run instead when the kernels cannot
+be built or loaded, and are the reference the kernels match bit for bit;
+the scalar single-pixel versions in ``tests/oracles.py`` are the
+reference the numpy bodies are tested against.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from shadowseg import _native
 
 K_DEFAULT = 3
 MATCH_SIGMAS = 3.0
@@ -38,9 +43,15 @@ class MixtureGrid:
     """All per-pixel mixtures of a frame, stored as (K, H, W) arrays."""
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.means = np.asarray(means, dtype=np.float64)
-        self.variances = np.asarray(variances, dtype=np.float64)
+        # owned C-ordered copies: `update` writes into them in place
+        self.weights = np.array(weights, dtype=np.float64, order="C")
+        self.means = np.array(means, dtype=np.float64, order="C")
+        self.variances = np.array(variances, dtype=np.float64, order="C")
+        if self.weights.ndim != 3 or not (self.weights.shape == self.means.shape
+                                          == self.variances.shape):
+            raise ValueError("weights, means and variances must be (K, H, W) arrays of "
+                             f"one shape, got {self.weights.shape}, {self.means.shape}, "
+                             f"{self.variances.shape}")
         self.k = self.weights.shape[0]
 
     @classmethod
@@ -50,13 +61,27 @@ class MixtureGrid:
         h, w = frame.shape
         weights = np.zeros((k, h, w))
         weights[0] = 1.0
-        means = np.broadcast_to(np.asarray(frame, dtype=np.float64), (k, h, w)).copy()
+        means = np.broadcast_to(np.asarray(frame, dtype=np.float64), (k, h, w))
         variances = np.full((k, h, w), INIT_VARIANCE)
         return cls(weights, means, variances)
 
     def update(self, frame: np.ndarray, alpha: float) -> None:
-        """One recursive history update of every pixel's mixture."""
-        g = np.asarray(frame, dtype=np.float64)[None]          # (1, H, W)
+        """One recursive history update of every pixel's mixture, in place."""
+        frame = np.ascontiguousarray(frame, dtype=np.float64)
+        if frame.shape != self.weights.shape[1:]:
+            raise ValueError(f"frame shape {frame.shape} does not match mixture shape "
+                             f"{self.weights.shape[1:]}")
+        lib = _native.library()
+        if lib is None:
+            self._update_numpy(frame, alpha)
+            return
+        lib.mixture_update(self.weights.ctypes.data, self.means.ctypes.data,
+                           self.variances.ctypes.data, frame.ctypes.data, self.k, frame.size,
+                           alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
+
+    def _update_numpy(self, frame: np.ndarray, alpha: float) -> None:
+        """`update` in numpy: the fallback, and the kernel's reference."""
+        g = frame[None]                                         # (1, H, W)
         w, mu, var = self.weights, self.means, self.variances
         sigma = np.sqrt(var)
         order = np.argsort(-(w / sigma), axis=0, kind="stable")
@@ -78,13 +103,26 @@ class MixtureGrid:
         mu_new = np.where(repl, g, mu_new)
         var_new = np.where(repl, INIT_VARIANCE, var_new)
 
-        self.weights = w_new / w_new.sum(axis=0, keepdims=True)
-        self.means = mu_new
-        self.variances = var_new
+        np.divide(w_new, w_new.sum(axis=0, keepdims=True), out=self.weights)
+        self.means[...] = mu_new
+        self.variances[...] = var_new
 
     def select_background(self) -> BackgroundModel:
         """Per pixel, the component maximizing weight/stddev; ties go to the
-        lowest component index."""
+        lowest component index. The arrays returned are new."""
+        lib = _native.library()
+        if lib is None:
+            return self._select_numpy()
+        mean = np.empty(self.weights.shape[1:])
+        variance = np.empty_like(mean)
+        lib.mixture_select(self.weights.ctypes.data, self.means.ctypes.data,
+                           self.variances.ctypes.data, self.k, mean.size,
+                           mean.ctypes.data, variance.ctypes.data)
+        return BackgroundModel(mean, variance)
+
+    def _select_numpy(self) -> BackgroundModel:
+        """`select_background` in numpy: the fallback, and the kernel's
+        reference."""
         best = np.argmax(self.weights / np.sqrt(self.variances), axis=0)
         mean = np.take_along_axis(self.means, best[None], 0)[0]
         variance = np.take_along_axis(self.variances, best[None], 0)[0]

@@ -8,27 +8,22 @@ clique terms against committed neighbors only, so uncommitted sites never
 penalize anyone. Energy decreases monotonically and the procedure stops
 when no committed site can strictly improve.
 
-The sweep runs in a small C kernel (`_hcf.c`), compiled with the system
-`cc` on first use and loaded with ctypes. Its labels, energy, counts and
-trace are bit-identical to `_hcf_python`, the reference loop, which runs
-instead when the kernel cannot be built or loaded.
+The sweep runs in a C kernel (`hcf_sweep` in `_native.c`, see
+`shadowseg._native`). Its labels, energy, counts and trace are
+bit-identical to `_hcf_python`, the reference loop, which runs instead
+when the kernels cannot be built or loaded.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import heapq
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from shadowseg import _native
 from shadowseg.energy import NEIGHBORS_8, UNCOMMITTED, PriorParams, total_energy
 
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_hcf.c")
-# no -ffast-math or -march: both would break parity with the Python loop
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _OFFSETS = np.array([(dr, dc) for dr, dc, _ in NEIGHBORS_8], dtype=np.int64)
 _TRACE_KINDS = ("commit", "relabel")
 
@@ -51,8 +46,8 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     `u1` and `u2` are (3, H, W) potential tables indexed by label-1. With
     `trace`, the result lists every commit and relabel in order.
     """
-    sweep = _kernel()
-    if sweep is None:
+    lib = _native.library()
+    if lib is None:
         return _hcf_python(u1, u2, prior, trace=trace)
     base = np.ascontiguousarray(_site_potentials(u1, u2, prior), dtype=np.float64)
     if base.ndim != 3 or base.shape[0] != 3:
@@ -68,9 +63,9 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     while True:
         kinds = np.empty(capacity, dtype=np.uint8)
         energies = np.empty(capacity, dtype=np.float64)
-        n_events = sweep(base.ctypes.data, height, width, _OFFSETS.ctypes.data,
-                         weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
-                         kinds.ctypes.data, energies.ctypes.data, capacity)
+        n_events = lib.hcf_sweep(base.ctypes.data, height, width, _OFFSETS.ctypes.data,
+                                 weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
+                                 kinds.ctypes.data, energies.ctypes.data, capacity)
         if n_events < 0:
             raise MemoryError("HCF kernel could not allocate its work arrays")
         if not trace or n_events <= capacity:
@@ -179,51 +174,3 @@ def _hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     grid = np.array(labels, dtype=np.int64).reshape(height, width)
     return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
                      visits=visits, commits=commits, relabels=relabels, trace=events)
-
-
-@functools.cache
-def _kernel():
-    """The compiled sweep, loaded on first use; None when it cannot be built
-    or loaded, and the Python loop runs instead."""
-    return _load_kernel(_SOURCE)
-
-
-def _load_kernel(source: str):
-    """`hcf_sweep` from `source`, built into the same directory unless a
-    build of this exact source, flags and machine is there already; None
-    when the source, the compiler or a writable directory is missing."""
-    import hashlib          # only here: it adds a few ms to the optimizer import
-
-    machine = os.uname().machine
-    try:
-        with open(source, "rb") as fh:
-            code = fh.read()
-        digest = hashlib.sha256(code + " ".join(_CFLAGS + (machine,)).encode()).hexdigest()
-        library = os.path.join(os.path.dirname(source), f"_hcf-{digest[:16]}-{machine}.so")
-        if not os.path.exists(library):
-            _build(source, library)
-        sweep = ctypes.CDLL(library).hcf_sweep
-    except OSError:
-        return None
-    sweep.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    sweep.restype = ctypes.c_int64
-    return sweep
-
-
-def _build(source: str, library: str) -> None:
-    """Compile `source` into `library`, through a temporary file so that a
-    concurrent or interrupted build never leaves a partial library."""
-    import subprocess       # only here: needed only when no build is cached
-
-    tmp = f"{library}.{os.getpid()}.tmp"
-    try:
-        proc = subprocess.run(["cc", *_CFLAGS, "-o", tmp, source],
-                              capture_output=True, text=True, check=False)
-        if proc.returncode != 0:
-            raise OSError(f"cc exited with code {proc.returncode}: {proc.stderr.strip()}")
-        os.replace(tmp, library)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)

@@ -23,7 +23,7 @@ class PgmError(Exception):
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Next header token starting at `pos`, skipping whitespace and
-    # comments. Returns (token, position one past its end)."""
+    comments. Returns (token, position one past its end)."""
     n = len(data)
     while pos < n:
         ch = data[pos:pos + 1]

@@ -1,8 +1,10 @@
 """The benchmark's tracer still finds every name it wraps.
 
 `bench/spans.py` replaces functions on `shadowseg.pipeline` and
-`shadowseg.cli` by name. A refactor that drops or renames one of them
-fails here, in the test suite, instead of in a benchmark run.
+`shadowseg.cli`, and the `MixtureGrid` methods, by name. A refactor that
+drops or renames one of them, or fuses the mixture update with the
+background selection, fails here, in the test suite, instead of in a
+benchmark run.
 """
 
 import importlib
@@ -58,6 +60,10 @@ def test_tracer_spans_every_frame_of_a_dumping_segment_run(tmp_path):
     for index in frame_spans:
         children = [span[0] for span in tracer.spans if span[3] == index]
         assert "likelihood.potentials" in children
+        # one update and one selection per frame, each its own call
+        assert children.count("background.mixture_update") == 1
+        assert children.count("background.select") == 1
     tracer.check_called(["cli.main", "pgmio.read", "pgmio.write", "background.bootstrap",
-                         "edge.frame_edges", "optimizer.hcf", "likelihood.dump"])
+                         "edge.frame_edges", "optimizer.hcf", "likelihood.dump",
+                         "background.mixture_update", "background.select"])
     assert len(os.listdir(tmp_path / "pots")) == n_frames

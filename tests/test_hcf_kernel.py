@@ -1,14 +1,16 @@
 """The compiled HCF sweep against the Python reference loop: bit-identical
-labels, energy, counts and traces; it loads wherever a compiler is found,
-and the engine gives the same output when it cannot be loaded."""
+labels, energy, counts and traces; the kernels load wherever a compiler is
+found, warn once when they cannot, and the engine then gives the same
+output."""
 
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
-from shadowseg import EngineConfig, EngineState, optimizer, process_frame
+from shadowseg import EngineConfig, EngineState, _native, process_frame
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import _hcf_python, hcf_minimize
 from shadowseg.synth import render_scene, scene_preset
@@ -16,7 +18,7 @@ from shadowseg.synth import render_scene, scene_preset
 
 @pytest.fixture
 def compiled():
-    if optimizer._kernel() is None:
+    if _native.library() is None:
         pytest.skip("the HCF kernel is not built here (no C compiler)")
 
 
@@ -92,43 +94,79 @@ def test_frame_sized_instances(compiled, shape):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_loads_wherever_a_compiler_is_found():
-    assert optimizer._kernel() is not None
+    assert _native.library() is not None
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_is_built_once_next_to_its_source(tmp_path):
-    source = tmp_path / "_hcf.c"
-    shutil.copy(optimizer._SOURCE, source)
-    assert optimizer._load_kernel(str(source)) is not None
-    built = sorted(p.name for p in tmp_path.iterdir() if p.name != "_hcf.c")
-    assert len(built) == 1 and built[0].startswith("_hcf-") and built[0].endswith(".so")
+    source = tmp_path / "_native.c"
+    shutil.copy(_native._SOURCE, source)
+    assert _native._load(str(source)) is not None
+    built = sorted(p.name for p in tmp_path.iterdir() if p.name != "_native.c")
+    assert len(built) == 1 and built[0].startswith("_native-") and built[0].endswith(".so")
     stamp = os.stat(tmp_path / built[0]).st_mtime_ns
-    assert optimizer._load_kernel(str(source)) is not None
+    assert _native._load(str(source)) is not None
     assert os.stat(tmp_path / built[0]).st_mtime_ns == stamp
 
 
 def test_loader_gives_up_without_source_or_compiler(tmp_path, monkeypatch):
-    assert optimizer._load_kernel(str(tmp_path / "missing.c")) is None
-    source = tmp_path / "_hcf.c"
-    shutil.copy(optimizer._SOURCE, source)
+    with pytest.warns(RuntimeWarning, match="missing.c"):
+        assert _native._load(str(tmp_path / "missing.c")) is None
+    source = tmp_path / "_native.c"
+    shutil.copy(_native._SOURCE, source)
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-    assert optimizer._load_kernel(str(source)) is None
-    assert [p.name for p in tmp_path.iterdir()] == ["_hcf.c"]
+    with pytest.warns(RuntimeWarning, match="cc is not on PATH"):
+        assert _native._load(str(source)) is None
+    assert [p.name for p in tmp_path.iterdir()] == ["_native.c"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_loader_warns_with_the_compiler_error(tmp_path):
+    source = tmp_path / "_native.c"
+    source.write_text("#error this source does not build\n")
+    with pytest.warns(RuntimeWarning, match="cc exited with code 1: .*this source does not build"):
+        assert _native._load(str(source)) is None
+    assert [p.name for p in tmp_path.iterdir()] == ["_native.c"]
+
+
+def test_library_warns_once_per_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(_native, "_SOURCE", str(tmp_path / "missing.c"))
+    _native.library.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _native.library() is None
+            assert _native.library() is None
+    finally:
+        _native.library.cache_clear()
+    assert [type(w.message) for w in caught] == [RuntimeWarning]
 
 
 def test_process_frame_is_unchanged_when_the_kernel_cannot_load(tmp_path, monkeypatch):
     scene = scene_preset("quality")
     frames, _ = render_scene(scene, seed=0)
     frames = frames[:scene.lead_in + 4]
+    config = EngineConfig(alpha=0.05)
 
     def run():
-        state = EngineState.from_static(frames[:scene.lead_in], EngineConfig(alpha=0.05))
-        return [process_frame(state, f) for f in frames[scene.lead_in:]]
+        outputs = []
+        for state in (EngineState.from_static(frames[:scene.lead_in], config),
+                      EngineState.from_first_frame(frames[0], config)):
+            for frame in frames[scene.lead_in:]:
+                labels, diag = process_frame(state, frame)
+                models = [state.mixtures.weights, state.mixtures.means,
+                          state.mixtures.variances, state.background.mean,
+                          state.background.variance]
+                outputs.append((labels, diag, [m.tobytes() for m in models]))
+        return outputs
 
     default = run()
-    monkeypatch.setattr(optimizer, "_kernel",
-                        lambda: optimizer._load_kernel(str(tmp_path / "missing.c")))
+    with pytest.warns(RuntimeWarning):
+        off = _native._load(str(tmp_path / "missing.c"))
+    monkeypatch.setattr(_native, "library", lambda: off)
     fallback = run()
-    for (labels, diag), (ref_labels, ref_diag) in zip(default, fallback):
+    assert len(default) == len(fallback) == 8
+    for (labels, diag, models), (ref_labels, ref_diag, ref_models) in zip(default, fallback):
         assert np.array_equal(labels, ref_labels)
         assert diag == ref_diag
+        assert models == ref_models
