@@ -264,11 +264,10 @@ int64_t hcf_sweep(const double *base, int64_t height, int64_t width,
              shadowseg.background, passed so that they live in one place
 
    The observation matches the component of largest weight/stddev, first
-   index on ties, among those within match_sigmas standard deviations
-   (numpy: the first match in a stable descending argsort). A match pulls
-   that component toward the observation; with none, the first component
-   of lowest weight is replaced. The weights are then renormalized by
-   their sum taken from lane 0 upward. */
+   index on ties, among those within match_sigmas standard deviations.
+   A match pulls that component toward the observation; with none, the
+   first component of lowest weight is replaced. The weights are then
+   renormalized by their sum taken from lane 0 upward. */
 void mixture_update(double *weights, double *means, double *variances,
                     const double *frame, int64_t k, int64_t n, double alpha,
                     double match_sigmas, double init_weight, double init_variance,

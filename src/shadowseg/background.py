@@ -1,12 +1,12 @@
 """Per-pixel mixture-of-Gaussians background maintenance.
 
 Every pixel carries K weighted Gaussian components summarizing its recent
-intensity history.  An observation is matched to the first component (in
-descending weight/stddev order) within 3 standard deviations; the matched
-component is pulled toward the observation with learning rate alpha, and
-when nothing matches the lowest-weight component is replaced.  The
-component with the largest weight/stddev ratio is the background
-hypothesis at that pixel.
+intensity history.  An observation is matched to the component of largest
+weight/stddev among those within 3 standard deviations of it, the first
+index on ties; the matched component is pulled toward the observation
+with learning rate alpha, and when nothing matches the lowest-weight
+component is replaced.  The component with the largest weight/stddev
+ratio is the background hypothesis at that pixel.
 
 :class:`MixtureGrid` applies these rules to every pixel at once, in the
 C kernels `mixture_update` and `mixture_select` (`_native.c`, see
@@ -80,14 +80,15 @@ class MixtureGrid:
                            alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
 
     def _update_numpy(self, frame: np.ndarray, alpha: float) -> None:
-        """`update` in numpy: the fallback, and the kernel's reference."""
+        """`update` in numpy: the fallback, and the kernel's reference. The
+        match is the near component of largest weight/stddev; argmax takes
+        the first index on ties."""
         g = frame[None]                                         # (1, H, W)
         w, mu, var = self.weights, self.means, self.variances
         sigma = np.sqrt(var)
-        order = np.argsort(-(w / sigma), axis=0, kind="stable")
-        near = np.abs(g - np.take_along_axis(mu, order, 0)) <= MATCH_SIGMAS * np.take_along_axis(sigma, order, 0)
+        near = np.abs(g - mu) <= MATCH_SIGMAS * sigma
         any_match = near.any(axis=0)
-        comp = np.take_along_axis(order, near.argmax(axis=0)[None], 0)[0]
+        comp = np.where(near, w / sigma, -np.inf).argmax(axis=0)
 
         lanes = np.arange(self.k)[:, None, None]
         upd = (comp[None] == lanes) & any_match[None]
@@ -126,13 +127,13 @@ class MixtureGrid:
         best = np.argmax(self.weights / np.sqrt(self.variances), axis=0)
         mean = np.take_along_axis(self.means, best[None], 0)[0]
         variance = np.take_along_axis(self.variances, best[None], 0)[0]
-        return BackgroundModel(mean.copy(), variance.copy())
+        return BackgroundModel(mean, variance)
 
 
-def init_static(frames: list[np.ndarray], k: int = K_DEFAULT) -> tuple[BackgroundModel, MixtureGrid]:
-    """Bootstrap from recorded empty-scene frames: per-pixel sample mean and
-    unbiased sample variance (floored), mixtures seeded with the background
-    component at full weight."""
+def init_static(frames: list[np.ndarray], k: int = K_DEFAULT) -> MixtureGrid:
+    """Mixtures bootstrapped from recorded empty-scene frames: the first
+    component carries the per-pixel sample mean and unbiased sample
+    variance (floored) at full weight."""
     if len(frames) < 2:
         raise ValueError("static bootstrap needs at least 2 frames")
     shape = frames[0].shape
@@ -140,9 +141,6 @@ def init_static(frames: list[np.ndarray], k: int = K_DEFAULT) -> tuple[Backgroun
         if f.shape != shape:
             raise ValueError(f"frame dimension mismatch: {f.shape} vs {shape}")
     stack = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
-    mean = stack.mean(axis=0)
-    variance = np.maximum(stack.var(axis=0, ddof=1), VARIANCE_FLOOR)
-
-    mixtures = MixtureGrid.seed(mean, k)
-    mixtures.variances[0] = variance
-    return BackgroundModel(mean, variance), mixtures
+    mixtures = MixtureGrid.seed(stack.mean(axis=0), k)
+    mixtures.variances[0] = np.maximum(stack.var(axis=0, ddof=1), VARIANCE_FLOOR)
+    return mixtures

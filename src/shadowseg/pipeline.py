@@ -14,7 +14,7 @@ updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,7 +76,7 @@ class EngineState:
     def from_static(cls, frames, config: EngineConfig | None = None) -> "EngineState":
         """Bootstrap from two or more frames of the empty scene."""
         config = config or EngineConfig()
-        _, mixtures = init_static([_checked_frame(f) for f in frames], k=config.k_gaussians)
+        mixtures = init_static([_checked_frame(f) for f in frames], k=config.k_gaussians)
         return cls._assemble(mixtures, config)
 
     @classmethod
@@ -123,9 +123,7 @@ def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndar
     frame = _checked_frame(frame, state.background.mean.shape)
     edge_h, edge_v = frame_edges(frame)
     pooled = pooled_variance(state.background)
-    flat = np.full_like(state.background.mean, 2.0 * pooled)
-    detection_edges = EdgeModel(mean_h=state.edges.mean_h, mean_v=state.edges.mean_v,
-                                var_h=flat, var_v=flat)
+    detection_edges = replace(state.edges, var_h=2.0 * pooled, var_v=2.0 * pooled)
     return build_potential_tables(frame, edge_h, edge_v,
                                   state.background.mean, pooled,
                                   detection_edges, state.shadow, state.config.y_max)

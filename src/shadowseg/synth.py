@@ -23,16 +23,19 @@ import numpy as np
 from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
 from shadowseg.pgmio import write_labels, write_pgm
 
+RAMP_LOW, RAMP_HIGH = 40.0, 150.0       # background ramp, left to right
+TEXTURE_AMP, TEXTURE_PERIOD = 6.0, 16.0
+FLICKER_MEAN, FLICKER_SIGMA = 120.0, 25.0
+Y_MAX = 255
 
-def background_pattern(height: int, width: int, low: float = 40.0,
-                       high: float = 150.0, texture_amp: float = 6.0,
-                       period: float = 16.0) -> np.ndarray:
+
+def background_pattern(height: int, width: int) -> np.ndarray:
     """Horizontal ramp with a product-sinusoid texture on top."""
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    ramp = low + (high - low) * cols / max(width - 1, 1)
-    texture = texture_amp * np.sin(2.0 * np.pi * rows / period) \
-                          * np.cos(2.0 * np.pi * cols / period)
+    ramp = RAMP_LOW + (RAMP_HIGH - RAMP_LOW) * cols / max(width - 1, 1)
+    texture = TEXTURE_AMP * np.sin(2.0 * np.pi * rows / TEXTURE_PERIOD) \
+                          * np.cos(2.0 * np.pi * cols / TEXTURE_PERIOD)
     return np.broadcast_to(ramp, (height, width)) + texture
 
 
@@ -53,9 +56,6 @@ class SynthScene:
     offset: float = 5.0
     noise_sigma: float = 2.0
     flicker_rows: int = 0
-    flicker_mean: float = 120.0
-    flicker_sigma: float = 25.0
-    y_max: int = 255
 
     def __post_init__(self):
         if not 0.0 < self.gain <= 1.0:
@@ -88,9 +88,8 @@ def render_scene(scene: SynthScene, seed: int = 0):
         pixels = scene.background.copy()
         truth = np.full((scene.height, scene.width), BACKGROUND, dtype=np.int64)
         if scene.flicker_rows > 0:
-            strip = (scene.flicker_mean + scene.flicker_sigma
-                     * rng.standard_normal((scene.flicker_rows, scene.width)))
-            pixels[:scene.flicker_rows] = strip
+            noise = rng.standard_normal((scene.flicker_rows, scene.width))
+            pixels[:scene.flicker_rows] = FLICKER_MEAN + FLICKER_SIGMA * noise
         active = k - scene.lead_in
         if active >= 0:
             ar = scene.start[0] + active * scene.step[0]
@@ -108,7 +107,7 @@ def render_scene(scene: SynthScene, seed: int = 0):
                 truth[rs, cs] = FOREGROUND
         if scene.noise_sigma > 0.0:
             pixels = pixels + scene.noise_sigma * rng.standard_normal(pixels.shape)
-        pixels = np.clip(np.rint(pixels), 0, scene.y_max).astype(np.uint8)
+        pixels = np.clip(np.rint(pixels), 0, Y_MAX).astype(np.uint8)
         frames.append(pixels)
         truths.append(truth)
     return frames, truths
@@ -154,8 +153,7 @@ def scene_preset(name: str, n_frames: int | None = None, gain: float | None = No
                       flicker_rows=16)
     elif name == "quality":
         kwargs = dict(n_frames=25, lead_in=5,
-                      object_size=(14, 14), object_value=230.0,
-                      shadow_size=(14, 14), shadow_offset=(16, 0),
+                      object_size=(14, 14), shadow_size=(14, 14), shadow_offset=(16, 0),
                       start=(6, 4), step=(0, 2),
                       gain=0.5, offset=0.0, noise_sigma=2.0)
     else:

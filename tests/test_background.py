@@ -24,7 +24,7 @@ def mk(triples):
 
 def test_init_static_mean_and_unbiased_variance():
     frames = [np.full((4, 5), 98.0), np.full((4, 5), 102.0)]
-    bg, _ = init_static(frames)
+    bg = init_static(frames).select_background()
     assert np.allclose(bg.mean, 100.0)
     # unbiased: ((98-100)^2 + (102-100)^2) / (2 - 1) = 8
     assert np.allclose(bg.variance, 8.0)
@@ -32,7 +32,7 @@ def test_init_static_mean_and_unbiased_variance():
 
 def test_init_static_variance_floor_on_constant_input():
     frames = [np.full((3, 3), 77.0)] * 4
-    bg, _ = init_static(frames)
+    bg = init_static(frames).select_background()
     assert np.allclose(bg.mean, 77.0)
     assert np.allclose(bg.variance, VARIANCE_FLOOR)
 
@@ -40,14 +40,10 @@ def test_init_static_variance_floor_on_constant_input():
 def test_init_static_per_pixel():
     rng = np.random.default_rng(0)
     frames = [rng.uniform(0, 255, size=(6, 7)) for _ in range(10)]
-    bg, grid = init_static(frames)
+    bg = init_static(frames).select_background()
     stack = np.stack(frames)
     assert np.allclose(bg.mean, stack.mean(axis=0))
     assert np.allclose(bg.variance, np.maximum(stack.var(axis=0, ddof=1), VARIANCE_FLOOR))
-    # the bootstrap background is the selected component
-    sel = grid.select_background()
-    assert np.allclose(sel.mean, bg.mean)
-    assert np.allclose(sel.variance, bg.variance)
 
 
 def test_init_static_rejects_short_or_mismatched_input():

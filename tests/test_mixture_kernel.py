@@ -93,7 +93,7 @@ def test_adaptive_seed_with_placeholders(compiled, k):
 def test_static_seed_with_floored_variances(compiled, k):
     rng = np.random.default_rng(90 + k)
     boot = [np.full((8, 8), 120.0)] * 2 + [120.0 + rng.normal(0.0, 3.0, size=(8, 8))]
-    _, seed = init_static(boot, k)
+    seed = init_static(boot, k)
     assert (seed.variances[0] == VARIANCE_FLOOR).any()
     frames = [120.0 + rng.normal(0.0, 4.0, size=(8, 8)) for _ in range(5)]
     frames.append(np.full((8, 8), 255.0))
@@ -128,9 +128,11 @@ def test_non_contiguous_input_is_copied(compiled):
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
-def test_selection_never_aliases_the_mixtures():
+@pytest.mark.parametrize("select", [MixtureGrid.select_background, MixtureGrid._select_numpy],
+                         ids=["kernel", "numpy"])
+def test_selection_never_aliases_the_mixtures(select):
     grid = MixtureGrid.seed(np.full((3, 4), 50.0))
-    bg = grid.select_background()
+    bg = select(grid)
     for array in (bg.mean, bg.variance):
         assert not any(np.shares_memory(array, lane)
                        for lane in (grid.weights, grid.means, grid.variances))
