@@ -13,6 +13,7 @@ import ctypes
 import functools
 import os
 import warnings
+import zlib
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 # -fno-math-errno lets sqrt compile to one instruction, with no libm call.
@@ -23,7 +24,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # name -> (argtypes, restype), as declared in _native.c
 _SIGNATURES = {
-    "hcf_sweep": ([_P, _I, _I, _P, _P, _P, _P, _P, _P, _I], _I),
+    "hcf_sweep": ([_P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _I], _I),
     "mixture_update": ([_P, _P, _P, _P, _I, _I, _D, _D, _D, _D, _D], None),
     "mixture_select": ([_P, _P, _P, _I, _I, _P, _P], None),
 }
@@ -56,17 +57,16 @@ def _load(source: str):
 
 def _built(source: str) -> str:
     """Path of the library built from `source`, building it when missing."""
-    import hashlib          # only here: it adds a few ms to the package import
-
     machine = os.uname().machine
     try:
         with open(source, "rb") as fh:
             code = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read the kernel source {source}: {exc.strerror}") from None
-    digest = hashlib.sha256(code + " ".join(_CFLAGS + (machine,)).encode()).hexdigest()
+    # zlib, not hashlib: numpy has loaded it already, hashlib costs ms to import
+    key = zlib.crc32(code + " ".join(_CFLAGS + (machine,)).encode())
     directory, name = os.path.split(source)
-    library = os.path.join(directory, f"{os.path.splitext(name)[0]}-{digest[:16]}-{machine}.so")
+    library = os.path.join(directory, f"{os.path.splitext(name)[0]}-{key:08x}-{machine}.so")
     if not os.path.exists(library):
         _build(source, library)
     return library

@@ -9,7 +9,9 @@ penalize anyone. Energy decreases monotonically and the procedure stops
 when no committed site can strictly improve.
 
 The sweep runs in a C kernel (`hcf_sweep` in `_native.c`, see
-`shadowseg._native`). Its labels, energy, counts and trace are
+`shadowseg._native`). It reads the two potential tables and the weighted
+label biases and sums the site potentials itself, in the order
+`_site_potentials` does. Its labels, energy, counts and trace are
 bit-identical to `_hcf_python`, the reference loop, which runs instead
 when the kernels cannot be built or loaded.
 """
@@ -46,14 +48,19 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     `u1` and `u2` are (3, H, W) potential tables indexed by label-1. With
     `trace`, the result lists every commit and relabel in order.
     """
+    shape = np.shape(u1)
+    if len(shape) != 3 or shape[0] != 3 or np.shape(u2) != shape:
+        raise ValueError("potential tables must both be (3, H, W), "
+                         f"got {shape} and {np.shape(u2)}")
+    if np.shape(prior.bias) != (3,):
+        raise ValueError(f"the label bias must hold 3 values, got shape {np.shape(prior.bias)}")
     lib = _native.library()
     if lib is None:
         return _hcf_python(u1, u2, prior, trace=trace)
-    base = np.ascontiguousarray(_site_potentials(u1, u2, prior), dtype=np.float64)
-    if base.ndim != 3 or base.shape[0] != 3:
-        raise ValueError(f"potential tables must be (3, H, W), got {base.shape}")
-    _, height, width = base.shape
+    _, height, width = shape
     n = height * width
+    t1, t2 = (np.ascontiguousarray(u, dtype=np.float64) for u in (u1, u2))
+    bias = np.ascontiguousarray(prior.lambda1 * prior.bias, dtype=np.float64)
     weights = np.array([prior.lambda2 / d2 for _, _, d2 in NEIGHBORS_8], dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
     counts = np.empty(3, dtype=np.int64)
@@ -63,7 +70,8 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     while True:
         kinds = np.empty(capacity, dtype=np.uint8)
         energies = np.empty(capacity, dtype=np.float64)
-        n_events = lib.hcf_sweep(base.ctypes.data, height, width, _OFFSETS.ctypes.data,
+        n_events = lib.hcf_sweep(t1.ctypes.data, t2.ctypes.data, bias.ctypes.data,
+                                 height, width, _OFFSETS.ctypes.data,
                                  weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
                                  kinds.ctypes.data, energies.ctypes.data, capacity)
         if n_events < 0:

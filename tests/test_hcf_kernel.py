@@ -5,15 +5,16 @@ output."""
 
 import os
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
 import pytest
 
-from shadowseg import EngineConfig, EngineState, _native, process_frame
+from shadowseg import EngineConfig, EngineState, _native, detection_potentials, process_frame
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import _hcf_python, hcf_minimize
-from shadowseg.synth import render_scene, scene_preset
+from shadowseg.synth import SynthScene, render_scene, scene_preset
 
 
 @pytest.fixture
@@ -92,9 +93,86 @@ def test_frame_sized_instances(compiled, shape):
     assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=2.0))
 
 
+# The kernel's queue keeps sites no neighbour update has touched in blocks
+# of 64 consecutive sites; these grids end on, just before and just after
+# a block boundary, or run along a single row or column.
+@pytest.mark.parametrize("shape", [(7, 9), (8, 8), (5, 13), (1, 127), (8, 16), (3, 43),
+                                   (1, 200), (200, 1)])
+def test_grids_around_block_boundaries(compiled, shape):
+    rng = np.random.default_rng(62)
+    for i in range(6):
+        u1 = rng.normal(0.0, 2.0, size=(3, *shape))
+        u2 = rng.normal(0.0, 2.0, size=(3, *shape))
+        if i % 2:
+            u1, u2 = np.round(u1), np.round(u2)
+        assert_same_as_python(u1, u2, initial_prior(lambda1=float(rng.uniform(0, 3)),
+                                                    lambda2=[0.5, 1.0, 3.0][i % 3]))
+
+
+def test_tied_scores_within_blocks_across_blocks_and_across_tiers(compiled):
+    # integer potentials on a 40 x 50 grid: most sites share a handful of
+    # scores, so the (score, site) order alone decides between sites of
+    # one block, of different blocks, and between touched and untouched
+    # sites
+    rng = np.random.default_rng(63)
+    u1 = np.round(rng.normal(0.0, 1.5, size=(3, 40, 50)))
+    u2 = np.round(rng.normal(0.0, 1.0, size=(3, 40, 50)))
+    for lambda2 in (0.5, 1.0, 2.0):
+        assert_same_as_python(u1, u2, initial_prior(lambda1=0.0, lambda2=lambda2))
+
+
+@pytest.mark.parametrize("lambda2", [0.0, 0.25])
+def test_weak_coupling_empties_the_frontier(compiled, lambda2):
+    # with little or no pull between neighbours, touched sites rarely come
+    # first, so visits keep switching back to the untouched sites
+    rng = np.random.default_rng(64)
+    for shape in [(1, 130), (9, 15), (30, 40)]:
+        u1 = rng.normal(0.0, 2.0, size=(3, *shape))
+        u2 = rng.normal(0.0, 2.0, size=(3, *shape))
+        assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
+        assert_same_as_python(np.round(u1), np.round(u2),
+                              initial_prior(lambda1=1.0, lambda2=lambda2))
+
+
+def engine_instances(scene, config, n_labeled=None):
+    """(u1, u2, prior) of each labeled frame of `scene`, as the engine
+    builds them after a static bootstrap."""
+    frames, _ = render_scene(scene, seed=0)
+    state = EngineState.from_static(frames[:scene.lead_in], config)
+    for frame in frames[scene.lead_in:][:n_labeled]:
+        u1, u2 = detection_potentials(state, frame)
+        yield u1, u2, state.prior
+        process_frame(state, frame)
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("quality", EngineConfig()),
+    ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
+])
+def test_engine_instances_of_the_presets(compiled, preset, config):
+    for u1, u2, prior in engine_instances(scene_preset(preset), config):
+        assert_same_as_python(u1, u2, prior)
+
+
+def test_engine_instances_at_320x240(compiled):
+    scene = SynthScene(height=240, width=320, n_frames=7, lead_in=5,
+                       object_size=(52, 52), shadow_size=(52, 52), shadow_offset=(60, 0),
+                       start=(24, 16), step=(0, 8), gain=0.5, offset=0.0)
+    for u1, u2, prior in engine_instances(scene, EngineConfig(), n_labeled=2):
+        assert_same_as_python(u1, u2, prior)
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_kernel_loads_wherever_a_compiler_is_found():
     assert _native.library() is not None
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_kernel_source_compiles_without_warnings():
+    # stricter than the build itself, whose flags also key the cached library
+    proc = subprocess.run(["cc", "-fsyntax-only", "-std=c99", "-Wall", "-Wextra", "-Wpedantic",
+                           "-Werror", _native._SOURCE], capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")

@@ -1,12 +1,15 @@
 """Bad settings and bad input are rejected at the boundary with a clear
 error: engine settings out of range, frames with NaN or infinite pixels,
-and PGM frames that do not use the 0..255 scale."""
+PGM frames that do not use the 0..255 scale, and potential tables the
+HCF sweep cannot read as two (3, H, W) arrays of one shape."""
 
 import numpy as np
 import pytest
 
 from shadowseg import EngineConfig, EngineState, PgmError, process_frame, read_frame
 from shadowseg.cli import main
+from shadowseg.energy import PriorParams, initial_prior
+from shadowseg.optimizer import hcf_minimize
 from shadowseg.pgmio import read_pgm, write_pgm
 
 
@@ -125,3 +128,26 @@ def test_segment_reports_small_maxval_frames(tmp_path, capsys):
     assert main(["segment", "--input", str(frame_dir), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "maxval" in err
+
+
+@pytest.mark.parametrize("shape1, shape2", [
+    ((3, 4, 5), (3, 1, 5)),
+    ((3, 4, 5), (3, 4, 1)),
+    ((3, 4, 5), (3, 5, 4)),
+    ((3, 4, 5), (1, 4, 5)),
+    ((2, 4, 5), (2, 4, 5)),
+    ((3, 20), (3, 20)),
+    ((3, 1, 4, 5), (3, 1, 4, 5)),
+], ids=["u2-one-row", "u2-one-column", "u2-transposed", "u2-one-label", "two-labels",
+        "flat", "four-axes"])
+def test_hcf_rejects_potential_tables_of_other_shapes(shape1, shape2):
+    prior = initial_prior()
+    with pytest.raises(ValueError, match="potential tables"):
+        hcf_minimize(np.zeros(shape1), np.zeros(shape2), prior)
+
+
+def test_hcf_rejects_a_label_bias_of_another_size():
+    u = np.zeros((3, 4, 5))
+    prior = PriorParams(bias=np.zeros(1))
+    with pytest.raises(ValueError, match="label bias"):
+        hcf_minimize(u, u, prior)
