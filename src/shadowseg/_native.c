@@ -3,12 +3,12 @@
    the per-pixel mixture update and background selection (mixture_update,
    mixture_select).
 
-   Each replays the float64 arithmetic of its reference, operation by
-   operation and in the same order, so results come out bit-identical:
-   hcf_sweep follows shadowseg.optimizer._hcf_python, the mixture kernels
-   follow the numpy bodies of shadowseg.background.MixtureGrid. Built with
-   -ffp-contract=off so that no multiply-add is fused, and without
-   -ffast-math.
+   They are the engine's only path. Each replays the float64 arithmetic
+   of its reference oracle in tests/oracles.py, operation by operation and
+   in the same order, so results come out bit-identical: hcf_sweep follows
+   hcf_python, the mixture kernels follow update_mixture and
+   select_background, one pixel at a time. Built with -ffp-contract=off so
+   that no multiply-add is fused, and without -ffast-math.
 
    The HCF queue has two tiers. Sites that no neighbour update has touched
    keep their initial score; they sit in blocks of BLOCK consecutive sites,
@@ -30,7 +30,7 @@
 
 /* The queue holds every uncommitted site and every committed site that
    can strictly improve, keyed (score, site), and yields them in that
-   order: the order in which the Python loop's lazy-deletion heap pops its
+   order: the order in which hcf_python's lazy-deletion heap pops its
    live entries, one per site.
 
    The static tier's key of a block is the smallest (score, site) of its
@@ -162,7 +162,7 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
    u1, u2    (3, height, width) data potential tables, label-major
    bias      3 weighted label biases, lambda1 * bias; a site's potential
              with no committed neighbour is (u1 + u2) + bias
-   offsets   8 (drow, dcol) pairs, the neighbour order of the Python loop
+   offsets   8 (drow, dcol) pairs, the neighbour order of hcf_python
    weights   8 clique weights, lambda2 / squared distance, in that order
    labels    out: height * width labels in {1, 2, 3}
    counts    out: visits, commits, relabels
@@ -363,8 +363,8 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
     return commits + relabels;
 }
 
-/* One recursive update of every pixel's mixture, in place:
-   MixtureGrid._update_numpy pixel by pixel.
+/* One recursive update of every pixel's mixture, in place: the oracle
+   update_mixture pixel by pixel.
 
    weights, means, variances
              (k, n) components, lane-major, updated in place
@@ -403,7 +403,7 @@ void mixture_update(double *weights, double *means, double *variances,
             double v = keep * variances[at] + alpha * d * d;
             weights[at] = keep * weights[at] + alpha;
             means[at] = keep * means[at] + alpha * g;
-            /* np.maximum, which keeps a NaN */
+            /* the oracle's max(v, floor), which keeps a NaN */
             variances[at] = v < variance_floor ? variance_floor : v;
         } else {
             int64_t low = 0;
@@ -424,7 +424,7 @@ void mixture_update(double *weights, double *means, double *variances,
 }
 
 /* Per pixel, the mean and variance of the component of largest
-   weight/stddev, first index on ties: MixtureGrid._select_numpy.
+   weight/stddev, first index on ties: the oracle select_background.
    Inputs as for mixture_update; mean and variance are n outputs. */
 void mixture_select(const double *weights, const double *means, const double *variances,
                     int64_t k, int64_t n, double *mean, double *variance)

@@ -2,9 +2,10 @@
 and background selection, all in `_native.c`.
 
 The source is compiled with the system `cc` on first use and loaded with
-ctypes. `library()` returns None when that fails, after one
-RuntimeWarning naming the reason; callers then run their Python and
-numpy reference code, which gives bit-identical results, only slower.
+ctypes. They are the engine's only path: when the build or the load
+fails, `library()` raises an OSError naming the reason. The scalar
+references they are tested against, bit for bit, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import warnings
 import zlib
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 # -fno-math-errno lets sqrt compile to one instruction, with no libm call.
 # No -ffast-math, -march or -ffp-contract=fast: each would break parity
-# with the reference code.
+# with the reference oracles.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
@@ -32,22 +32,15 @@ _SIGNATURES = {
 
 @functools.cache
 def library():
-    """The compiled kernels, loaded on first use; None when they cannot be
-    built or loaded, and the reference code runs instead."""
+    """The compiled kernels, loaded on first use; OSError, naming the
+    reason, when they cannot be built or loaded."""
     return _load(_SOURCE)
 
 
 def _load(source: str):
     """The kernels of `source`, built into the same directory unless a build
-    of this exact source, flags and machine is there already; None, with a
-    RuntimeWarning naming the reason, when that fails."""
-    try:
-        lib = ctypes.CDLL(_built(source))
-    except OSError as exc:
-        warnings.warn(f"shadowseg: compiled kernels unavailable ({exc}); HCF and the "
-                      "mixture updates run in the much slower Python and numpy "
-                      "reference code", RuntimeWarning)
-        return None
+    of this exact source, flags and machine is there already."""
+    lib = ctypes.CDLL(_built(source))
     for name, (argtypes, restype) in _SIGNATURES.items():
         function = getattr(lib, name)
         function.argtypes = argtypes

@@ -10,10 +10,8 @@ ratio is the background hypothesis at that pixel.
 
 :class:`MixtureGrid` applies these rules to every pixel at once, in the
 C kernels `mixture_update` and `mixture_select` (`_native.c`, see
-`shadowseg._native`). Its numpy bodies run instead when the kernels cannot
-be built or loaded, and are the reference the kernels match bit for bit;
-the scalar single-pixel versions in ``tests/oracles.py`` are the
-reference the numpy bodies are tested against.
+`shadowseg._native`). The scalar single-pixel versions in
+``tests/oracles.py`` are the reference the kernels match bit for bit.
 """
 
 from __future__ import annotations
@@ -71,62 +69,19 @@ class MixtureGrid:
         if frame.shape != self.weights.shape[1:]:
             raise ValueError(f"frame shape {frame.shape} does not match mixture shape "
                              f"{self.weights.shape[1:]}")
-        lib = _native.library()
-        if lib is None:
-            self._update_numpy(frame, alpha)
-            return
-        lib.mixture_update(self.weights.ctypes.data, self.means.ctypes.data,
-                           self.variances.ctypes.data, frame.ctypes.data, self.k, frame.size,
-                           alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
-
-    def _update_numpy(self, frame: np.ndarray, alpha: float) -> None:
-        """`update` in numpy: the fallback, and the kernel's reference. The
-        match is the near component of largest weight/stddev; argmax takes
-        the first index on ties."""
-        g = frame[None]                                         # (1, H, W)
-        w, mu, var = self.weights, self.means, self.variances
-        sigma = np.sqrt(var)
-        near = np.abs(g - mu) <= MATCH_SIGMAS * sigma
-        any_match = near.any(axis=0)
-        comp = np.where(near, w / sigma, -np.inf).argmax(axis=0)
-
-        lanes = np.arange(self.k)[:, None, None]
-        upd = (comp[None] == lanes) & any_match[None]
-        diff = g - mu
-        w_new = np.where(upd, (1.0 - alpha) * w + alpha, w)
-        mu_new = np.where(upd, (1.0 - alpha) * mu + alpha * g, mu)
-        var_new = np.where(upd,
-                           np.maximum((1.0 - alpha) * var + alpha * diff * diff, VARIANCE_FLOOR),
-                           var)
-
-        repl = (w.argmin(axis=0)[None] == lanes) & ~any_match[None]
-        w_new = np.where(repl, INIT_WEIGHT, w_new)
-        mu_new = np.where(repl, g, mu_new)
-        var_new = np.where(repl, INIT_VARIANCE, var_new)
-
-        np.divide(w_new, w_new.sum(axis=0, keepdims=True), out=self.weights)
-        self.means[...] = mu_new
-        self.variances[...] = var_new
+        _native.library().mixture_update(
+            self.weights.ctypes.data, self.means.ctypes.data, self.variances.ctypes.data,
+            frame.ctypes.data, self.k, frame.size,
+            alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
 
     def select_background(self) -> BackgroundModel:
         """Per pixel, the component maximizing weight/stddev; ties go to the
         lowest component index. The arrays returned are new."""
-        lib = _native.library()
-        if lib is None:
-            return self._select_numpy()
         mean = np.empty(self.weights.shape[1:])
         variance = np.empty_like(mean)
-        lib.mixture_select(self.weights.ctypes.data, self.means.ctypes.data,
-                           self.variances.ctypes.data, self.k, mean.size,
-                           mean.ctypes.data, variance.ctypes.data)
-        return BackgroundModel(mean, variance)
-
-    def _select_numpy(self) -> BackgroundModel:
-        """`select_background` in numpy: the fallback, and the kernel's
-        reference."""
-        best = np.argmax(self.weights / np.sqrt(self.variances), axis=0)
-        mean = np.take_along_axis(self.means, best[None], 0)[0]
-        variance = np.take_along_axis(self.variances, best[None], 0)[0]
+        _native.library().mixture_select(
+            self.weights.ctypes.data, self.means.ctypes.data, self.variances.ctypes.data,
+            self.k, mean.size, mean.ctypes.data, variance.ctypes.data)
         return BackgroundModel(mean, variance)
 
 

@@ -74,6 +74,8 @@ def label_boundary_mask(labels, radius: int = 1) -> np.ndarray:
     Used to exclude the thin band around object and shadow outlines where
     mixed pixels make ground truth ambiguous.
     """
+    if radius < 1:
+        raise ValueError(f"boundary radius must be >= 1, got {radius}")
     labels = np.asarray(labels)
     height, width = labels.shape
     boundary = np.zeros((height, width), dtype=bool)

@@ -1,19 +1,25 @@
 """Scalar reference implementations the engine is tested against.
 
-The library keeps only the vectorized engine. These single-pixel and
-single-site versions spell out the same semantics one step at a time:
+The library keeps only the engine: the compiled kernels of `_native.c`
+and the vectorized numpy around them. These single-pixel and single-site
+versions spell out the same semantics one step at a time, and are the
+references the kernels match bit for bit:
 
 - the mixture of Gaussians for one pixel (`PixelMixture`, `match_component`,
-  `update_mixture`, `select_background`), which `MixtureGrid` follows bit
-  for bit, and `pixel` to read one pixel's mixture out of a grid;
+  `update_mixture`, `select_background`), which the kernels behind
+  `MixtureGrid` follow bit for bit, and `pixel` to read one pixel's
+  mixture out of a grid;
 - the clique terms of the labeling energy (`pair_potential`,
   `unary_costs`, `local_potential`);
-- the HCF stability score of one site (`stability`) and an exhaustive
-  MAP search for tiny grids (`brute_force_map`).
+- the HCF stability score of one site (`stability`), the HCF sweep as a
+  plain Python loop (`hcf_python`), whose visit order, labels, energy,
+  counts and trace the compiled sweep reproduces bit for bit, and an
+  exhaustive MAP search for tiny grids (`brute_force_map`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -22,7 +28,8 @@ import numpy as np
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, MixtureGrid)
 from shadowseg.energy import (LABELS, NEIGHBORS_8, PAIR_DIRECTIONS, PriorParams,
-                              UNCOMMITTED)
+                              UNCOMMITTED, total_energy)
+from shadowseg.optimizer import HcfResult
 
 
 # --- mixture of Gaussians, one pixel -------------------------------------------
@@ -89,7 +96,11 @@ def update_mixture(mixture: PixelMixture, g: float, alpha: float) -> PixelMixtur
         weights = [c.weight for c in out]
         lowest = weights.index(min(weights))
         out[lowest] = GaussianComponent(INIT_WEIGHT, g, INIT_VARIANCE)
-    total = sum(c.weight for c in out)
+    # summed one by one from the first component: sum() compensates its
+    # rounding from Python 3.12 on, which is not this order of additions
+    total = out[0].weight
+    for c in out[1:]:
+        total += c.weight
     for i, c in enumerate(out):
         out[i] = GaussianComponent(c.weight / total, c.mean, c.variance)
     return PixelMixture(out)
@@ -174,6 +185,96 @@ def stability(row: int, col: int, labels: np.ndarray, u1: np.ndarray,
     cur = f[current - 1]
     best_other = min(v for i, v in enumerate(f) if i != current - 1)
     return best_other - cur, best
+
+
+def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
+                trace: bool = False) -> HcfResult:
+    """The reference sweep, with a lazy-deletion heap: each site carries a
+    version counter, and stale heap entries are dropped on pop."""
+    _, height, width = u1.shape
+    n = height * width
+    lam2 = prior.lambda2
+
+    base = unary_costs(u1, u2, prior)
+    f = base.transpose(1, 2, 0).ravel().tolist()    # flat, site-major
+
+    part = np.partition(base, 1, axis=0)
+    init_s = (part[0] - part[1]).ravel()
+
+    labels = [UNCOMMITTED] * n
+    version = [0] * n
+    heap = [(float(init_s[y]), y, 0) for y in range(n)]
+    heapq.heapify(heap)
+
+    visits = commits = relabels = 0
+    running = 0.0
+    events: list[tuple[str, float]] | None = [] if trace else None
+
+    while heap:
+        _, y, ver = heapq.heappop(heap)
+        if ver != version[y]:
+            continue
+        visits += 1
+        b = 3 * y
+        f0, f1, f2 = f[b], f[b + 1], f[b + 2]
+        best, best_f = 1, f0
+        if f1 < best_f:
+            best, best_f = 2, f1
+        if f2 < best_f:
+            best, best_f = 3, f2
+        old = labels[y]
+        if old == UNCOMMITTED:
+            labels[y] = best
+            commits += 1
+            running += best_f
+            if trace:
+                events.append(("commit", running))
+        else:
+            if best_f >= f[b + old - 1]:
+                continue
+            labels[y] = best
+            relabels += 1
+            running += best_f - f[b + old - 1]
+            if trace:
+                events.append(("relabel", running))
+
+        r, c = divmod(y, width)
+        for dr, dc, d2 in NEIGHBORS_8:
+            rr, cc = r + dr, c + dc
+            if not (0 <= rr < height and 0 <= cc < width):
+                continue
+            z = rr * width + cc
+            zb = 3 * z
+            w = lam2 / d2
+            if old == UNCOMMITTED:
+                f[zb] += w
+                f[zb + 1] += w
+                f[zb + 2] += w
+                f[zb + best - 1] -= w
+            else:
+                f[zb + best - 1] -= w
+                f[zb + old - 1] += w
+            version[z] += 1
+            g0, g1, g2 = f[zb], f[zb + 1], f[zb + 2]
+            zl = labels[z]
+            if zl == UNCOMMITTED:
+                lo = min(g0, g1, g2)
+                second = g0 + g1 + g2 - lo - max(g0, g1, g2)
+                heapq.heappush(heap, (lo - second, z, version[z]))
+            else:
+                cur = f[zb + zl - 1]
+                if zl == 1:
+                    alt = min(g1, g2)
+                elif zl == 2:
+                    alt = min(g0, g2)
+                else:
+                    alt = min(g0, g1)
+                if alt - cur < 0.0:
+                    heapq.heappush(heap, (alt - cur, z, version[z]))
+
+    grid = np.array(labels, dtype=np.int64).reshape(height, width)
+    return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
+                     visits=visits, commits=commits, relabels=relabels, trace=events)
 
 
 def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):

@@ -263,8 +263,7 @@ def test_criterion_10_runs_are_byte_reproducible(tmp_path):
         diag = tmp_path / f"{run}.csv"
         assert main(["segment", "--input", frame_dir, "--out", str(out),
                      "--bg-init", "5", "--diag", str(diag)]) == 0
-        label_bytes = [open(out / name, "rb").read()
-                       for name in sorted(os.listdir(out))]
+        label_bytes = [(out / name).read_bytes() for name in sorted(os.listdir(out))]
         blobs.append((label_bytes, diag.read_bytes()))
     assert len(blobs[0][0]) == 7
     assert blobs[0][0] == blobs[1][0]

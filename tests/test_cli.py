@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from shadowseg import EngineState
+from shadowseg import EngineState, _native
 from shadowseg.cli import DIAG_HEADER, _read_config_file, main
 from shadowseg.edge import EdgeModel, frame_edges
 from shadowseg.likelihood import build_potential_tables, dump_potentials
@@ -142,6 +142,23 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert main(["segment", "--out", str(tmp_path / "o")]) == 1
     assert main(["eval", "--pred", str(tmp_path / "none"),
                  "--truth", str(tmp_path / "none")]) == 1
+
+
+def test_segment_fails_cleanly_when_the_kernels_cannot_build(tmp_path, monkeypatch, capsys):
+    frame_dir, _ = tiny_sequence(tmp_path / "scene", n_frames=4)
+    out = tmp_path / "labels"
+    monkeypatch.setattr(_native, "_SOURCE", str(tmp_path / "missing.c"))
+    _native.library.cache_clear()
+    try:
+        assert main(["segment", "--input", frame_dir, "--out", str(out),
+                     "--diag", str(tmp_path / "diag.csv")]) == 1
+    finally:
+        monkeypatch.undo()
+        _native.library.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read the kernel source")
+    assert "missing.c" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "diag.csv").exists()
 
 
 def test_eval_report_file_and_mixed_prediction(tmp_path):

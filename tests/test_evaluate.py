@@ -108,6 +108,14 @@ def test_boundary_mask_radius_grows_the_band():
     assert np.array_equal(mask, expected)
 
 
+def test_boundary_mask_rejects_a_radius_below_one():
+    labels = np.ones((5, 9), dtype=int)
+    labels[:, 5:] = 2
+    for radius in (0, -1):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            label_boundary_mask(labels, radius=radius)
+
+
 def test_boundary_mask_marks_both_sides_of_a_blob():
     labels = np.ones((7, 7), dtype=int)
     labels[3, 3] = 3

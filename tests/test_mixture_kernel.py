@@ -1,11 +1,11 @@
-"""The compiled mixture update and background selection against the numpy
-bodies of `MixtureGrid`: the same bytes of weights, means, variances and
-background model, frame after frame."""
+"""The compiled mixture update and background selection against the scalar
+oracles of `tests/oracles.py`, run pixel by pixel: the same bytes of
+weights, means, variances and background model, frame after frame."""
 
 import numpy as np
 import pytest
 
-from shadowseg import _native
+from oracles import pixel, select_background, update_mixture
 from shadowseg.background import (INIT_VARIANCE, MATCH_SIGMAS, VARIANCE_FLOOR,
                                   MixtureGrid, init_static)
 
@@ -14,25 +14,32 @@ from shadowseg.background import (INIT_VARIANCE, MATCH_SIGMAS, VARIANCE_FLOOR,
 EXACT_VARIANCES = np.array([VARIANCE_FLOOR, 9.0, 16.0, 25.0, 100.0, INIT_VARIANCE])
 
 
-@pytest.fixture
-def compiled():
-    if _native.library() is None:
-        pytest.skip("the mixture kernels are not built here (no C compiler)")
-
-
 def models(grid: MixtureGrid, background) -> list[bytes]:
     return [grid.weights.tobytes(), grid.means.tobytes(), grid.variances.tobytes(),
             background.mean.tobytes(), background.variance.tobytes()]
 
 
-def assert_same_as_numpy(weights, means, variances, frames, alpha):
-    native = MixtureGrid(weights, means, variances)
-    ref = MixtureGrid(weights, means, variances)
-    assert models(native, native.select_background()) == models(ref, ref._select_numpy())
+def oracle_models(pixels: dict, k: int, shape) -> list[bytes]:
+    """The bytes of `models`, assembled from one scalar mixture per pixel."""
+    lanes = np.empty((3, k, *shape))
+    mean, variance = np.empty(shape), np.empty(shape)
+    for (r, c), mixture in pixels.items():
+        for i, comp in enumerate(mixture.components):
+            lanes[:, i, r, c] = comp.weight, comp.mean, comp.variance
+        mean[r, c], variance[r, c] = select_background(mixture)
+    return [lane.tobytes() for lane in lanes] + [mean.tobytes(), variance.tobytes()]
+
+
+def assert_same_as_oracles(weights, means, variances, frames, alpha):
+    grid = MixtureGrid(weights, means, variances)
+    k, h, w = grid.weights.shape
+    pixels = {(r, c): pixel(grid, r, c) for r in range(h) for c in range(w)}
+    assert models(grid, grid.select_background()) == oracle_models(pixels, k, (h, w))
     for frame in frames:
-        native.update(frame, alpha)
-        ref._update_numpy(np.asarray(frame, dtype=np.float64), alpha)
-        assert models(native, native.select_background()) == models(ref, ref._select_numpy())
+        grid.update(frame, alpha)
+        pixels = {(r, c): update_mixture(mixture, frame[r, c], alpha)
+                  for (r, c), mixture in pixels.items()}
+        assert models(grid, grid.select_background()) == oracle_models(pixels, k, (h, w))
 
 
 def random_mixtures(rng, k, h, w):
@@ -71,36 +78,36 @@ def frames_around(rng, weights, means, variances, n):
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_random_mixtures_with_ties_boundaries_and_replacement(compiled, k):
+def test_random_mixtures_with_ties_boundaries_and_replacement(k):
     rng = np.random.default_rng(70 + k)
     for alpha in (0.02, 0.3, 1.0):
         weights, means, variances = random_mixtures(rng, k, 9, 11)
         frames = frames_around(rng, weights, means, variances, 6)
-        assert_same_as_numpy(weights, means, variances, frames, alpha)
+        assert_same_as_oracles(weights, means, variances, frames, alpha)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_adaptive_seed_with_placeholders(compiled, k):
+def test_adaptive_seed_with_placeholders(k):
     rng = np.random.default_rng(80 + k)
     seed = MixtureGrid.seed(np.round(rng.uniform(0, 255, size=(12, 10))), k)
     frames = [seed.means[0] + rng.normal(0.0, 5.0, size=(12, 10)) for _ in range(4)]
     frames += [rng.uniform(0, 255, size=(12, 10)) for _ in range(4)]
     for alpha in (0.02, 1.0):
-        assert_same_as_numpy(seed.weights, seed.means, seed.variances, frames, alpha)
+        assert_same_as_oracles(seed.weights, seed.means, seed.variances, frames, alpha)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_static_seed_with_floored_variances(compiled, k):
+def test_static_seed_with_floored_variances(k):
     rng = np.random.default_rng(90 + k)
     boot = [np.full((8, 8), 120.0)] * 2 + [120.0 + rng.normal(0.0, 3.0, size=(8, 8))]
     seed = init_static(boot, k)
     assert (seed.variances[0] == VARIANCE_FLOOR).any()
     frames = [120.0 + rng.normal(0.0, 4.0, size=(8, 8)) for _ in range(5)]
     frames.append(np.full((8, 8), 255.0))
-    assert_same_as_numpy(seed.weights, seed.means, seed.variances, frames, 0.05)
+    assert_same_as_oracles(seed.weights, seed.means, seed.variances, frames, 0.05)
 
 
-def test_tied_components_go_to_the_first_index(compiled):
+def test_tied_components_go_to_the_first_index():
     # two identical components, both matching: the first is updated
     weights = np.array([0.4, 0.4, 0.2])[:, None, None] * np.ones((3, 2, 2))
     means = np.full((3, 2, 2), 100.0)
@@ -108,12 +115,12 @@ def test_tied_components_go_to_the_first_index(compiled):
     grid = MixtureGrid(weights, means, variances)
     grid.update(np.full((2, 2), 101.0), 0.5)
     assert (grid.means[0] == 100.5).all() and (grid.means[1] == 100.0).all()
-    assert_same_as_numpy(weights, means, variances, [np.full((2, 2), 101.0)], 0.5)
+    assert_same_as_oracles(weights, means, variances, [np.full((2, 2), 101.0)], 0.5)
     bg = MixtureGrid(weights, means, variances).select_background()
     assert (bg.mean == 100.0).all() and (bg.variance == 25.0).all()
 
 
-def test_non_contiguous_input_is_copied(compiled):
+def test_non_contiguous_input_is_copied():
     rng = np.random.default_rng(5)
     weights, means, variances = random_mixtures(rng, 4, 6, 7)
     fortran = [np.asfortranarray(a) for a in (weights, means, variances)]
@@ -121,18 +128,16 @@ def test_non_contiguous_input_is_copied(compiled):
     frames = frames_around(rng, weights, means, variances, 3)
     frames = [np.repeat(f, 2, axis=1)[:, ::2] for f in frames]      # strided frames too
     for arrays in (fortran, strided):
-        assert_same_as_numpy(*arrays, frames, 0.1)
+        assert_same_as_oracles(*arrays, frames, 0.1)
         grid = MixtureGrid(*arrays)
         before = [a.copy() for a in arrays]
         grid.update(frames[0], 0.1)
         assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
 
 
-@pytest.mark.parametrize("select", [MixtureGrid.select_background, MixtureGrid._select_numpy],
-                         ids=["kernel", "numpy"])
-def test_selection_never_aliases_the_mixtures(select):
+def test_selection_never_aliases_the_mixtures():
     grid = MixtureGrid.seed(np.full((3, 4), 50.0))
-    bg = select(grid)
+    bg = grid.select_background()
     for array in (bg.mean, bg.variance):
         assert not any(np.shares_memory(array, lane)
                        for lane in (grid.weights, grid.means, grid.variances))
