@@ -13,25 +13,48 @@
    The HCF queue has two tiers. Sites that no neighbour update has touched
    keep their initial score; they sit in blocks of BLOCK consecutive sites,
    and a small heap holds one (score, site) key per block. Every other
-   queued site sits in the frontier, an indexed heap updated in place.
-   Nearly all visits come from the frontier, which held at most about 1,500
-   sites on 320x240 frames, so neighbour updates sift through a small heap
-   instead of one holding every site. */
+   queued site sits in the frontier, a bucket queue (Dial, CACM 1969):
+   a site's bucket comes from the top bits of its score mapped to an
+   unsigned integer in the same order, and a bitmap of non-empty buckets
+   finds the lowest one with three count-trailing-zeros. Nearly all visits
+   come from the frontier, which held at most about 1,500 sites on 320x240
+   frames, so a neighbour update relinks a site between two lists instead
+   of sifting it through a heap. When many scores tie, the lowest bucket
+   would grow long and its scan quadratic; past BUCKET_CAP sites it moves
+   into an indexed heap, where its sites stay until they are visited or
+   dropped. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Sites per block of the static tier. */
 #define BLOCK 64
 /* Site state besides the labels 0 (uncommitted) and 1..3: uncommitted
    and untouched, so keyed by its initial score in the static tier. */
 #define FRESH 4
+/* Frontier buckets: 2^SPLIT_BITS per power of two, over scores from
+   -2^32 to -2^-32; smaller and larger ones share the two end buckets.
+   That is 2^BUCKET_BITS buckets, under a bitmap of three levels that
+   branch 64 ways. */
+#define SPLIT_BITS 8
+#define BUCKET_BITS 14
+/* score_key(-0x1p32): the exponent bits of 2^32 inverted, then the top
+   SPLIT_BITS bits of its zero mantissa inverted */
+#define LOWEST_KEY ((uint32_t)(2047 - (1023 + 32)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1))
+/* The most sites the lowest bucket may hold before they move to the heap. */
+#define BUCKET_CAP 32
+/* Frontier.where of a site in no bucket: in no part of the frontier, or
+   in its heap. */
+#define NO_BUCKET 0xFFFF
+#define IN_HEAP 0xFFFE
 
 /* The queue holds every uncommitted site and every committed site that
    can strictly improve, keyed (score, site), and yields them in that
    order: the order in which hcf_python's lazy-deletion heap pops its
-   live entries, one per site.
+   live entries, one per site. (score, site) is a strict total order, so
+   any exact queue yields the same sequence.
 
    The static tier's key of a block is the smallest (score, site) of its
    fresh sites when it was last computed. Sites only ever leave the fresh
@@ -40,7 +63,12 @@
    is recomputed lazily: only once it is the smallest block key and the
    frontier's top does not come before it. So the smaller of the two tops
    is the smallest key of the whole queue, the one the single heap of
-   every site would pop. */
+   every site would pop.
+
+   The frontier's buckets are ordered as their scores are, and equal
+   scores share a bucket, so the smallest key of the bucketed sites is in
+   the lowest non-empty bucket, found there by a scan. The frontier's top
+   is the smaller of that and the top of its heap. */
 
 typedef struct {
     double score;
@@ -126,6 +154,165 @@ static void drop(Queue *q, int64_t site)
     }
 }
 
+/* The frontier. A site is in at most one of its buckets and its heap; a
+   bucketed site's score is kept in the sweep's score array, and the heap's
+   slot index is valid only for the heap's own sites. A bit of top is set
+   while one of its 4,096 buckets is non-empty; a word of mid is valid
+   only while its bit of top is set, a word of low only while its bit of
+   mid is set, and first[b] only while b's bit of low is set. So only top
+   needs initialising. */
+typedef struct {
+    int32_t next, prev;     /* site links within a bucket; prev -1 for its first */
+} Link;
+
+typedef struct {
+    Link *link;             /* per site */
+    uint16_t *where;        /* per site: its bucket, NO_BUCKET or IN_HEAP */
+    int32_t *first;         /* per bucket */
+    uint64_t top, *mid, *low;
+    Queue heap;
+} Frontier;
+
+static uint64_t bit(uint32_t b)
+{
+    return UINT64_C(1) << (b & 63);
+}
+
+/* The key of a score: the top bits of its IEEE 754 pattern, the sign bit
+   flipped for positive doubles and every bit inverted for negative ones,
+   so that the order of keys is the order of scores. They are the sign,
+   the exponent and the top SPLIT_BITS bits of the mantissa. */
+static uint32_t score_key(double score)
+{
+    uint64_t u;
+    score += 0.0;           /* -0.0 becomes +0.0, which before() calls equal */
+    memcpy(&u, &score, sizeof u);
+    u = u >> 63 ? ~u : u | UINT64_C(1) << 63;
+    return (uint32_t)(u >> (52 - SPLIT_BITS));
+}
+
+/* The bucket of a score: its key less the key of the lowest bucket,
+   clamped to the buckets there are. */
+static uint32_t bucket_of(double score)
+{
+    uint32_t key = score_key(score), b = key - LOWEST_KEY;
+    if (b < (1 << BUCKET_BITS))
+        return b;
+    return key < LOWEST_KEY ? 0 : (1 << BUCKET_BITS) - 1;
+}
+
+static void bucket_insert(Frontier *fr, int32_t site, uint32_t b)
+{
+    uint64_t *top = &fr->top, *mid = &fr->mid[b >> 12], *low = &fr->low[b >> 6];
+    int32_t next = -1;
+    if (!(*top & bit(b >> 12))) {
+        *top |= bit(b >> 12);
+        *mid = bit(b >> 6);
+        *low = bit(b);
+    } else if (!(*mid & bit(b >> 6))) {
+        *mid |= bit(b >> 6);
+        *low = bit(b);
+    } else if (!(*low & bit(b))) {
+        *low |= bit(b);
+    } else {
+        next = fr->first[b];
+        fr->link[next].prev = site;
+    }
+    fr->first[b] = site;
+    fr->link[site] = (Link){next, -1};
+    fr->where[site] = (uint16_t)b;
+}
+
+/* Mark bucket b empty. */
+static void bucket_clear(Frontier *fr, uint32_t b)
+{
+    if ((fr->low[b >> 6] &= ~bit(b)) == 0 && (fr->mid[b >> 12] &= ~bit(b >> 6)) == 0)
+        fr->top &= ~bit(b >> 12);
+}
+
+static void bucket_remove(Frontier *fr, int32_t site)
+{
+    Link l = fr->link[site];
+    uint32_t b = fr->where[site];
+    fr->where[site] = NO_BUCKET;
+    if (l.next >= 0)
+        fr->link[l.next].prev = l.prev;
+    if (l.prev >= 0)
+        fr->link[l.prev].next = l.next;
+    else if (l.next >= 0)
+        fr->first[b] = l.next;
+    else
+        bucket_clear(fr, b);
+}
+
+/* The lowest non-empty bucket, or -1. */
+static int64_t lowest_bucket(const Frontier *fr)
+{
+    if (fr->top == 0)
+        return -1;
+    int64_t m = __builtin_ctzll(fr->top);
+    int64_t l = m * 64 + __builtin_ctzll(fr->mid[m]);
+    return l * 64 + __builtin_ctzll(fr->low[l]);
+}
+
+/* Key the touched site `site` by `s`, inserting it when absent. */
+static void frontier_set(Frontier *fr, double *score, int32_t site, double s)
+{
+    uint32_t old = fr->where[site];
+    if (old == IN_HEAP) {
+        set_score(&fr->heap, site, s);
+        return;
+    }
+    uint32_t b = bucket_of(s);
+    if (old != b) {
+        if (old != NO_BUCKET)
+            bucket_remove(fr, site);
+        bucket_insert(fr, site, b);
+    }
+    score[site] = s;
+}
+
+static void frontier_drop(Frontier *fr, int32_t site)
+{
+    uint32_t where = fr->where[site];
+    if (where == IN_HEAP) {
+        drop(&fr->heap, site);
+        fr->where[site] = NO_BUCKET;
+    } else if (where != NO_BUCKET) {
+        bucket_remove(fr, site);
+    }
+}
+
+/* The smallest (score, site) of the frontier; its site is -1 when the
+   frontier is empty. */
+static Entry frontier_top(Frontier *fr, const double *score)
+{
+    for (;;) {
+        Entry top = fr->heap.size > 0 ? fr->heap.heap[0] : (Entry){0.0, -1};
+        int64_t b = lowest_bucket(fr);
+        if (b < 0)
+            return top;
+        Entry best = {score[fr->first[b]], fr->first[b]};
+        int held = 1;
+        for (int32_t z = fr->link[best.site].next; z >= 0 && held <= BUCKET_CAP;
+             z = fr->link[z].next, held++) {
+            Entry e = {score[z], z};
+            if (before(e, best))
+                best = e;
+        }
+        if (held <= BUCKET_CAP)
+            return top.site >= 0 && before(top, best) ? top : best;
+        /* too many ties to scan at every visit: the bucket moves to the heap */
+        for (int32_t z = fr->first[b], next; z >= 0; z = next) {
+            next = fr->link[z].next;
+            fr->where[z] = IN_HEAP;
+            fr->heap.slot[z] = -1;
+            set_score(&fr->heap, z, score[z]);
+        }
+        bucket_clear(fr, (uint32_t)b);
+    }
+}
+
 /* The static tier: a plain binary heap of block keys. Only its top is
    ever rekeyed or removed, so it needs no index. */
 static void block_sift_down(Entry *heap, int64_t size, int64_t i)
@@ -157,7 +344,7 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
     return key;
 }
 
-/* Label a height x width grid.
+/* Label a height x width grid of fewer than 2^31 sites.
 
    u1, u2    (3, height, width) data potential tables, label-major
    bias      3 weighted label biases, lambda1 * bias; a site's potential
@@ -182,20 +369,33 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
     int64_t visits = 0, commits = 0, relabels = 0, fresh = n;
     double running = 0.0;
 
-    /* + 1: malloc(0) may return NULL on an empty grid */
+    /* + 1: malloc(0) may return NULL on an empty grid. score holds a
+       site's initial score while it is fresh, its frontier score once it
+       is bucketed. */
     double *f = malloc((3 * n + 1) * sizeof(double));
     double *score = malloc((n + 1) * sizeof(double));
     uint8_t *state = malloc(n + 1);
     Entry *blocks = malloc((n_blocks + 1) * sizeof(Entry));
-    Queue q = {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0};
+    Frontier fr = {malloc((n + 1) * sizeof(Link)), malloc((n + 1) * sizeof(uint16_t)),
+                   malloc(((size_t)1 << BUCKET_BITS) * sizeof(int32_t)),
+                   0,
+                   malloc(((size_t)1 << (BUCKET_BITS - 12)) * sizeof(uint64_t)),
+                   malloc(((size_t)1 << (BUCKET_BITS - 6)) * sizeof(uint64_t)),
+                   {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}};
     if (f == NULL || score == NULL || state == NULL || blocks == NULL
-        || q.heap == NULL || q.slot == NULL) {
+        || fr.link == NULL || fr.where == NULL || fr.first == NULL || fr.mid == NULL
+        || fr.low == NULL || fr.heap.heap == NULL || fr.heap.slot == NULL) {
         free(f);
         free(score);
         free(state);
         free(blocks);
-        free(q.heap);
-        free(q.slot);
+        free(fr.link);
+        free(fr.where);
+        free(fr.first);
+        free(fr.mid);
+        free(fr.low);
+        free(fr.heap.heap);
+        free(fr.heap.slot);
         return -1;
     }
 
@@ -207,7 +407,6 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
         f[3 * y + 1] = b;
         f[3 * y + 2] = c;
         state[y] = FRESH;
-        q.slot[y] = -1;
         /* smallest minus second smallest, as np.partition gives them */
         double lo = a, hi = b, mid;
         if (b < a) {
@@ -234,26 +433,31 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
         step[k] = offsets[2 * k] * width + offsets[2 * k + 1];
 
     for (;;) {
-        int64_t y;
-        /* the smaller of the two tops; once every site has been touched,
-           the stale block keys left are never rescanned */
-        if (fresh > 0 && (q.size == 0 || !before(q.heap[0], blocks[0]))) {
-            y = blocks[0].site;
-            if (state[y] != FRESH) {
-                /* touched since it was keyed: rekey its block, or drop a
-                   block left with no fresh site */
-                Entry key = block_key(score, state, y - y % BLOCK, n);
-                if (key.site < 0)
-                    key = blocks[--n_keyed];
-                blocks[0] = key;
-                block_sift_down(blocks, n_keyed, 0);
-                continue;
+        Entry top = frontier_top(&fr, score);
+        int64_t y = -1;
+        /* the static tier's top when it comes first, after rekeying the
+           blocks whose key names a touched site or dropping those with no
+           fresh site left; once every site has been touched, the stale
+           block keys left are never rescanned */
+        while (fresh > 0 && (top.site < 0 || !before(top, blocks[0]))) {
+            if (state[blocks[0].site] == FRESH) {
+                y = blocks[0].site;
+                break;
             }
+            Entry key = block_key(score, state, blocks[0].site - blocks[0].site % BLOCK, n);
+            if (key.site < 0)
+                key = blocks[--n_keyed];
+            blocks[0] = key;
+            block_sift_down(blocks, n_keyed, 0);
+        }
+        if (y >= 0) {
+            /* it leaves the static tier, in neither part of the frontier */
             state[y] = 0;
             fresh--;
-        } else if (q.size > 0) {
-            y = q.heap[0].site;
-            drop(&q, y);
+            fr.where[y] = NO_BUCKET;
+        } else if (top.site >= 0) {
+            y = top.site;
+            frontier_drop(&fr, (int32_t)y);
         } else {
             break;
         }
@@ -316,9 +520,11 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
             double g0 = g[0], g1 = g[1], g2 = g[2];
             uint8_t zl = state[z];
             if (zl == FRESH) {
-                /* it leaves the static tier; a block key naming it goes stale */
+                /* it leaves the static tier, so a block key naming it goes
+                   stale, and enters the frontier below */
                 state[z] = zl = 0;
                 fresh--;
+                fr.where[z] = NO_BUCKET;
             }
             if (zl == 0) {
                 /* Python's min and max: the first of equal values wins */
@@ -332,7 +538,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                 if (g2 > hi)
                     hi = g2;
                 double second = g0 + g1 + g2 - lo - hi;
-                set_score(&q, z, lo - second);
+                frontier_set(&fr, score, (int32_t)z, lo - second);
             } else {
                 double cur = g[zl - 1], alt;
                 if (zl == 1)
@@ -342,9 +548,9 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                 else
                     alt = g1 < g0 ? g1 : g0;
                 if (alt - cur < 0.0)
-                    set_score(&q, z, alt - cur);
+                    frontier_set(&fr, score, (int32_t)z, alt - cur);
                 else
-                    drop(&q, z);
+                    frontier_drop(&fr, (int32_t)z);
             }
         }
     }
@@ -355,8 +561,13 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
     free(score);
     free(state);
     free(blocks);
-    free(q.heap);
-    free(q.slot);
+    free(fr.link);
+    free(fr.where);
+    free(fr.first);
+    free(fr.mid);
+    free(fr.low);
+    free(fr.heap.heap);
+    free(fr.heap.slot);
     counts[0] = visits;
     counts[1] = commits;
     counts[2] = relabels;

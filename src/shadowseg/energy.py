@@ -47,12 +47,19 @@ def initial_prior(lambda1: float = LAMBDA1_DEFAULT, lambda2: float = LAMBDA2_DEF
 
 
 def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> float:
-    """Objective value of a fully committed labeling."""
+    """Objective value of a fully committed labeling, labels in {1, 2, 3}."""
     if (labels == UNCOMMITTED).any():
         raise ValueError("labeling contains uncommitted sites")
-    idx = (labels - 1)[None]
-    energy = float(np.take_along_axis(u1, idx, 0).sum() + np.take_along_axis(u2, idx, 0).sum())
-    energy += prior.lambda1 * float(prior.bias[labels - 1].sum())
+    background, shadow = labels == BACKGROUND, labels == SHADOW
+
+    # each site's value for its label, in site order: the same sums, to the
+    # bit, as the gathers of `total_energy` in tests/oracles.py
+    def pick(values):
+        return np.where(background, values[0], np.where(shadow, values[1], values[2]))
+
+    energy = float(pick(u1).sum() + pick(u2).sum())
+    energy += prior.lambda1 * float(pick(prior.bias).sum())
+    labels = labels.astype(np.uint8)       # the comparisons below read 1 byte a site
     pair = 0.0
     for dr, dc, d2 in PAIR_DIRECTIONS:
         rows = labels.shape[0] - dr

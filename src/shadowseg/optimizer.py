@@ -44,8 +44,9 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                  trace: bool = False) -> HcfResult:
     """Label every pixel of the frame, minimizing the posterior energy.
 
-    `u1` and `u2` are (3, H, W) potential tables indexed by label-1. With
-    `trace`, the result lists every commit and relabel in order.
+    `u1` and `u2` are (3, H, W) potential tables indexed by label-1, with
+    H * W below 2**31. With `trace`, the result lists every commit and
+    relabel in order.
     """
     shape = np.shape(u1)
     if len(shape) != 3 or shape[0] != 3 or np.shape(u2) != shape:
@@ -53,9 +54,13 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                          f"got {shape} and {np.shape(u2)}")
     if np.shape(prior.bias) != (3,):
         raise ValueError(f"the label bias must hold 3 values, got shape {np.shape(prior.bias)}")
-    lib = _native.library()
     _, height, width = shape
     n = height * width
+    if n >= 2**31:
+        # the kernel links its queued sites by 32-bit indices
+        raise ValueError(f"a grid of {height} x {width} sites is too large, "
+                         "HCF labels fewer than 2**31")
+    lib = _native.library()
     t1, t2 = (np.ascontiguousarray(u, dtype=np.float64) for u in (u1, u2))
     bias = np.ascontiguousarray(prior.lambda1 * prior.bias, dtype=np.float64)
     weights = np.array([prior.lambda2 / d2 for _, _, d2 in NEIGHBORS_8], dtype=np.float64)

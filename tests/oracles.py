@@ -10,7 +10,9 @@ references the kernels match bit for bit:
   `MixtureGrid` follow bit for bit, and `pixel` to read one pixel's
   mixture out of a grid;
 - the clique terms of the labeling energy (`pair_potential`,
-  `unary_costs`, `local_potential`);
+  `unary_costs`, `local_potential`), and the energy of a whole labeling
+  by gathers along the label axis (`total_energy`), which the engine's
+  `energy.total_energy` matches byte for byte;
 - the HCF stability score of one site (`stability`), the HCF sweep as a
   plain Python loop (`hcf_python`), whose visit order, labels, energy,
   counts and trace the compiled sweep reproduces bit for bit, and an
@@ -28,7 +30,7 @@ import numpy as np
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, MixtureGrid)
 from shadowseg.energy import (LABELS, NEIGHBORS_8, PAIR_DIRECTIONS, PriorParams,
-                              UNCOMMITTED, total_energy)
+                              UNCOMMITTED)
 from shadowseg.optimizer import HcfResult
 
 
@@ -139,6 +141,23 @@ def pair_potential(label_x: int, label_y: int, dist_sq: float) -> float:
 def unary_costs(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> np.ndarray:
     """Per-label per-pixel cost outside the pair terms: U1 + U2 + lambda1*bias."""
     return u1 + u2 + prior.lambda1 * prior.bias[:, None, None]
+
+
+def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> float:
+    """Objective value of a fully committed labeling: each site's potentials
+    and bias gathered by its label, plus the pair terms."""
+    if (labels == UNCOMMITTED).any():
+        raise ValueError("labeling contains uncommitted sites")
+    idx = (labels - 1)[None]
+    energy = float(np.take_along_axis(u1, idx, 0).sum() + np.take_along_axis(u2, idx, 0).sum())
+    energy += prior.lambda1 * float(prior.bias[labels - 1].sum())
+    pair = 0.0
+    for dr, dc, d2 in PAIR_DIRECTIONS:
+        rows = labels.shape[0] - dr
+        a = labels[:rows, max(0, -dc):labels.shape[1] - max(0, dc)]
+        b = labels[dr:, max(0, dc):labels.shape[1] - max(0, -dc)]
+        pair += np.count_nonzero(a != b) / d2
+    return energy + prior.lambda2 * pair
 
 
 def local_potential(row: int, col: int, label: int, labels: np.ndarray,

@@ -4,9 +4,13 @@ and the adaptive per-label bias."""
 import numpy as np
 import pytest
 
+import oracles
 from oracles import local_potential, pair_potential, unary_costs
+from shadowseg import EngineConfig, EngineState, detection_potentials, process_frame
 from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, UNCOMMITTED, PriorParams,
                               initial_prior, total_energy, update_label_bias)
+from shadowseg.optimizer import hcf_minimize
+from shadowseg.synth import render_scene, scene_preset
 
 
 def flat_prior(lambda1=0.0, lambda2=0.0):
@@ -161,6 +165,43 @@ def test_committed_potentials_sum_to_total_plus_pair_weight():
     total = total_energy(labels, u1, u2, prior)
     assert np.isclose(site_sum, total + prior.lambda2 * pair_sum_oracle(labels),
                       atol=1e-9)
+
+
+def assert_same_energy_as_oracle(labels, u1, u2, prior):
+    fast = np.float64(total_energy(labels, u1, u2, prior))
+    assert fast.tobytes() == np.float64(oracles.total_energy(labels, u1, u2, prior)).tobytes()
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("quality", EngineConfig()),
+    ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
+])
+def test_total_is_byte_identical_to_the_oracle_on_engine_instances(preset, config):
+    # the engine's labeling of each frame, and random labelings of the same
+    # tables, summed in the oracle's order
+    scene = scene_preset(preset)
+    frames, _ = render_scene(scene, seed=0)
+    state = EngineState.from_static(frames[:scene.lead_in], config)
+    rng = np.random.default_rng(26)
+    for frame in frames[scene.lead_in:]:
+        u1, u2 = detection_potentials(state, frame)
+        assert_same_energy_as_oracle(hcf_minimize(u1, u2, state.prior).labels, u1, u2,
+                                     state.prior)
+        assert_same_energy_as_oracle(rng.integers(1, 4, size=frame.shape), u1, u2, state.prior)
+        process_frame(state, frame)
+
+
+def test_total_is_byte_identical_to_the_oracle_on_random_labelings():
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        h, w = rng.integers(1, 40, size=2)
+        u1 = rng.normal(0.0, 10.0, size=(3, h, w))
+        u2 = rng.normal(0.0, 10.0, size=(3, h, w))
+        prior = PriorParams(bias=rng.uniform(-1, 0, size=3), lambda1=float(rng.uniform(0, 10)),
+                            lambda2=float(rng.uniform(0, 5)))
+        labels = rng.integers(1, 4, size=(h, w))
+        assert_same_energy_as_oracle(labels, u1, u2, prior)
+        assert_same_energy_as_oracle(np.full((h, w), int(rng.integers(1, 4))), u1, u2, prior)
 
 
 def test_initial_bias_is_uniform():

@@ -6,6 +6,7 @@ loader raises an OSError naming the reason."""
 import os
 import shutil
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +127,79 @@ def test_weak_coupling_empties_the_frontier(lambda2):
         assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
         assert_same_as_python(np.round(u1), np.round(u2),
                               initial_prior(lambda1=1.0, lambda2=lambda2))
+
+
+def checkerboard(height, width, lambda2):
+    """Tables under which every site prefers background or foreground, in
+    a checkerboard of 4 x 4 squares, by the same gap of 2 * lambda2: every
+    initial score ties, and so do many scores after each commit."""
+    gap = 2.0 * lambda2
+    black = np.add.outer(np.arange(height) // 4, np.arange(width) // 4) % 2 == 1
+    u1 = np.zeros((3, height, width))
+    u1[0][black] = gap
+    u1[2][~black] = gap
+    u1[1] = 2.0 * gap
+    return u1, np.zeros_like(u1)
+
+
+# The frontier keeps sites in buckets of nearby scores; once the lowest
+# bucket holds more than 32 sites, they move to an indexed heap. On these
+# grids, 85 to 530 sites of a sweep do.
+@pytest.mark.parametrize("lambda2", [0.5, 4.0])
+def test_tied_checkerboard_fills_a_bucket_past_its_cap(lambda2):
+    for shape in [(30, 40), (24, 64), (40, 13)]:
+        u1, u2 = checkerboard(*shape, lambda2)
+        assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
+
+
+def test_signed_zeros_tie():
+    # with lambda1 = 0, every bias term is a signed zero, and the planted
+    # -0.0 and +0.0 give scores of both signs, which (score, site) orders
+    # as equal
+    rng = np.random.default_rng(65)
+    for lambda2 in (0.5, 1.0, 2.0):
+        u1 = np.round(rng.normal(0.0, 1.0, size=(3, 20, 30)))
+        u2 = np.round(rng.normal(0.0, 1.0, size=(3, 20, 30)))
+        zeros = rng.random(u1.shape) < 0.4
+        u1[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        u2[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        assert np.signbit(u1[zeros]).any() and not np.signbit(u1[zeros]).all()
+        assert_same_as_python(u1, u2, initial_prior(lambda1=0.0, lambda2=lambda2))
+
+
+def test_scores_beyond_the_bucketed_range():
+    # the frontier's buckets resolve scores from -2**32 to -2**-32; larger
+    # and smaller magnitudes share the two end buckets
+    rng = np.random.default_rng(66)
+    for lambda2 in (1e-12, 1.0, 1e12):
+        scale = 10.0 ** rng.uniform(-15.0, 15.0, size=(3, 20, 30))
+        u1 = rng.normal(0.0, 1.0, size=(3, 20, 30)) * scale
+        u2 = rng.normal(0.0, 1.0, size=(3, 20, 30)) * scale
+        assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
+
+
+def test_hcf_rejects_a_grid_of_2_31_sites():
+    # zero-strided views: a copy of either table would take 48 GiB
+    u = np.broadcast_to(0.0, (3, 2**16, 2**15))
+    with pytest.raises(ValueError, match="too large"):
+        hcf_minimize(u, u, initial_prior())
+
+
+@pytest.mark.parametrize("lambda2", [0.5, 4.0])
+def test_tied_sweep_time_grows_linearly(lambda2):
+    # a frontier that scanned every tied site of its lowest bucket at each
+    # visit would take about 16 times as long on 4 times the sites; the
+    # fastest of 3 runs each, the two sizes alternating so that a slow
+    # stretch of the machine slows both
+    prior = initial_prior(lambda1=1.0, lambda2=lambda2)
+    grids = [checkerboard(*shape, lambda2) for shape in [(240, 320), (480, 640)]]
+    fastest = [float("inf")] * 2
+    for _ in range(3):
+        for i, (u1, u2) in enumerate(grids):
+            start = time.perf_counter()
+            hcf_minimize(u1, u2, prior)
+            fastest[i] = min(fastest[i], time.perf_counter() - start)
+    assert fastest[1] / fastest[0] < 6.5
 
 
 def engine_instances(scene, config, n_labeled=None):
