@@ -1,14 +1,22 @@
 /* The compiled kernels of shadowseg, loaded with ctypes by
-   shadowseg._native: the highest-confidence-first sweep (hcf_sweep), and
-   the per-pixel mixture update and background selection (mixture_update,
-   mixture_select).
+   shadowseg._native: the highest-confidence-first sweep (hcf_sweep), the
+   per-pixel mixture update and background selection (mixture_update,
+   mixture_select), and the six rows of potential tables
+   (potential_tables).
 
    They are the engine's only path. Each replays the float64 arithmetic
    of its reference oracle in tests/oracles.py, operation by operation and
    in the same order, so results come out bit-identical: hcf_sweep follows
    hcf_python, the mixture kernels follow update_mixture and
-   select_background, one pixel at a time. Built with -ffp-contract=off so
-   that no multiply-add is fused, and without -ffast-math.
+   select_background, one pixel at a time, and potential_tables the numpy
+   stacks of potential_tables. Built with -ffp-contract=off so that no
+   multiply-add is fused, and without -ffast-math.
+
+   No kernel calls log: libm's log and numpy's (SIMD on x86-64) round
+   differently in the last bit on some inputs. So potential_tables takes
+   its scalar logs as arguments, computed by numpy, and leaves the two
+   triangular factors of the foreground edge potential for numpy to take
+   the per-pixel logs of.
 
    The HCF queue has two tiers. Sites that no neighbour update has touched
    keep their initial score; they sit in blocks of BLOCK consecutive sites,
@@ -652,5 +660,58 @@ void mixture_select(const double *weights, const double *means, const double *va
         }
         mean[i] = means[best * n + i];
         variance[i] = variances[best * n + i];
+    }
+}
+
+/* The constants of one Gaussian label, background (gain 1, offset 0) or
+   shadow, computed in Python with the numpy operations of the oracle:
+   the intensity variance is var = gain * gain * pooled, and each edge
+   component's 2 * pooled. Six doubles, as the caller lays them out. */
+typedef struct {
+    double gain, offset;
+    double log_norm;        /* 0.5 * (LOG_2PI + log var) */
+    double two_var;         /* 2 * var */
+    double edge_log_norm;   /* LOG_2PI + 2 log gain + 0.5 log(edge_var * edge_var) */
+    double edge_scale;      /* (2 * gain) * gain */
+} Gaussian;
+
+/* The intensity and edge potential tables of n pixels: the oracle
+   potential_tables, one pixel at a time.
+
+   frame, edge_h, edge_v, bg_mean, mean_h, mean_v
+             n values each
+   gauss     the background's and the shadow's constants
+   edge_var  each edge component's variance, 2 * pooled
+   fg_log    the foreground intensity potential, log y_max + 0.0
+   inv_y_max, y_max_sq, floor
+             1 / y_max, y_max * y_max and the density floor over y_max_sq
+   u1, u2    out: (3, n) tables, label-major
+   fv        out: the vertical triangular factor, n values
+
+   The foreground edge row u2[2] gets the horizontal triangular factor,
+   not its potential: the caller takes -log of it and subtracts log fv. */
+void potential_tables(const double *frame, const double *edge_h, const double *edge_v,
+                      const double *bg_mean, const double *mean_h, const double *mean_v,
+                      int64_t n, const Gaussian *gauss, double edge_var, double fg_log,
+                      double inv_y_max, double y_max_sq, double floor,
+                      double *u1, double *u2, double *fv)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double g = frame[i], m = bg_mean[i];
+        double eh = edge_h[i], ev = edge_v[i], mh = mean_h[i], mv = mean_v[i];
+        for (int l = 0; l < 2; l++) {
+            const Gaussian *p = &gauss[l];
+            double dev = g - (p->gain * m + p->offset);
+            u1[l * n + i] = p->log_norm + dev * dev / p->two_var;
+            double dev_h = eh - p->gain * mh, dev_v = ev - p->gain * mv;
+            double quad = dev_h * dev_h / edge_var + dev_v * dev_v / edge_var;
+            u2[l * n + i] = p->edge_log_norm + quad / p->edge_scale;
+        }
+        u1[2 * n + i] = fg_log;
+        /* the oracle's np.maximum(t, floor), which keeps a NaN */
+        double th = inv_y_max - fabs(eh) / y_max_sq;
+        double tv = inv_y_max - fabs(ev) / y_max_sq;
+        u2[2 * n + i] = th < floor ? floor : th;
+        fv[i] = tv < floor ? floor : tv;
     }
 }

@@ -1,5 +1,5 @@
-"""The compiled kernels: the HCF sweep, and the per-pixel mixture update
-and background selection, all in `_native.c`.
+"""The compiled kernels: the HCF sweep, the per-pixel mixture update and
+background selection, and the potential tables, all in `_native.c`.
 
 The source is compiled with the system `cc` on first use and loaded with
 ctypes. They are the engine's only path: when the build or the load
@@ -27,6 +27,8 @@ _SIGNATURES = {
     "hcf_sweep": ([_P, _P, _P, _I, _I, _P, _P, _P, _P, _P, _P, _I], _I),
     "mixture_update": ([_P, _P, _P, _P, _I, _I, _D, _D, _D, _D, _D], None),
     "mixture_select": ([_P, _P, _P, _I, _I, _P, _P], None),
+    "potential_tables": ([_P, _P, _P, _P, _P, _P, _I, _P, _D, _D, _D, _D, _D, _P, _P, _P],
+                         None),
 }
 
 

@@ -40,16 +40,27 @@ def frame_edges(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if frame.ndim != 2 or frame.shape[0] < 3 or frame.shape[1] < 3:
         raise ValueError("frame must be at least 3x3")
     wide = np.int64 if np.issubdtype(frame.dtype, np.integer) else np.float64
-    padded = np.pad(frame.astype(wide), 1, mode="edge")
-    horizontal = padded[1:-1, 2:] - padded[1:-1, :-2]
-    vertical = padded[2:, 1:-1] - padded[:-2, 1:-1]
-    return horizontal, vertical
+    return _clamped_pairs(np.asarray(frame, dtype=wide), np.subtract)
 
 
 def background_edge_model(bg: BackgroundModel) -> EdgeModel:
     """Edge-difference distribution implied by the background model."""
     mean_h, mean_v = frame_edges(bg.mean)
-    padded = np.pad(bg.variance, 1, mode="edge")
-    var_h = padded[1:-1, 2:] + padded[1:-1, :-2]
-    var_v = padded[2:, 1:-1] + padded[:-2, 1:-1]
+    var_h, var_v = _clamped_pairs(bg.variance, np.add)
     return EdgeModel(mean_h, mean_v, var_h, var_v)
+
+
+def _clamped_pairs(grid: np.ndarray, op) -> tuple[np.ndarray, np.ndarray]:
+    """`op(next, previous)` of every pixel's two neighbours along the
+    columns, then along the rows, with coordinates clamped to the grid:
+    the interior by slicing, the border columns and rows from their one
+    neighbour and themselves."""
+    pairs = []
+    for axis in (1, 0):
+        out = np.empty(grid.shape, grid.dtype)
+        src, dst = np.moveaxis(grid, axis, 0), np.moveaxis(out, axis, 0)
+        op(src[2:], src[:-2], out=dst[1:-1])
+        op(src[1], src[0], out=dst[0])
+        op(src[-1], src[-2], out=dst[-1])
+        pairs.append(out)
+    return pairs[0], pairs[1]

@@ -7,16 +7,26 @@ gain^2 * var), foreground is uniform over [0, y_max].
 Edges: background edge vectors follow the edge model's bivariate normal,
 shadowed ones the gain-scaled version, and foreground edges the product
 of two triangular densities that put more mass on small differences.
-Potentials are pure functions; all arguments broadcast, so the same code
-evaluates one pixel or a whole frame.
+`intensity_potential` and `edge_potential` define the potentials of one
+label; they are pure functions whose arguments broadcast, so the same
+code evaluates one pixel or a whole frame.
+
+`build_potential_tables`, the engine's path, writes all six rows of a
+frame in one pass of the `potential_tables` kernel in `_native.c`. Every
+scalar log and constant is computed here with the numpy operations of
+the two functions above, in their order, and numpy takes the per-pixel
+logs of the foreground edge row, since libm's log differs from numpy's
+in the last bit on some inputs. So the tables are byte-identical to
+stacking the two functions over the labels, as `potential_tables` in
+``tests/oracles.py`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from shadowseg.edge import EdgeModel
-from shadowseg.energy import BACKGROUND, FOREGROUND, LABELS, SHADOW
+from shadowseg import _native
+from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
 from shadowseg.shadow import ShadowParams
 
 # Floor on each triangular factor (as a multiple of 1/y_max^2) so the
@@ -66,22 +76,52 @@ def edge_potential(edge_h, edge_v, mean_h, mean_v, var_h, var_v,
     return LOG_2PI + 2.0 * np.log(gain) + 0.5 * np.log(var_h * var_v) + quad / (2.0 * gain * gain)
 
 
-def build_potential_tables(frame, edge_h, edge_v, bg_mean, bg_var,
-                           edges: EdgeModel, shadow: ShadowParams,
+def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
+                           pooled: float, shadow: ShadowParams,
                            y_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (3, H, W) intensity and edge potential tables, indexed by label-1.
 
-    `bg_var` may be a scalar (the pooled detection variance) or a grid; the
-    edge variances are taken from `edges` the same way.
+    The six grids are (H, W) each. `pooled` is the scene-wide intensity
+    variance, and each edge component's variance is twice that.
     """
-    height, width = np.asarray(frame).shape
-    u1 = np.empty((3, height, width))
-    u2 = np.empty((3, height, width))
-    for label in LABELS:
-        u1[label - 1] = intensity_potential(frame, bg_mean, bg_var, shadow, y_max, label)
-        u2[label - 1] = edge_potential(edge_h, edge_v, edges.mean_h, edges.mean_v,
-                                       edges.var_h, edges.var_v, shadow, y_max, label)
+    grids = (frame, edge_h, edge_v, bg_mean, mean_h, mean_v)
+    shape = np.shape(frame)
+    if len(shape) != 2 or any(np.shape(grid) != shape for grid in grids):
+        raise ValueError("frame, edges, background mean and edge means must be "
+                         f"2-D grids of one shape, got {[np.shape(g) for g in grids]}")
+    if np.ndim(pooled) != 0:
+        raise ValueError(f"the pooled variance must be a scalar, got shape {np.shape(pooled)}")
+    if not (np.isfinite(pooled) and pooled > 0):
+        raise ValueError(f"the pooled variance must be finite and positive, got {pooled}")
+    pooled = float(pooled)
+    grids = [np.ascontiguousarray(grid, dtype=np.float64) for grid in grids]
+    edge_var = 2.0 * pooled
+    gauss = np.array([_label_constants(gain, offset, pooled, edge_var)
+                      for gain, offset in ((1.0, 0.0), (shadow.gain, shadow.offset))])
+    u1 = np.empty((3, *shape))
+    u2 = np.empty((3, *shape))
+    fv = np.empty(shape)
+    _native.library().potential_tables(
+        *(grid.ctypes.data for grid in grids), fv.size, gauss.ctypes.data, edge_var,
+        np.log(y_max) + 0.0, 1.0 / y_max, y_max * y_max,
+        EDGE_DENSITY_FLOOR / (y_max * y_max), u1.ctypes.data, u2.ctypes.data, fv.ctypes.data)
+    # the kernel left the two triangular factors; numpy's log, not libm's,
+    # keeps the foreground edge row byte-identical to edge_potential
+    fh = u2[FOREGROUND - 1]
+    np.log(fh, out=fh)
+    np.log(fv, out=fv)
+    np.negative(fh, out=fh)
+    np.subtract(fh, fv, out=fh)
     return u1, u2
+
+
+def _label_constants(gain, offset, pooled, edge_var) -> tuple:
+    """The per-label constants of `potential_tables` in `_native.c`, with
+    the numpy operations of intensity_potential and edge_potential."""
+    var = gain * gain * pooled
+    return (gain, offset, 0.5 * (LOG_2PI + np.log(var)), 2.0 * var,
+            LOG_2PI + 2.0 * np.log(gain) + 0.5 * np.log(edge_var * edge_var),
+            2.0 * gain * gain)
 
 
 def dump_potentials(u1: np.ndarray, u2: np.ndarray, path) -> None:

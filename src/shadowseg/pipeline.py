@@ -14,7 +14,7 @@ updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,11 +122,10 @@ def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndar
     """
     frame = _checked_frame(frame, state.background.mean.shape)
     edge_h, edge_v = frame_edges(frame)
-    pooled = pooled_variance(state.background)
-    detection_edges = replace(state.edges, var_h=2.0 * pooled, var_v=2.0 * pooled)
-    return build_potential_tables(frame, edge_h, edge_v,
-                                  state.background.mean, pooled,
-                                  detection_edges, state.shadow, state.config.y_max)
+    return build_potential_tables(frame, edge_h, edge_v, state.background.mean,
+                                  state.edges.mean_h, state.edges.mean_v,
+                                  pooled_variance(state.background), state.shadow,
+                                  state.config.y_max)
 
 
 def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnostics]:

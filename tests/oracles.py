@@ -9,6 +9,9 @@ references the kernels match bit for bit:
   `update_mixture`, `select_background`), which the kernels behind
   `MixtureGrid` follow bit for bit, and `pixel` to read one pixel's
   mixture out of a grid;
+- the potential tables of a frame as numpy stacks of the per-label
+  potentials (`potential_tables`), which the kernel behind
+  `likelihood.build_potential_tables` matches byte for byte;
 - the clique terms of the labeling energy (`pair_potential`,
   `unary_costs`, `local_potential`), and the energy of a whole labeling
   by gathers along the label axis (`total_energy`), which the engine's
@@ -31,6 +34,7 @@ from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, MixtureGrid)
 from shadowseg.energy import (LABELS, NEIGHBORS_8, PAIR_DIRECTIONS, PriorParams,
                               UNCOMMITTED)
+from shadowseg.likelihood import edge_potential, intensity_potential
 from shadowseg.optimizer import HcfResult
 
 
@@ -129,6 +133,24 @@ def pixel(grid: MixtureGrid, row: int, col: int) -> PixelMixture:
                           float(grid.variances[i, row, col]))
         for i in range(grid.k)
     ])
+
+
+# --- potential tables -----------------------------------------------------------
+
+def potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v, pooled, shadow, y_max):
+    """The (3, H, W) intensity and edge tables as numpy stacks of the
+    per-label potentials, the intensity variance pooled and each edge
+    component's twice that: what `build_potential_tables` matches byte
+    for byte."""
+    height, width = np.shape(frame)
+    u1 = np.empty((3, height, width))
+    u2 = np.empty((3, height, width))
+    edge_var = 2.0 * pooled
+    for label in LABELS:
+        u1[label - 1] = intensity_potential(frame, bg_mean, pooled, shadow, y_max, label)
+        u2[label - 1] = edge_potential(edge_h, edge_v, mean_h, mean_v, edge_var, edge_var,
+                                       shadow, y_max, label)
+    return u1, u2
 
 
 # --- labeling energy, one site -------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from shadowseg import EngineState, _native
 from shadowseg.cli import DIAG_HEADER, _read_config_file, main
-from shadowseg.edge import EdgeModel, frame_edges
+from shadowseg.edge import frame_edges
 from shadowseg.likelihood import build_potential_tables, dump_potentials
 from shadowseg.pgmio import read_frame, read_labels, write_labels, write_pgm
 from shadowseg.pipeline import EngineConfig, pooled_variance
@@ -196,10 +196,9 @@ def test_dump_potentials_match_detection_state(tmp_path):
     frame = read_frame(os.path.join(frame_dir, paths[3])).astype(float)
     eh, ev = frame_edges(frame)
     pooled = pooled_variance(state.background)
-    flat = np.full_like(state.background.mean, 2.0 * pooled)
-    det = EdgeModel(state.edges.mean_h, state.edges.mean_v, flat, flat)
     u1, u2 = build_potential_tables(frame, eh, ev, state.background.mean,
-                                    pooled, det, state.shadow, 255.0)
+                                    state.edges.mean_h, state.edges.mean_v,
+                                    pooled, state.shadow, 255.0)
     expected = tmp_path / "expected.f64"
     dump_potentials(u1, u2, expected)
     assert expected.read_bytes() == (dump_dir / dumps[0]).read_bytes()

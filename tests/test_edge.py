@@ -94,6 +94,30 @@ def test_model_variance_mixes_neighbor_grids():
     assert np.allclose(model.var_v, padded[2:, 1:-1] + padded[:-2, 1:-1])
 
 
+def padded_pairs(grid, op):
+    padded = np.pad(grid, 1, mode="edge")
+    return (op(padded[1:-1, 2:], padded[1:-1, :-2]),
+            op(padded[2:, 1:-1], padded[:-2, 1:-1]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 11), (17, 4), (240, 320)])
+def test_edges_and_model_match_replicate_padding_byte_for_byte(shape):
+    rng = np.random.default_rng(8)
+    for frame in (rng.uniform(-300, 300, size=shape),
+                  rng.integers(0, 256, size=shape).astype(np.uint8),
+                  rng.uniform(0, 255, size=shape).astype(np.float32),
+                  rng.uniform(0, 255, size=shape[::-1]).T):
+        wide = np.int64 if frame.dtype == np.uint8 else np.float64
+        for got, want in zip(frame_edges(frame), padded_pairs(frame.astype(wide), np.subtract)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    bg = BackgroundModel(mean=rng.uniform(0, 255, size=shape),
+                         variance=rng.uniform(4, 100, size=shape))
+    model = background_edge_model(bg)
+    for got, want in zip((model.mean_h, model.mean_v, model.var_h, model.var_v),
+                         padded_pairs(bg.mean, np.subtract) + padded_pairs(bg.variance, np.add)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_monte_carlo_edge_variance_matches_model():
     # independent pixel noise: Var[b(x+1) - b(x-1)] = var(x+1) + var(x-1)
     rng = np.random.default_rng(7)

@@ -1,5 +1,6 @@
 """Per-label potentials: Gaussian intensity terms, bivariate edge terms,
-the triangular foreground edge density, and the stacked tables."""
+the triangular foreground edge density, and the stacked tables, which
+the compiled kernel writes byte-identical to the oracle's numpy stacks."""
 
 import math
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from shadowseg import BACKGROUND, FOREGROUND, SHADOW
-from shadowseg.edge import EdgeModel
+import oracles
+from shadowseg import BACKGROUND, FOREGROUND, SHADOW, EngineConfig, EngineState, process_frame
+from shadowseg.edge import frame_edges
 from shadowseg.likelihood import (EDGE_DENSITY_FLOOR, build_potential_tables,
                                   dump_potentials, edge_potential, intensity_potential)
+from shadowseg.pipeline import pooled_variance
 from shadowseg.shadow import ShadowParams
+from shadowseg.synth import SynthScene, render_scene, scene_preset
 
 Y_MAX = 255.0
 NO_SHADOW = ShadowParams(gain=1.0, offset=0.0)
@@ -150,28 +154,101 @@ def test_foreground_edge_density_matches_uniform_difference_marginal():
     assert abs(empirical - predicted) <= 0.02 * predicted
 
 
+def assert_same_tables_as_oracle(*args):
+    tables = build_potential_tables(*args)
+    expected = oracles.potential_tables(*args)
+    for table, reference in zip(tables, expected):
+        assert table.shape == reference.shape
+        assert table.tobytes() == reference.tobytes()
+
+
 def test_tables_stack_the_scalar_potentials():
     rng = np.random.default_rng(17)
     h, w = 4, 5
     frame = rng.uniform(0, 255, size=(h, w))
     eh, ev = rng.uniform(-30, 30, size=(2, h, w))
     mu = rng.uniform(0, 255, size=(h, w))
-    pooled = 25.0
-    edges = EdgeModel(mean_h=rng.uniform(-5, 5, size=(h, w)),
-                      mean_v=rng.uniform(-5, 5, size=(h, w)),
-                      var_h=np.full((h, w), 2 * pooled),
-                      var_v=np.full((h, w), 2 * pooled))
+    mean_h, mean_v = rng.uniform(-5, 5, size=(2, h, w))
     shadow = ShadowParams(gain=0.6, offset=5.0)
-    u1, u2 = build_potential_tables(frame, eh, ev, mu, pooled, edges, shadow, Y_MAX)
-    assert u1.shape == (3, h, w) and u2.shape == (3, h, w)
-    for label in (BACKGROUND, SHADOW, FOREGROUND):
-        assert np.allclose(
-            u1[label - 1],
-            intensity_potential(frame, mu, pooled, shadow, Y_MAX, label), atol=1e-12)
-        assert np.allclose(
-            u2[label - 1],
-            edge_potential(eh, ev, edges.mean_h, edges.mean_v, edges.var_h,
-                           edges.var_v, shadow, Y_MAX, label), atol=1e-12)
+    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 25.0, shadow, Y_MAX)
+
+
+def random_inputs(rng, h, w, y_max, edge_range):
+    frame = rng.uniform(0, y_max, size=(h, w))
+    eh, ev = rng.uniform(-edge_range, edge_range, size=(2, h, w))
+    mu = rng.uniform(0, y_max, size=(h, w))
+    mean_h, mean_v = rng.uniform(-20, 20, size=(2, h, w))
+    return frame, eh, ev, mu, mean_h, mean_v
+
+
+@pytest.mark.parametrize("y_max", [1.0, 37.5, 100.0, 255.0, 1000.0])
+def test_tables_are_byte_identical_to_the_oracle_on_random_inputs(y_max):
+    # edges beyond y_max reach the foreground density floor; gains of 0.1
+    # and 1, nonzero offsets and pooled variances over seven decades
+    rng = np.random.default_rng(int(y_max))
+    for gain in (0.1, 1.0, *rng.uniform(0.05, 1.5, size=4)):
+        h, w = rng.integers(3, 40, size=2)
+        grids = random_inputs(rng, h, w, y_max, 1.5 * y_max)
+        shadow = ShadowParams(gain=float(gain), offset=float(rng.uniform(-255, 255)))
+        pooled = float(10 ** rng.uniform(-3, 4))
+        assert_same_tables_as_oracle(*grids, pooled, shadow, y_max)
+
+
+def test_floor_branch_is_exercised_at_y_max_100():
+    rng = np.random.default_rng(19)
+    frame, eh, ev, mu, mean_h, mean_v = random_inputs(rng, 12, 17, 100.0, 250.0)
+    assert np.count_nonzero(np.abs(eh) > 100.0) > 10
+    # the factor reaches the floor from |e| = y_max - 0.1 on
+    eh[0, :4] = ev[0, :4] = [99.95, -99.99, 100.0, -100.0]
+    _, u2 = build_potential_tables(frame, eh, ev, mu, mean_h, mean_v, 9.0, NO_SHADOW, 100.0)
+    floor = EDGE_DENSITY_FLOOR / (100.0 * 100.0)
+    both = (np.abs(eh) > 100.0) & (np.abs(ev) > 100.0)
+    assert np.allclose(u2[FOREGROUND - 1][both], -2 * math.log(floor), atol=1e-12)
+    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 9.0, NO_SHADOW, 100.0)
+
+
+def test_tables_of_integer_frames_and_transposed_views():
+    rng = np.random.default_rng(20)
+    frame = rng.integers(0, 256, size=(23, 9))
+    eh, ev = frame_edges(frame)
+    mu = rng.uniform(0, 255, size=(23, 9))
+    mean_h, mean_v = rng.uniform(-20, 20, size=(2, 23, 9))
+    shadow = ShadowParams(gain=0.45, offset=-12.5)
+    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 6.25, shadow, Y_MAX)
+    transposed = [g.T for g in (frame, eh, ev, mu, mean_h, mean_v)]
+    assert not transposed[0].flags.c_contiguous
+    assert_same_tables_as_oracle(*transposed, 6.25, shadow, Y_MAX)
+    assert_same_tables_as_oracle(*(g.astype(np.float32) for g in transposed), 6.25, shadow,
+                                 Y_MAX)
+
+
+def engine_inputs(scene, config, n_labeled=None):
+    """The arguments of each labeled frame's tables, as the engine builds
+    them after a static bootstrap."""
+    frames, _ = render_scene(scene, seed=0)
+    state = EngineState.from_static(frames[:scene.lead_in], config)
+    for frame in frames[scene.lead_in:][:n_labeled]:
+        eh, ev = frame_edges(frame)
+        yield (frame, eh, ev, state.background.mean, state.edges.mean_h, state.edges.mean_v,
+               pooled_variance(state.background), state.shadow, config.y_max)
+        process_frame(state, frame)
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("quality", EngineConfig()),
+    ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5, y_max=250.0)),
+])
+def test_tables_are_byte_identical_to_the_oracle_on_engine_instances(preset, config):
+    for args in engine_inputs(scene_preset(preset), config):
+        assert_same_tables_as_oracle(*args)
+
+
+def test_tables_are_byte_identical_to_the_oracle_at_320x240():
+    scene = SynthScene(height=240, width=320, n_frames=7, lead_in=5,
+                       object_size=(52, 52), shadow_size=(52, 52), shadow_offset=(60, 0),
+                       start=(24, 16), step=(0, 8), gain=0.5, offset=0.0)
+    for args in engine_inputs(scene, EngineConfig(), n_labeled=2):
+        assert_same_tables_as_oracle(*args)
 
 
 def test_dump_layout_is_six_values_per_pixel_row_major(tmp_path):

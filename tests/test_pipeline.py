@@ -8,7 +8,7 @@ import pytest
 
 from shadowseg import EngineConfig, EngineState, process_frame
 from shadowseg.background import VARIANCE_FLOOR, BackgroundModel
-from shadowseg.edge import EdgeModel, frame_edges
+from shadowseg.edge import frame_edges
 from shadowseg.energy import BACKGROUND, SHADOW, total_energy
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.pipeline import pooled_variance
@@ -47,9 +47,7 @@ def test_reported_energy_matches_detection_tables():
     labels, diag = process_frame(state, frame)
 
     eh, ev = frame_edges(frame)
-    flat = np.full_like(bg_mean, 2.0 * pooled)
-    edges = EdgeModel(mean_h=mean_h, mean_v=mean_v, var_h=flat, var_v=flat)
-    u1, u2 = build_potential_tables(frame, eh, ev, bg_mean, pooled, edges,
+    u1, u2 = build_potential_tables(frame, eh, ev, bg_mean, mean_h, mean_v, pooled,
                                     shadow, state.config.y_max)
     assert np.isclose(diag.energy, total_energy(labels, u1, u2, prior),
                       rtol=1e-9, atol=1e-9)

@@ -1,7 +1,9 @@
 """Bad settings and bad input are rejected at the boundary with a clear
 error: engine settings out of range, frames with NaN or infinite pixels,
-PGM frames that do not use the 0..255 scale, and potential tables the
-HCF sweep cannot read as two (3, H, W) arrays of one shape."""
+PGM frames that do not use the 0..255 scale, inputs of the potential
+tables that are not six (H, W) grids and a finite positive pooled
+variance, and potential tables the HCF sweep cannot read as two
+(3, H, W) arrays of one shape."""
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from shadowseg import EngineConfig, EngineState, PgmError, process_frame, read_frame
 from shadowseg.cli import main
 from shadowseg.energy import PriorParams, initial_prior
+from shadowseg.likelihood import build_potential_tables
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.pgmio import read_pgm, write_pgm
+from shadowseg.shadow import ShadowParams
 
 
 @pytest.mark.parametrize("setting, value, message", [
@@ -151,3 +155,34 @@ def test_hcf_rejects_a_label_bias_of_another_size():
     prior = PriorParams(bias=np.zeros(1))
     with pytest.raises(ValueError, match="label bias"):
         hcf_minimize(u, u, prior)
+
+
+@pytest.mark.parametrize("which, bad", [
+    (0, np.zeros((4, 6))),
+    (2, np.zeros((5, 4))),
+    (3, np.zeros((4, 5, 1))),
+    (4, np.zeros(20)),
+    (5, np.float64(0.0)),
+    (1, np.zeros((1, 4, 5))),
+], ids=["frame-wider", "edge-v-transposed", "mean-three-axes", "mean-h-flat",
+        "mean-v-scalar", "edge-h-stacked"])
+def test_potential_tables_reject_grids_of_other_shapes(which, bad):
+    grids = [np.zeros((4, 5)) for _ in range(6)]
+    grids[which] = bad
+    with pytest.raises(ValueError, match="2-D grids of one shape"):
+        build_potential_tables(*grids, 9.0, ShadowParams(0.5, 0.0), 255.0)
+
+
+def test_potential_tables_reject_grids_that_are_not_2d():
+    grids = [np.zeros((2, 4, 5)) for _ in range(6)]
+    with pytest.raises(ValueError, match="2-D grids of one shape"):
+        build_potential_tables(*grids, 9.0, ShadowParams(0.5, 0.0), 255.0)
+
+
+@pytest.mark.parametrize("pooled", [0.0, -4.0, np.nan, np.inf, -np.inf,
+                                    np.full((4, 5), 9.0), np.array([9.0])],
+                         ids=["zero", "negative", "nan", "inf", "minus-inf", "grid", "one-value"])
+def test_potential_tables_reject_a_pooled_variance_not_finite_positive_scalar(pooled):
+    grids = [np.zeros((4, 5)) for _ in range(6)]
+    with pytest.raises(ValueError, match="pooled variance"):
+        build_potential_tables(*grids, pooled, ShadowParams(0.5, 0.0), 255.0)
