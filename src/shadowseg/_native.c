@@ -374,7 +374,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                   uint8_t *kinds, double *energies, int64_t capacity)
 {
     int64_t n = height * width, n_blocks = (n + BLOCK - 1) / BLOCK;
-    int64_t visits = 0, commits = 0, relabels = 0, fresh = n;
+    int64_t visits = 0, commits = 0, relabels = 0, fresh = n, result = -1;
     double running = 0.0;
 
     /* + 1: malloc(0) may return NULL on an empty grid. score holds a
@@ -392,20 +392,8 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                    {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}};
     if (f == NULL || score == NULL || state == NULL || blocks == NULL
         || fr.link == NULL || fr.where == NULL || fr.first == NULL || fr.mid == NULL
-        || fr.low == NULL || fr.heap.heap == NULL || fr.heap.slot == NULL) {
-        free(f);
-        free(score);
-        free(state);
-        free(blocks);
-        free(fr.link);
-        free(fr.where);
-        free(fr.first);
-        free(fr.mid);
-        free(fr.low);
-        free(fr.heap.heap);
-        free(fr.heap.slot);
-        return -1;
-    }
+        || fr.low == NULL || fr.heap.heap == NULL || fr.heap.slot == NULL)
+        goto done;
 
     for (int64_t y = 0; y < n; y++) {
         double a = (u1[y] + u2[y]) + bias[0];
@@ -565,6 +553,12 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
 
     for (int64_t y = 0; y < n; y++)
         labels[y] = state[y];
+    counts[0] = visits;
+    counts[1] = commits;
+    counts[2] = relabels;
+    result = commits + relabels;
+
+done:
     free(f);
     free(score);
     free(state);
@@ -576,10 +570,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
     free(fr.low);
     free(fr.heap.heap);
     free(fr.heap.slot);
-    counts[0] = visits;
-    counts[1] = commits;
-    counts[2] = relabels;
-    return commits + relabels;
+    return result;
 }
 
 /* One recursive update of every pixel's mixture, in place: the oracle

@@ -59,7 +59,11 @@ def _read_config_file(path) -> dict:
             key = key.strip().replace("-", "_")
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-            values[key] = types[key](value.strip())
+            try:
+                values[key] = types[key](value.strip())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {types[key].__name__}, "
+                                 f"got {value.strip()!r}") from None
     return values
 
 

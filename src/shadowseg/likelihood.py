@@ -7,17 +7,17 @@ gain^2 * var), foreground is uniform over [0, y_max].
 Edges: background edge vectors follow the edge model's bivariate normal,
 shadowed ones the gain-scaled version, and foreground edges the product
 of two triangular densities that put more mass on small differences.
-`intensity_potential` and `edge_potential` define the potentials of one
-label; they are pure functions whose arguments broadcast, so the same
-code evaluates one pixel or a whole frame.
+The potentials of one label are spelled out by `intensity_potential`
+and `edge_potential` in ``tests/oracles.py``, pure numpy functions whose
+arguments broadcast.
 
 `build_potential_tables`, the engine's path, writes all six rows of a
 frame in one pass of the `potential_tables` kernel in `_native.c`. Every
 scalar log and constant is computed here with the numpy operations of
-the two functions above, in their order, and numpy takes the per-pixel
-logs of the foreground edge row, since libm's log differs from numpy's
-in the last bit on some inputs. So the tables are byte-identical to
-stacking the two functions over the labels, as `potential_tables` in
+those two functions, in their order, and numpy takes the per-pixel logs
+of the foreground edge row, since libm's log differs from numpy's in the
+last bit on some inputs. So the tables are byte-identical to stacking
+the two functions over the labels, as `potential_tables` in
 ``tests/oracles.py`` does.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from shadowseg import _native
-from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
+from shadowseg.energy import FOREGROUND
 from shadowseg.shadow import ShadowParams
 
 # Floor on each triangular factor (as a multiple of 1/y_max^2) so the
@@ -34,46 +34,6 @@ from shadowseg.shadow import ShadowParams
 EDGE_DENSITY_FLOOR = 0.1
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def intensity_potential(g, bg_mean, bg_var, shadow: ShadowParams, y_max: float, label: int):
-    """-ln p(intensity | background parameters, label)."""
-    if label == FOREGROUND:
-        return np.log(y_max) + np.zeros_like(np.asarray(g, dtype=np.float64))
-    if label == BACKGROUND:
-        gain, offset = 1.0, 0.0
-    elif label == SHADOW:
-        gain, offset = shadow.gain, shadow.offset
-    else:
-        raise ValueError(f"not a committed label: {label}")
-    mean = gain * np.asarray(bg_mean, dtype=np.float64) + offset
-    var = gain * gain * np.asarray(bg_var, dtype=np.float64)
-    dev = np.asarray(g, dtype=np.float64) - mean
-    return 0.5 * (LOG_2PI + np.log(var)) + dev * dev / (2.0 * var)
-
-
-def edge_potential(edge_h, edge_v, mean_h, mean_v, var_h, var_v,
-                   shadow: ShadowParams, y_max: float, label: int):
-    """-ln p(edge vector | edge model parameters, label)."""
-    edge_h = np.asarray(edge_h, dtype=np.float64)
-    edge_v = np.asarray(edge_v, dtype=np.float64)
-    if label == FOREGROUND:
-        floor = EDGE_DENSITY_FLOOR / (y_max * y_max)
-        fh = np.maximum(1.0 / y_max - np.abs(edge_h) / (y_max * y_max), floor)
-        fv = np.maximum(1.0 / y_max - np.abs(edge_v) / (y_max * y_max), floor)
-        return -np.log(fh) - np.log(fv)
-    if label == BACKGROUND:
-        gain = 1.0
-    elif label == SHADOW:
-        gain = shadow.gain
-    else:
-        raise ValueError(f"not a committed label: {label}")
-    var_h = np.asarray(var_h, dtype=np.float64)
-    var_v = np.asarray(var_v, dtype=np.float64)
-    dev_h = edge_h - gain * np.asarray(mean_h, dtype=np.float64)
-    dev_v = edge_v - gain * np.asarray(mean_v, dtype=np.float64)
-    quad = dev_h * dev_h / var_h + dev_v * dev_v / var_v
-    return LOG_2PI + 2.0 * np.log(gain) + 0.5 * np.log(var_h * var_v) + quad / (2.0 * gain * gain)
 
 
 def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
@@ -106,7 +66,7 @@ def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
         np.log(y_max) + 0.0, 1.0 / y_max, y_max * y_max,
         EDGE_DENSITY_FLOOR / (y_max * y_max), u1.ctypes.data, u2.ctypes.data, fv.ctypes.data)
     # the kernel left the two triangular factors; numpy's log, not libm's,
-    # keeps the foreground edge row byte-identical to edge_potential
+    # keeps the foreground edge row byte-identical to the oracle's edge_potential
     fh = u2[FOREGROUND - 1]
     np.log(fh, out=fh)
     np.log(fv, out=fv)
@@ -117,7 +77,8 @@ def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
 
 def _label_constants(gain, offset, pooled, edge_var) -> tuple:
     """The per-label constants of `potential_tables` in `_native.c`, with
-    the numpy operations of intensity_potential and edge_potential."""
+    the numpy operations of the oracles' intensity_potential and
+    edge_potential."""
     var = gain * gain * pooled
     return (gain, offset, 0.5 * (LOG_2PI + np.log(var)), 2.0 * var,
             LOG_2PI + 2.0 * np.log(gain) + 0.5 * np.log(edge_var * edge_var),

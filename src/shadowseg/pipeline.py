@@ -3,13 +3,15 @@
 Each frame is labeled against the models as they stood after the
 previous frame, then every model is updated: label bias from the fresh
 counts, shadow transform from the shadow-labeled pixels, per-pixel
-mixtures from the raw intensities, and the background / edge summaries
-from the updated mixtures.
+mixtures from the raw intensities, and the background summary from the
+updated mixtures.
 
-During detection the per-pixel background variances are replaced by
-their scene-wide mean (one pooled value for intensities, twice that for
-each edge component); the per-pixel values are kept for the mixture
-updates.
+The edge model is derived from the background where detection reads
+it: its means are the central differences of the background means
+(`background_edge_model`), and the per-pixel background variances are
+replaced by their scene-wide mean (one pooled value for intensities,
+twice that for each edge component); the per-pixel values are kept for
+the mixture updates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from shadowseg.background import BackgroundModel, K_DEFAULT, MixtureGrid, init_static
-from shadowseg.edge import EdgeModel, background_edge_model, frame_edges
+from shadowseg.edge import background_edge_model, frame_edges
 from shadowseg.energy import (BACKGROUND, FOREGROUND, LAMBDA1_DEFAULT,
                               LAMBDA2_DEFAULT, PriorParams, SHADOW,
                               initial_prior, update_label_bias)
@@ -38,8 +40,10 @@ class EngineConfig:
 
     def __post_init__(self):
         # written as `not (...)` so that NaN settings are rejected too
-        if not 3 <= self.k_gaussians <= 5:
-            raise ValueError(f"k_gaussians must be 3 to 5, got {self.k_gaussians}")
+        if not (isinstance(self.k_gaussians, (int, np.integer))
+                and 3 <= self.k_gaussians <= 5):
+            raise ValueError(f"k_gaussians must be an integer from 3 to 5, "
+                             f"got {self.k_gaussians!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not self.lambda1 >= 0:
@@ -66,7 +70,6 @@ class FrameDiagnostics:
 class EngineState:
     mixtures: MixtureGrid
     background: BackgroundModel
-    edges: EdgeModel
     shadow: ShadowParams
     prior: PriorParams
     config: EngineConfig = field(default_factory=EngineConfig)
@@ -88,10 +91,8 @@ class EngineState:
 
     @classmethod
     def _assemble(cls, mixtures: MixtureGrid, config: EngineConfig) -> "EngineState":
-        background = mixtures.select_background()
         return cls(mixtures=mixtures,
-                   background=background,
-                   edges=background_edge_model(background),
+                   background=mixtures.select_background(),
                    shadow=initial_shadow_params(),
                    prior=initial_prior(lambda1=config.lambda1, lambda2=config.lambda2),
                    config=config)
@@ -117,15 +118,16 @@ def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndar
     """Intensity and edge potential tables, (3, H, W) each, that label
     `frame` against the models as they stand.
 
+    The background edge means are built here from the background means.
     The per-pixel background variances are pooled into one scene-wide
     value, and each edge component gets twice that value.
     """
     frame = _checked_frame(frame, state.background.mean.shape)
     edge_h, edge_v = frame_edges(frame)
+    mean_h, mean_v = background_edge_model(state.background)
     return build_potential_tables(frame, edge_h, edge_v, state.background.mean,
-                                  state.edges.mean_h, state.edges.mean_v,
-                                  pooled_variance(state.background), state.shadow,
-                                  state.config.y_max)
+                                  mean_h, mean_v, pooled_variance(state.background),
+                                  state.shadow, state.config.y_max)
 
 
 def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnostics]:
@@ -153,7 +155,6 @@ def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnosti
 
     state.mixtures.update(frame, cfg.alpha)
     state.background = state.mixtures.select_background()
-    state.edges = background_edge_model(state.background)
     state.k += 1
 
     diag = FrameDiagnostics(k=state.k, energy=result.energy,

@@ -9,8 +9,12 @@ references the kernels match bit for bit:
   `update_mixture`, `select_background`), which the kernels behind
   `MixtureGrid` follow bit for bit, and `pixel` to read one pixel's
   mixture out of a grid;
-- the potential tables of a frame as numpy stacks of the per-label
-  potentials (`potential_tables`), which the kernel behind
+- the edge-difference distribution of the background with its
+  per-pixel variances (`background_edge_model`), whose means the engine
+  builds in `shadowseg.edge`;
+- the potentials of one label (`intensity_potential`, `edge_potential`),
+  and the potential tables of a frame as numpy stacks of them
+  (`potential_tables`), which the kernel behind
   `likelihood.build_potential_tables` matches byte for byte;
 - the clique terms of the labeling energy (`pair_potential`,
   `unary_costs`, `local_potential`), and the energy of a whole labeling
@@ -20,6 +24,10 @@ references the kernels match bit for bit:
   plain Python loop (`hcf_python`), whose visit order, labels, energy,
   counts and trace the compiled sweep reproduces bit for bit, and an
   exhaustive MAP search for tiny grids (`brute_force_map`).
+
+The parity tests draw their frame-sized instances from one generator,
+`engine_frames`: each labeled frame of a seeded scene with the engine
+state that labels it. `QVGA_SCENE` is the 320x240 scene among them.
 """
 
 from __future__ import annotations
@@ -30,12 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from shadowseg import EngineState, process_frame
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
-                                  VARIANCE_FLOOR, MixtureGrid)
-from shadowseg.energy import (LABELS, NEIGHBORS_8, PAIR_DIRECTIONS, PriorParams,
-                              UNCOMMITTED)
-from shadowseg.likelihood import edge_potential, intensity_potential
+                                  VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
+from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
+                              PAIR_DIRECTIONS, SHADOW, PriorParams, UNCOMMITTED)
+from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI
 from shadowseg.optimizer import HcfResult
+from shadowseg.shadow import ShadowParams
+from shadowseg.synth import SynthScene, render_scene
 
 
 # --- mixture of Gaussians, one pixel -------------------------------------------
@@ -135,7 +146,71 @@ def pixel(grid: MixtureGrid, row: int, col: int) -> PixelMixture:
     ])
 
 
-# --- potential tables -----------------------------------------------------------
+# --- edge model ----------------------------------------------------------------
+
+@dataclass
+class EdgeModel:
+    """Per-pixel mean and (diagonal) covariance of the background edge vector."""
+
+    mean_h: np.ndarray
+    mean_v: np.ndarray
+    var_h: np.ndarray
+    var_v: np.ndarray
+
+
+def background_edge_model(bg: BackgroundModel) -> EdgeModel:
+    """Edge-difference distribution implied by independent per-pixel
+    background noise, with replicate padding at the borders: each
+    component's mean is the difference of its two neighbours' means, its
+    variance the sum of their variances."""
+    mean = np.pad(bg.mean, 1, mode="edge")
+    var = np.pad(bg.variance, 1, mode="edge")
+    return EdgeModel(mean[1:-1, 2:] - mean[1:-1, :-2], mean[2:, 1:-1] - mean[:-2, 1:-1],
+                     var[1:-1, 2:] + var[1:-1, :-2], var[2:, 1:-1] + var[:-2, 1:-1])
+
+
+# --- potentials ----------------------------------------------------------------
+
+def intensity_potential(g, bg_mean, bg_var, shadow: ShadowParams, y_max: float, label: int):
+    """-ln p(intensity | background parameters, label)."""
+    if label == FOREGROUND:
+        return np.log(y_max) + np.zeros_like(np.asarray(g, dtype=np.float64))
+    if label == BACKGROUND:
+        gain, offset = 1.0, 0.0
+    elif label == SHADOW:
+        gain, offset = shadow.gain, shadow.offset
+    else:
+        raise ValueError(f"not a committed label: {label}")
+    mean = gain * np.asarray(bg_mean, dtype=np.float64) + offset
+    var = gain * gain * np.asarray(bg_var, dtype=np.float64)
+    dev = np.asarray(g, dtype=np.float64) - mean
+    return 0.5 * (LOG_2PI + np.log(var)) + dev * dev / (2.0 * var)
+
+
+def edge_potential(edge_h, edge_v, mean_h, mean_v, var_h, var_v,
+                   shadow: ShadowParams, y_max: float, label: int):
+    """-ln p(edge vector | edge model parameters, label)."""
+    edge_h = np.asarray(edge_h, dtype=np.float64)
+    edge_v = np.asarray(edge_v, dtype=np.float64)
+    if label == FOREGROUND:
+        floor = EDGE_DENSITY_FLOOR / (y_max * y_max)
+        fh = np.maximum(1.0 / y_max - np.abs(edge_h) / (y_max * y_max), floor)
+        fv = np.maximum(1.0 / y_max - np.abs(edge_v) / (y_max * y_max), floor)
+        return -np.log(fh) - np.log(fv)
+    if label == BACKGROUND:
+        gain = 1.0
+    elif label == SHADOW:
+        gain = shadow.gain
+    else:
+        raise ValueError(f"not a committed label: {label}")
+    var_h = np.asarray(var_h, dtype=np.float64)
+    var_v = np.asarray(var_v, dtype=np.float64)
+    dev_h = edge_h - gain * np.asarray(mean_h, dtype=np.float64)
+    dev_v = edge_v - gain * np.asarray(mean_v, dtype=np.float64)
+    quad = dev_h * dev_h / var_h + dev_v * dev_v / var_v
+    return LOG_2PI + 2.0 * np.log(gain) + 0.5 * np.log(var_h * var_v) + quad / (2.0 * gain * gain)
+
+
 
 def potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v, pooled, shadow, y_max):
     """The (3, H, W) intensity and edge tables as numpy stacks of the
@@ -346,3 +421,22 @@ def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
     best = int(np.argmin(energies))
     grid = (assign[best] + 1).reshape(height, width).astype(np.int64)
     return grid, float(energies[best])
+
+
+# --- engine instances ----------------------------------------------------------
+
+QVGA_SCENE = SynthScene(height=240, width=320, n_frames=7, lead_in=5,
+                        object_size=(52, 52), shadow_size=(52, 52), shadow_offset=(60, 0),
+                        start=(24, 16), step=(0, 8), gain=0.5, offset=0.0)
+
+
+def engine_frames(scene, config, n_labeled=None):
+    """Each labeled frame of `scene` (seed 0) with the engine state that
+    labels it, after a static bootstrap from the scene's lead-in: yields
+    `(state, frame)`, and folds the frame into the state when the next
+    one is asked for."""
+    frames, _ = render_scene(scene, seed=0)
+    state = EngineState.from_static(frames[:scene.lead_in], config)
+    for frame in frames[scene.lead_in:][:n_labeled]:
+        yield state, frame
+        process_frame(state, frame)

@@ -10,7 +10,9 @@ import numpy as np
 from oracles import (
     GaussianComponent,
     PixelMixture,
+    background_edge_model,
     brute_force_map,
+    edge_potential,
     local_potential,
     update_mixture,
 )
@@ -18,11 +20,9 @@ from shadowseg import EngineConfig, EngineState, process_frame
 from shadowseg.background import BackgroundModel, MixtureGrid
 from shadowseg.energy import initial_prior, total_energy, update_label_bias
 from shadowseg.evaluate import evaluate, label_boundary_mask
-from shadowseg.likelihood import edge_potential
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.shadow import fit_shadow
 from shadowseg.cli import main
-from shadowseg.edge import background_edge_model
 from shadowseg.energy import FOREGROUND, PriorParams, SHADOW
 from shadowseg.shadow import ShadowParams
 from shadowseg.synth import render_scene, scene_preset

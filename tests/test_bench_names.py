@@ -60,6 +60,9 @@ def test_tracer_spans_every_frame_of_a_dumping_segment_run(tmp_path):
     for index in frame_spans:
         children = [span[0] for span in tracer.spans if span[3] == index]
         assert "likelihood.potentials" in children
+        # the frame's edges and the background's edge means, built once each
+        assert children.count("edge.frame_edges") == 1
+        assert children.count("edge.model") == 1
         # one update and one selection per frame, each its own call
         assert children.count("background.mixture_update") == 1
         assert children.count("background.select") == 1

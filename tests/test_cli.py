@@ -196,8 +196,8 @@ def test_dump_potentials_match_detection_state(tmp_path):
     frame = read_frame(os.path.join(frame_dir, paths[3])).astype(float)
     eh, ev = frame_edges(frame)
     pooled = pooled_variance(state.background)
-    u1, u2 = build_potential_tables(frame, eh, ev, state.background.mean,
-                                    state.edges.mean_h, state.edges.mean_v,
+    mean_h, mean_v = frame_edges(state.background.mean)
+    u1, u2 = build_potential_tables(frame, eh, ev, state.background.mean, mean_h, mean_v,
                                     pooled, state.shadow, 255.0)
     expected = tmp_path / "expected.f64"
     dump_potentials(u1, u2, expected)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import local_potential, pair_potential, unary_costs
-from shadowseg import EngineConfig, EngineState, detection_potentials, process_frame
+from oracles import engine_frames, local_potential, pair_potential, unary_costs
+from shadowseg import EngineConfig, detection_potentials
 from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, UNCOMMITTED, PriorParams,
                               initial_prior, total_energy, update_label_bias)
 from shadowseg.optimizer import hcf_minimize
-from shadowseg.synth import render_scene, scene_preset
+from shadowseg.synth import scene_preset
 
 
 def flat_prior(lambda1=0.0, lambda2=0.0):
@@ -179,16 +179,12 @@ def assert_same_energy_as_oracle(labels, u1, u2, prior):
 def test_total_is_byte_identical_to_the_oracle_on_engine_instances(preset, config):
     # the engine's labeling of each frame, and random labelings of the same
     # tables, summed in the oracle's order
-    scene = scene_preset(preset)
-    frames, _ = render_scene(scene, seed=0)
-    state = EngineState.from_static(frames[:scene.lead_in], config)
     rng = np.random.default_rng(26)
-    for frame in frames[scene.lead_in:]:
+    for state, frame in engine_frames(scene_preset(preset), config):
         u1, u2 = detection_potentials(state, frame)
         assert_same_energy_as_oracle(hcf_minimize(u1, u2, state.prior).labels, u1, u2,
                                      state.prior)
         assert_same_energy_as_oracle(rng.integers(1, 4, size=frame.shape), u1, u2, state.prior)
-        process_frame(state, frame)
 
 
 def test_total_is_byte_identical_to_the_oracle_on_random_labelings():

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hcf_python
-from shadowseg import EngineConfig, EngineState, _native, detection_potentials, process_frame
+from oracles import QVGA_SCENE, engine_frames, hcf_python
+from shadowseg import EngineConfig, _native, detection_potentials
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
-from shadowseg.synth import SynthScene, render_scene, scene_preset
+from shadowseg.synth import scene_preset
 
 
 def assert_same_as_python(u1, u2, prior):
@@ -202,32 +202,18 @@ def test_tied_sweep_time_grows_linearly(lambda2):
     assert fastest[1] / fastest[0] < 6.5
 
 
-def engine_instances(scene, config, n_labeled=None):
-    """(u1, u2, prior) of each labeled frame of `scene`, as the engine
-    builds them after a static bootstrap."""
-    frames, _ = render_scene(scene, seed=0)
-    state = EngineState.from_static(frames[:scene.lead_in], config)
-    for frame in frames[scene.lead_in:][:n_labeled]:
-        u1, u2 = detection_potentials(state, frame)
-        yield u1, u2, state.prior
-        process_frame(state, frame)
-
-
 @pytest.mark.parametrize("preset, config", [
     ("quality", EngineConfig()),
     ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
 ])
 def test_engine_instances_of_the_presets(preset, config):
-    for u1, u2, prior in engine_instances(scene_preset(preset), config):
-        assert_same_as_python(u1, u2, prior)
+    for state, frame in engine_frames(scene_preset(preset), config):
+        assert_same_as_python(*detection_potentials(state, frame), state.prior)
 
 
 def test_engine_instances_at_320x240():
-    scene = SynthScene(height=240, width=320, n_frames=7, lead_in=5,
-                       object_size=(52, 52), shadow_size=(52, 52), shadow_offset=(60, 0),
-                       start=(24, 16), step=(0, 8), gain=0.5, offset=0.0)
-    for u1, u2, prior in engine_instances(scene, EngineConfig(), n_labeled=2):
-        assert_same_as_python(u1, u2, prior)
+    for state, frame in engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2):
+        assert_same_as_python(*detection_potentials(state, frame), state.prior)
 
 
 def test_kernel_loads_wherever_a_compiler_is_found():

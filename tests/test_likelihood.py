@@ -1,6 +1,7 @@
-"""Per-label potentials: Gaussian intensity terms, bivariate edge terms,
-the triangular foreground edge density, and the stacked tables, which
-the compiled kernel writes byte-identical to the oracle's numpy stacks."""
+"""Per-label potentials (the oracles `intensity_potential` and
+`edge_potential`): Gaussian intensity terms, bivariate edge terms, the
+triangular foreground edge density; and the stacked tables, which the
+compiled kernel writes byte-identical to the oracle's numpy stacks."""
 
 import math
 
@@ -9,13 +10,13 @@ import pytest
 from scipy import stats
 
 import oracles
-from shadowseg import BACKGROUND, FOREGROUND, SHADOW, EngineConfig, EngineState, process_frame
-from shadowseg.edge import frame_edges
-from shadowseg.likelihood import (EDGE_DENSITY_FLOOR, build_potential_tables,
-                                  dump_potentials, edge_potential, intensity_potential)
+from oracles import QVGA_SCENE, edge_potential, engine_frames, intensity_potential
+from shadowseg import BACKGROUND, FOREGROUND, SHADOW, EngineConfig
+from shadowseg.edge import background_edge_model, frame_edges
+from shadowseg.likelihood import EDGE_DENSITY_FLOOR, build_potential_tables, dump_potentials
 from shadowseg.pipeline import pooled_variance
 from shadowseg.shadow import ShadowParams
-from shadowseg.synth import SynthScene, render_scene, scene_preset
+from shadowseg.synth import scene_preset
 
 Y_MAX = 255.0
 NO_SHADOW = ShadowParams(gain=1.0, offset=0.0)
@@ -222,16 +223,14 @@ def test_tables_of_integer_frames_and_transposed_views():
                                  Y_MAX)
 
 
-def engine_inputs(scene, config, n_labeled=None):
-    """The arguments of each labeled frame's tables, as the engine builds
-    them after a static bootstrap."""
-    frames, _ = render_scene(scene, seed=0)
-    state = EngineState.from_static(frames[:scene.lead_in], config)
-    for frame in frames[scene.lead_in:][:n_labeled]:
-        eh, ev = frame_edges(frame)
-        yield (frame, eh, ev, state.background.mean, state.edges.mean_h, state.edges.mean_v,
-               pooled_variance(state.background), state.shadow, config.y_max)
-        process_frame(state, frame)
+def assert_same_tables_as_oracle_on_engine_frames(scene, config, n_labeled=None):
+    # each labeled frame's tables, with the arguments detection_potentials
+    # builds for them
+    for state, frame in engine_frames(scene, config, n_labeled):
+        assert_same_tables_as_oracle(frame, *frame_edges(frame), state.background.mean,
+                                     *background_edge_model(state.background),
+                                     pooled_variance(state.background), state.shadow,
+                                     config.y_max)
 
 
 @pytest.mark.parametrize("preset, config", [
@@ -239,16 +238,11 @@ def engine_inputs(scene, config, n_labeled=None):
     ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5, y_max=250.0)),
 ])
 def test_tables_are_byte_identical_to_the_oracle_on_engine_instances(preset, config):
-    for args in engine_inputs(scene_preset(preset), config):
-        assert_same_tables_as_oracle(*args)
+    assert_same_tables_as_oracle_on_engine_frames(scene_preset(preset), config)
 
 
 def test_tables_are_byte_identical_to_the_oracle_at_320x240():
-    scene = SynthScene(height=240, width=320, n_frames=7, lead_in=5,
-                       object_size=(52, 52), shadow_size=(52, 52), shadow_offset=(60, 0),
-                       start=(24, 16), step=(0, 8), gain=0.5, offset=0.0)
-    for args in engine_inputs(scene, EngineConfig(), n_labeled=2):
-        assert_same_tables_as_oracle(*args)
+    assert_same_tables_as_oracle_on_engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2)
 
 
 def test_dump_layout_is_six_values_per_pixel_row_major(tmp_path):

@@ -39,8 +39,7 @@ def test_reported_energy_matches_detection_tables():
 
     bg_mean = state.background.mean.copy()
     pooled = pooled_variance(state.background)
-    mean_h = state.edges.mean_h.copy()
-    mean_v = state.edges.mean_v.copy()
+    mean_h, mean_v = frame_edges(bg_mean)
     shadow = state.shadow
     prior = copy.deepcopy(state.prior)
 

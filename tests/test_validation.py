@@ -22,6 +22,8 @@ from shadowseg.shadow import ShadowParams
     ("k_gaussians", 2, "k_gaussians"),
     ("k_gaussians", 6, "k_gaussians"),
     ("k_gaussians", 9, "k_gaussians"),
+    ("k_gaussians", 4.0, "k_gaussians"),
+    ("k_gaussians", 4.5, "k_gaussians"),
     ("alpha", 0.0, "alpha"),
     ("alpha", -0.1, "alpha"),
     ("alpha", 1.5, "alpha"),
@@ -42,7 +44,7 @@ def test_engine_config_rejects_out_of_range_settings(setting, value, message):
 
 @pytest.mark.parametrize("settings", [
     {"k_gaussians": 3}, {"k_gaussians": 5}, {"alpha": 1.0}, {"alpha": 1e-6},
-    {"lambda1": 0.0}, {"lambda2": 0.0}, {"y_max": 1.0},
+    {"lambda1": 0.0}, {"lambda2": 0.0}, {"y_max": 1.0}, {"k_gaussians": np.int64(4)},
 ])
 def test_engine_config_accepts_range_edges(settings):
     EngineConfig(**settings)
@@ -94,6 +96,15 @@ def test_config_file_settings_are_validated_too(tmp_path, capsys):
     assert main(["segment", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "alpha" in err
+
+
+def test_config_file_value_of_the_wrong_type_names_its_line(tmp_path, capsys):
+    frame_dir = tiny_frames(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {frame_dir}\nout = {tmp_path / 'labels'}\nk_gaussians = 4.5\n")
+    assert main(["segment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:3: k_gaussians ") and "'4.5'" in err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
