@@ -51,7 +51,8 @@ def _load(source: str):
 
 
 def _built(source: str) -> str:
-    """Path of the library built from `source`, building it when missing."""
+    """Path of the library built from `source`, building it when missing
+    and then removing the builds of other revisions beside it."""
     machine = os.uname().machine
     try:
         with open(source, "rb") as fh:
@@ -61,9 +62,18 @@ def _built(source: str) -> str:
     # zlib, not hashlib: numpy has loaded it already, hashlib costs ms to import
     key = zlib.crc32(code + " ".join(_CFLAGS + (machine,)).encode())
     directory, name = os.path.split(source)
-    library = os.path.join(directory, f"{os.path.splitext(name)[0]}-{key:08x}-{machine}.so")
+    stem, suffix = os.path.splitext(name)[0] + "-", f"-{machine}.so"
+    library = os.path.join(directory, f"{stem}{key:08x}{suffix}")
     if not os.path.exists(library):
         _build(source, library)
+        # the builds of earlier revisions of this source; never a .tmp file
+        for other in os.listdir(directory or "."):
+            if (other.startswith(stem) and other.endswith(suffix)
+                    and other != os.path.basename(library)):
+                try:
+                    os.remove(os.path.join(directory, other))
+                except FileNotFoundError:
+                    pass
     return library
 
 

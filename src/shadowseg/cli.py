@@ -31,9 +31,6 @@ from shadowseg.pipeline import pooled_variance  # noqa: F401
 
 DIAG_HEADER = "k,F,n_bg,n_shadow,n_fg,a,c,visits"
 
-# segment setting names that differ from their EngineConfig field
-_CONFIG_FIELDS = {"ymax": "y_max"}
-
 
 def _frame_paths(source: str) -> list[str]:
     if os.path.isdir(source):
@@ -85,9 +82,7 @@ def _resolve_segment_settings(args) -> dict:
 def _cmd_segment(args) -> int:
     settings = _resolve_segment_settings(args)
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    config = EngineConfig(**{_CONFIG_FIELDS.get(key, key): value
-                             for key, value in settings.items()
-                             if _CONFIG_FIELDS.get(key, key) in fields})
+    config = EngineConfig(**{key: value for key, value in settings.items() if key in fields})
     paths = _frame_paths(settings["input"])
     bg_init = settings["bg_init"]
     if bg_init < 0:
@@ -158,11 +153,8 @@ def _segment_arguments(seg: argparse.ArgumentParser) -> None:
     seg.add_argument("--bg-init", dest="bg_init", type=int,
                      help="bootstrap from this many leading frames (default 0: adaptive)")
     seg.add_argument("--alpha", type=float, help="model learning rate")
-    seg.add_argument("--k-gaussians", dest="k_gaussians", type=int,
-                     help="mixture components per pixel")
     seg.add_argument("--lambda1", type=float, help="label-bias weight")
     seg.add_argument("--lambda2", type=float, help="smoothness weight")
-    seg.add_argument("--ymax", type=float, help="intensity range upper bound")
     seg.add_argument("--diag", help="write per-frame diagnostics CSV here")
     seg.add_argument("--config", help="key=value settings file; flags override")
     seg.add_argument("--dump-potentials", dest="dump_potentials",

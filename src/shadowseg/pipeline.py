@@ -20,38 +20,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from shadowseg.background import BackgroundModel, K_DEFAULT, MixtureGrid, init_static
+from shadowseg.background import BackgroundModel, MixtureGrid, init_static
 from shadowseg.edge import background_edge_model, frame_edges
 from shadowseg.energy import (BACKGROUND, FOREGROUND, LAMBDA1_DEFAULT,
                               LAMBDA2_DEFAULT, PriorParams, SHADOW,
                               initial_prior, update_label_bias)
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.optimizer import hcf_minimize
-from shadowseg.shadow import ShadowParams, fit_shadow, initial_shadow_params, update_shadow
+from shadowseg.shadow import (Y_MAX, ShadowParams, fit_shadow, initial_shadow_params,
+                              update_shadow)
 
 
 @dataclass
 class EngineConfig:
-    k_gaussians: int = K_DEFAULT
     alpha: float = 0.02
     lambda1: float = LAMBDA1_DEFAULT
     lambda2: float = LAMBDA2_DEFAULT
-    y_max: float = 255.0
 
     def __post_init__(self):
         # written as `not (...)` so that NaN settings are rejected too
-        if not (isinstance(self.k_gaussians, (int, np.integer))
-                and 3 <= self.k_gaussians <= 5):
-            raise ValueError(f"k_gaussians must be an integer from 3 to 5, "
-                             f"got {self.k_gaussians!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.lambda1 >= 0:
-            raise ValueError(f"lambda1 must be >= 0, got {self.lambda1}")
-        if not self.lambda2 >= 0:
-            raise ValueError(f"lambda2 must be >= 0, got {self.lambda2}")
-        if not self.y_max > 0:
-            raise ValueError(f"y_max must be > 0, got {self.y_max}")
+        if not 0 <= self.lambda1 < np.inf:
+            raise ValueError(f"lambda1 must be finite and >= 0, got {self.lambda1}")
+        if not 0 <= self.lambda2 < np.inf:
+            raise ValueError(f"lambda2 must be finite and >= 0, got {self.lambda2}")
 
 
 @dataclass
@@ -79,14 +72,14 @@ class EngineState:
     def from_static(cls, frames, config: EngineConfig | None = None) -> "EngineState":
         """Bootstrap from two or more frames of the empty scene."""
         config = config or EngineConfig()
-        mixtures = init_static([_checked_frame(f) for f in frames], k=config.k_gaussians)
+        mixtures = init_static([_checked_frame(f) for f in frames])
         return cls._assemble(mixtures, config)
 
     @classmethod
     def from_first_frame(cls, frame, config: EngineConfig | None = None) -> "EngineState":
         """Adaptive bootstrap: seed every mixture from a single frame."""
         config = config or EngineConfig()
-        mixtures = MixtureGrid.seed(_checked_frame(frame), k=config.k_gaussians)
+        mixtures = MixtureGrid.seed(_checked_frame(frame))
         return cls._assemble(mixtures, config)
 
     @classmethod
@@ -99,9 +92,11 @@ class EngineState:
 
 
 def _checked_frame(frame, shape=None) -> np.ndarray:
-    """`frame` as float64; rejects NaN or infinite pixels and, when `shape`
-    is given, a frame of any other shape."""
+    """`frame` as float64; rejects a frame smaller than 3x3, NaN or infinite
+    pixels and, when `shape` is given, a frame of any other shape."""
     frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 2 or min(frame.shape) < 3:
+        raise ValueError("frame must be at least 3x3")
     if not np.isfinite(frame).all():
         raise ValueError("frame has NaN or infinite pixels")
     if shape is not None and frame.shape != shape:
@@ -127,7 +122,7 @@ def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndar
     mean_h, mean_v = background_edge_model(state.background)
     return build_potential_tables(frame, edge_h, edge_v, state.background.mean,
                                   mean_h, mean_v, pooled_variance(state.background),
-                                  state.shadow, state.config.y_max)
+                                  state.shadow, Y_MAX)
 
 
 def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnostics]:
@@ -151,7 +146,7 @@ def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnosti
     fit = fit_shadow(frame[shadow_mask], state.background.mean[shadow_mask])
     if fit is not None:
         frac = counts[1] / labels.size
-        state.shadow = update_shadow(state.shadow, fit, -frac, cfg.alpha, cfg.y_max)
+        state.shadow = update_shadow(state.shadow, fit, -frac, cfg.alpha)
 
     state.mixtures.update(frame, cfg.alpha)
     state.background = state.mixtures.select_background()

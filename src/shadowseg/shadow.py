@@ -17,6 +17,9 @@ GAIN_MIN = 0.1          # shadows darken; unclamped sparse fits destabilize the 
 GAIN_MAX = 1.0
 MIN_SHADOW_PIXELS = 20  # below this, keep previous parameters instead of refitting
 DEGENERATE_EPS = 1e-9
+# top of the intensity scale, fixed because frames must use maxval 255; a
+# float, so that the offset stays a float where the clamp applies
+Y_MAX = 255.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def fit_shadow(observed, background, min_pairs: int = MIN_SHADOW_PIXELS) -> tupl
 
 def update_shadow(params: ShadowParams, fit: tuple[float, float],
                   neg_shadow_fraction: float, alpha: float,
-                  y_max: float = 255.0) -> ShadowParams:
+                  y_max: float = Y_MAX) -> ShadowParams:
     """Blend a fresh fit into the running transform.
 
     `neg_shadow_fraction` is the negated fraction of shadow-labeled pixels,

@@ -1,6 +1,7 @@
 """End-to-end command-line flows: synth, segment, eval, config files,
 and the raw potential dump."""
 
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from shadowseg import EngineState, _native
-from shadowseg.cli import DIAG_HEADER, _read_config_file, main
+from shadowseg.cli import DIAG_HEADER, _read_config_file, _setting_types, main
 from shadowseg.edge import frame_edges
 from shadowseg.likelihood import build_potential_tables, dump_potentials
 from shadowseg.pgmio import read_frame, read_labels, write_labels, write_pgm
@@ -125,10 +126,18 @@ def test_config_file_supplies_settings_and_flags_win(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("speed = 11\n")
-    assert main(["segment", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "speed" in err and "bad.cfg:1" in err
+    # ymax and k_gaussians were settings once: old files must fail, not be ignored
+    for key, value in (("speed", "11"), ("ymax", "250"), ("k_gaussians", "4")):
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["segment", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad.cfg:1: unknown setting {key!r}" in err
+
+
+def test_every_engine_setting_is_a_segment_setting_of_the_same_name():
+    types = _setting_types()
+    for config_field in dataclasses.fields(EngineConfig):
+        assert config_field.name in types
 
 
 def test_error_paths_exit_nonzero(tmp_path, capsys):

@@ -33,11 +33,11 @@ def test_dump_is_exactly_the_detection_potentials(tmp_path):
     frame_paths = scene_frames(tmp_path / "scene")
     dump_dir = tmp_path / "pots"
     assert main(["segment", "--input", os.path.dirname(frame_paths[0]),
-                 "--out", str(tmp_path / "labels"), "--bg-init", "3", "--ymax", "250",
+                 "--out", str(tmp_path / "labels"), "--bg-init", "3", "--lambda2", "2",
                  "--dump-potentials", str(dump_dir)]) == 0
 
     frames = [read_frame(p) for p in frame_paths]
-    state = EngineState.from_static(frames[:3], EngineConfig(y_max=250.0))
+    state = EngineState.from_static(frames[:3], EngineConfig(lambda2=2.0))
     for k, frame in enumerate(frames[3:], start=1):
         u1, u2 = detection_potentials(state, frame)
         expected = tmp_path / f"expected_{k}.f64"

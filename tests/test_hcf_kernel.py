@@ -237,6 +237,17 @@ def test_kernel_is_built_once_next_to_its_source(tmp_path):
     assert _native._load(str(source)) is not None
     assert os.stat(tmp_path / built[0]).st_mtime_ns == stamp
 
+    # a changed source gets a new build, which replaces the old one; the
+    # temporary file of a concurrent build stays
+    pending = tmp_path / f"{built[0]}.1.tmp"
+    pending.write_bytes(b"")
+    with open(source, "a") as fh:
+        fh.write("/* another revision */\n")
+    assert _native._load(str(source)) is not None
+    rebuilt = sorted(p.name for p in tmp_path.glob("*.so"))
+    assert len(rebuilt) == 1 and rebuilt[0] != built[0] and rebuilt[0].startswith("_native-")
+    assert pending.exists()
+
 
 def test_loader_gives_up_without_source_or_compiler(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="missing.c"):

@@ -15,10 +15,9 @@ from shadowseg import BACKGROUND, FOREGROUND, SHADOW, EngineConfig
 from shadowseg.edge import background_edge_model, frame_edges
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, build_potential_tables, dump_potentials
 from shadowseg.pipeline import pooled_variance
-from shadowseg.shadow import ShadowParams
+from shadowseg.shadow import Y_MAX, ShadowParams
 from shadowseg.synth import scene_preset
 
-Y_MAX = 255.0
 NO_SHADOW = ShadowParams(gain=1.0, offset=0.0)
 
 
@@ -230,12 +229,12 @@ def assert_same_tables_as_oracle_on_engine_frames(scene, config, n_labeled=None)
         assert_same_tables_as_oracle(frame, *frame_edges(frame), state.background.mean,
                                      *background_edge_model(state.background),
                                      pooled_variance(state.background), state.shadow,
-                                     config.y_max)
+                                     Y_MAX)
 
 
 @pytest.mark.parametrize("preset, config", [
     ("quality", EngineConfig()),
-    ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5, y_max=250.0)),
+    ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
 ])
 def test_tables_are_byte_identical_to_the_oracle_on_engine_instances(preset, config):
     assert_same_tables_as_oracle_on_engine_frames(scene_preset(preset), config)

@@ -12,6 +12,7 @@ from shadowseg.edge import frame_edges
 from shadowseg.energy import BACKGROUND, SHADOW, total_energy
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.pipeline import pooled_variance
+from shadowseg.shadow import Y_MAX
 from shadowseg.synth import SynthScene, background_pattern, render_scene
 
 
@@ -47,7 +48,7 @@ def test_reported_energy_matches_detection_tables():
 
     eh, ev = frame_edges(frame)
     u1, u2 = build_potential_tables(frame, eh, ev, bg_mean, mean_h, mean_v, pooled,
-                                    shadow, state.config.y_max)
+                                    shadow, Y_MAX)
     assert np.isclose(diag.energy, total_energy(labels, u1, u2, prior),
                       rtol=1e-9, atol=1e-9)
 

@@ -1,9 +1,9 @@
 """Bad settings and bad input are rejected at the boundary with a clear
-error: engine settings out of range, frames with NaN or infinite pixels,
-PGM frames that do not use the 0..255 scale, inputs of the potential
-tables that are not six (H, W) grids and a finite positive pooled
-variance, and potential tables the HCF sweep cannot read as two
-(3, H, W) arrays of one shape."""
+error: engine settings out of range, frames smaller than 3x3 or with NaN
+or infinite pixels, PGM frames that do not use the 0..255 scale, inputs
+of the potential tables that are not six (H, W) grids and a finite
+positive pooled variance, and potential tables the HCF sweep cannot read
+as two (3, H, W) arrays of one shape."""
 
 import numpy as np
 import pytest
@@ -18,12 +18,6 @@ from shadowseg.shadow import ShadowParams
 
 
 @pytest.mark.parametrize("setting, value, message", [
-    ("k_gaussians", 1, "k_gaussians"),
-    ("k_gaussians", 2, "k_gaussians"),
-    ("k_gaussians", 6, "k_gaussians"),
-    ("k_gaussians", 9, "k_gaussians"),
-    ("k_gaussians", 4.0, "k_gaussians"),
-    ("k_gaussians", 4.5, "k_gaussians"),
     ("alpha", 0.0, "alpha"),
     ("alpha", -0.1, "alpha"),
     ("alpha", 1.5, "alpha"),
@@ -31,11 +25,10 @@ from shadowseg.shadow import ShadowParams
     ("alpha", float("nan"), "alpha"),
     ("lambda1", -1.0, "lambda1"),
     ("lambda1", float("nan"), "lambda1"),
+    ("lambda1", float("inf"), "lambda1"),
     ("lambda2", -1.0, "lambda2"),
     ("lambda2", float("nan"), "lambda2"),
-    ("y_max", 0.0, "y_max"),
-    ("y_max", -255.0, "y_max"),
-    ("y_max", float("nan"), "y_max"),
+    ("lambda2", float("inf"), "lambda2"),
 ])
 def test_engine_config_rejects_out_of_range_settings(setting, value, message):
     with pytest.raises(ValueError, match=message):
@@ -43,8 +36,7 @@ def test_engine_config_rejects_out_of_range_settings(setting, value, message):
 
 
 @pytest.mark.parametrize("settings", [
-    {"k_gaussians": 3}, {"k_gaussians": 5}, {"alpha": 1.0}, {"alpha": 1e-6},
-    {"lambda1": 0.0}, {"lambda2": 0.0}, {"y_max": 1.0}, {"k_gaussians": np.int64(4)},
+    {"alpha": 1.0}, {"alpha": 1e-6}, {"lambda1": 0.0}, {"lambda2": 0.0},
 ])
 def test_engine_config_accepts_range_edges(settings):
     EngineConfig(**settings)
@@ -61,7 +53,7 @@ def tiny_frames(tmp_path, n=3):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--alpha", "2"), ("--lambda2", "-1"), ("--k-gaussians", "9"), ("--ymax", "0"),
+    ("--alpha", "2"), ("--lambda2", "-1"), ("--lambda2", "inf"),
 ])
 def test_segment_rejects_out_of_range_settings(tmp_path, capsys, flag, value):
     frame_dir = tiny_frames(tmp_path)
@@ -101,10 +93,10 @@ def test_config_file_settings_are_validated_too(tmp_path, capsys):
 def test_config_file_value_of_the_wrong_type_names_its_line(tmp_path, capsys):
     frame_dir = tiny_frames(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"input = {frame_dir}\nout = {tmp_path / 'labels'}\nk_gaussians = 4.5\n")
+    cfg.write_text(f"input = {frame_dir}\nout = {tmp_path / 'labels'}\nbg-init = 4.5\n")
     assert main(["segment", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}:3: k_gaussians ") and "'4.5'" in err
+    assert err.startswith(f"error: {cfg}:3: bg_init ") and "'4.5'" in err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -125,6 +117,23 @@ def test_non_finite_frames_are_rejected(bad):
     assert state.k == 0
     labels, diag = process_frame(state, frames[0])
     assert np.isfinite(diag.energy)
+
+
+def test_frames_smaller_than_3x3_are_rejected_before_any_output(tmp_path, capsys):
+    with pytest.raises(ValueError, match="at least 3x3"):
+        EngineState.from_first_frame(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="at least 3x3"):
+        EngineState.from_static([np.zeros((2, 5)), np.zeros((2, 5))])
+
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    for k in range(3):
+        write_pgm(frame_dir / f"frame_{k:04d}.pgm", np.full((2, 2), 100, dtype=np.uint8))
+    out = tmp_path / "labels"
+    assert main(["segment", "--input", str(frame_dir), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 3x3" in err
+    assert not out.exists()
 
 
 def test_read_frame_rejects_maxval_below_255(tmp_path):
