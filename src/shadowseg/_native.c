@@ -27,10 +27,17 @@
    finds the lowest one with three count-trailing-zeros. Nearly all visits
    come from the frontier, which held at most about 1,500 sites on 320x240
    frames, so a neighbour update relinks a site between two lists instead
-   of sifting it through a heap. When many scores tie, the lowest bucket
+   of sifting it through a heap. Nearly every update moves its site to
+   another bucket, and keeping the frontier up to date is most of the
+   sweep's time, so a move takes no branch on the data: each bucket is a
+   circular list through a head node of its own, and the bitmap is zeroed
+   at the start and kept exact. When many scores tie, the lowest bucket
    would grow long and its scan quadratic; past BUCKET_CAP sites it moves
    into an indexed heap, where its sites stay until they are visited or
-   dropped. */
+   dropped.
+
+   A site potential that is NaN or infinite would break the strict order
+   the queue rests on, so the sweep refuses it before the first visit. */
 
 #include <math.h>
 #include <stdint.h>
@@ -76,7 +83,9 @@
    The frontier's buckets are ordered as their scores are, and equal
    scores share a bucket, so the smallest key of the bucketed sites is in
    the lowest non-empty bucket, found there by a scan. The frontier's top
-   is the smaller of that and the top of its heap. */
+   is the smaller of that and the top of its heap. Where in a bucket's list
+   a site sits does not matter, since the scan finds the smallest key
+   wherever it is. */
 
 typedef struct {
     double score;
@@ -164,21 +173,23 @@ static void drop(Queue *q, int64_t site)
 
 /* The frontier. A site is in at most one of its buckets and its heap; a
    bucketed site's score is kept in the sweep's score array, and the heap's
-   slot index is valid only for the heap's own sites. A bit of top is set
-   while one of its 4,096 buckets is non-empty; a word of mid is valid
-   only while its bit of top is set, a word of low only while its bit of
-   mid is set, and first[b] only while b's bit of low is set. So only top
-   needs initialising. */
+   slot index is valid only for the heap's own sites. Bucket b is a
+   circular list through its head node, link[n + b], which links to itself
+   while the bucket is empty; so no insert or unlink tests for an end of a
+   list. The bitmap starts zeroed and stays exact: a bit of low is set
+   while its bucket is non-empty, a bit of mid while its word of low is
+   non-zero, and a bit of top while its word of mid is. */
 typedef struct {
-    int32_t next, prev;     /* site links within a bucket; prev -1 for its first */
+    uint32_t next, prev;    /* site or head links within a bucket */
 } Link;
 
 typedef struct {
-    Link *link;             /* per site */
+    Link *link;             /* per site, then the head of each bucket */
     uint16_t *where;        /* per site: its bucket, NO_BUCKET or IN_HEAP */
-    int32_t *first;         /* per bucket */
+    uint32_t heads;         /* index in link of bucket 0's head: n */
     uint64_t top, *mid, *low;
     Queue heap;
+    int64_t spilled;        /* sites moved from a full lowest bucket to the heap */
 } Frontier;
 
 static uint64_t bit(uint32_t b)
@@ -209,48 +220,36 @@ static uint32_t bucket_of(double score)
     return key < LOWEST_KEY ? 0 : (1 << BUCKET_BITS) - 1;
 }
 
-static void bucket_insert(Frontier *fr, int32_t site, uint32_t b)
+static inline void bucket_insert(Frontier *fr, uint32_t site, uint32_t b)
 {
-    uint64_t *top = &fr->top, *mid = &fr->mid[b >> 12], *low = &fr->low[b >> 6];
-    int32_t next = -1;
-    if (!(*top & bit(b >> 12))) {
-        *top |= bit(b >> 12);
-        *mid = bit(b >> 6);
-        *low = bit(b);
-    } else if (!(*mid & bit(b >> 6))) {
-        *mid |= bit(b >> 6);
-        *low = bit(b);
-    } else if (!(*low & bit(b))) {
-        *low |= bit(b);
-    } else {
-        next = fr->first[b];
-        fr->link[next].prev = site;
-    }
-    fr->first[b] = site;
-    fr->link[site] = (Link){next, -1};
+    uint32_t head = fr->heads + b, next = fr->link[head].next;
+    fr->link[site] = (Link){next, head};
+    fr->link[next].prev = site;
+    fr->link[head].next = site;
+    fr->low[b >> 6] |= bit(b);
+    fr->mid[b >> 12] |= bit(b >> 6);
+    fr->top |= bit(b >> 12);
     fr->where[site] = (uint16_t)b;
 }
 
-/* Mark bucket b empty. */
-static void bucket_clear(Frontier *fr, uint32_t b)
+/* Clear the bit of bucket b when `empty` is 1, then the bit of each word
+   left zero. */
+static inline void bucket_mark(Frontier *fr, uint32_t b, uint64_t empty)
 {
-    if ((fr->low[b >> 6] &= ~bit(b)) == 0 && (fr->mid[b >> 12] &= ~bit(b >> 6)) == 0)
-        fr->top &= ~bit(b >> 12);
+    uint64_t *low = &fr->low[b >> 6], *mid = &fr->mid[b >> 12];
+    *low &= ~(empty << (b & 63));
+    *mid &= ~((uint64_t)(*low == 0) << (b >> 6 & 63));
+    fr->top &= ~((uint64_t)(*mid == 0) << (b >> 12 & 63));
 }
 
-static void bucket_remove(Frontier *fr, int32_t site)
+static inline void bucket_remove(Frontier *fr, uint32_t site)
 {
     Link l = fr->link[site];
-    uint32_t b = fr->where[site];
+    fr->link[l.next].prev = l.prev;
+    fr->link[l.prev].next = l.next;
+    /* both its links name the head when it was alone in its bucket */
+    bucket_mark(fr, fr->where[site], l.prev == l.next);
     fr->where[site] = NO_BUCKET;
-    if (l.next >= 0)
-        fr->link[l.next].prev = l.prev;
-    if (l.prev >= 0)
-        fr->link[l.prev].next = l.next;
-    else if (l.next >= 0)
-        fr->first[b] = l.next;
-    else
-        bucket_clear(fr, b);
 }
 
 /* The lowest non-empty bucket, or -1. */
@@ -264,7 +263,7 @@ static int64_t lowest_bucket(const Frontier *fr)
 }
 
 /* Key the touched site `site` by `s`, inserting it when absent. */
-static void frontier_set(Frontier *fr, double *score, int32_t site, double s)
+static inline void frontier_set(Frontier *fr, double *score, uint32_t site, double s)
 {
     uint32_t old = fr->where[site];
     if (old == IN_HEAP) {
@@ -280,7 +279,7 @@ static void frontier_set(Frontier *fr, double *score, int32_t site, double s)
     score[site] = s;
 }
 
-static void frontier_drop(Frontier *fr, int32_t site)
+static inline void frontier_drop(Frontier *fr, uint32_t site)
 {
     uint32_t where = fr->where[site];
     if (where == IN_HEAP) {
@@ -300,10 +299,10 @@ static Entry frontier_top(Frontier *fr, const double *score)
         int64_t b = lowest_bucket(fr);
         if (b < 0)
             return top;
-        Entry best = {score[fr->first[b]], fr->first[b]};
+        uint32_t head = fr->heads + (uint32_t)b, z = fr->link[head].next;
+        Entry best = {score[z], z};
         int held = 1;
-        for (int32_t z = fr->link[best.site].next; z >= 0 && held <= BUCKET_CAP;
-             z = fr->link[z].next, held++) {
+        for (z = fr->link[z].next; z != head && held <= BUCKET_CAP; z = fr->link[z].next, held++) {
             Entry e = {score[z], z};
             if (before(e, best))
                 best = e;
@@ -311,13 +310,13 @@ static Entry frontier_top(Frontier *fr, const double *score)
         if (held <= BUCKET_CAP)
             return top.site >= 0 && before(top, best) ? top : best;
         /* too many ties to scan at every visit: the bucket moves to the heap */
-        for (int32_t z = fr->first[b], next; z >= 0; z = next) {
-            next = fr->link[z].next;
+        for (z = fr->link[head].next; z != head; z = fr->link[z].next, fr->spilled++) {
             fr->where[z] = IN_HEAP;
             fr->heap.slot[z] = -1;
             set_score(&fr->heap, z, score[z]);
         }
-        bucket_clear(fr, (uint32_t)b);
+        fr->link[head] = (Link){head, head};
+        bucket_mark(fr, (uint32_t)b, 1);
     }
 }
 
@@ -360,13 +359,15 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
    offsets   8 (drow, dcol) pairs, the neighbour order of hcf_python
    weights   8 clique weights, lambda2 / squared distance, in that order
    labels    out: height * width labels in {1, 2, 3}
-   counts    out: visits, commits, relabels
+   counts    out: visits, commits, relabels, and the sites the frontier
+             moved from a full lowest bucket to its heap
    kinds, energies
              out: per commit (kind 0) or relabel (kind 1), the running
              energy after it; only the first `capacity` are written
 
    Returns the number of commits and relabels, which may exceed
-   `capacity`, or -1 when memory runs out. */
+   `capacity`; -1 when memory runs out, -2 when a site potential is NaN or
+   infinite. */
 int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                   int64_t height, int64_t width,
                   const int64_t *offsets, const double *weights,
@@ -384,21 +385,24 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
     double *score = malloc((n + 1) * sizeof(double));
     uint8_t *state = malloc(n + 1);
     Entry *blocks = malloc((n_blocks + 1) * sizeof(Entry));
-    Frontier fr = {malloc((n + 1) * sizeof(Link)), malloc((n + 1) * sizeof(uint16_t)),
-                   malloc(((size_t)1 << BUCKET_BITS) * sizeof(int32_t)),
-                   0,
-                   malloc(((size_t)1 << (BUCKET_BITS - 12)) * sizeof(uint64_t)),
-                   malloc(((size_t)1 << (BUCKET_BITS - 6)) * sizeof(uint64_t)),
-                   {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}};
+    Frontier fr = {malloc((n + (1 << BUCKET_BITS)) * sizeof(Link)),
+                   malloc((n + 1) * sizeof(uint16_t)), (uint32_t)n, 0,
+                   calloc((size_t)1 << (BUCKET_BITS - 12), sizeof(uint64_t)),
+                   calloc((size_t)1 << (BUCKET_BITS - 6), sizeof(uint64_t)),
+                   {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}, 0};
     if (f == NULL || score == NULL || state == NULL || blocks == NULL
-        || fr.link == NULL || fr.where == NULL || fr.first == NULL || fr.mid == NULL
-        || fr.low == NULL || fr.heap.heap == NULL || fr.heap.slot == NULL)
+        || fr.link == NULL || fr.where == NULL || fr.mid == NULL || fr.low == NULL
+        || fr.heap.heap == NULL || fr.heap.slot == NULL)
         goto done;
+    for (uint32_t head = fr.heads; head < fr.heads + (1 << BUCKET_BITS); head++)
+        fr.link[head] = (Link){head, head};
 
+    int finite = 1;
     for (int64_t y = 0; y < n; y++) {
         double a = (u1[y] + u2[y]) + bias[0];
         double b = (u1[n + y] + u2[n + y]) + bias[1];
         double c = (u1[2 * n + y] + u2[2 * n + y]) + bias[2];
+        finite &= isfinite(a) & isfinite(b) & isfinite(c);
         f[3 * y] = a;
         f[3 * y + 1] = b;
         f[3 * y + 2] = c;
@@ -416,6 +420,10 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
             mid = c < hi ? c : hi;
         }
         score[y] = lo - mid;
+    }
+    if (!finite) {
+        result = -2;
+        goto done;
     }
     int64_t n_keyed = n_blocks;
     for (int64_t b = 0; b < n_blocks; b++)
@@ -453,7 +461,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
             fr.where[y] = NO_BUCKET;
         } else if (top.site >= 0) {
             y = top.site;
-            frontier_drop(&fr, (int32_t)y);
+            frontier_drop(&fr, (uint32_t)y);
         } else {
             break;
         }
@@ -534,7 +542,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                 if (g2 > hi)
                     hi = g2;
                 double second = g0 + g1 + g2 - lo - hi;
-                frontier_set(&fr, score, (int32_t)z, lo - second);
+                frontier_set(&fr, score, (uint32_t)z, lo - second);
             } else {
                 double cur = g[zl - 1], alt;
                 if (zl == 1)
@@ -544,9 +552,9 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                 else
                     alt = g1 < g0 ? g1 : g0;
                 if (alt - cur < 0.0)
-                    frontier_set(&fr, score, (int32_t)z, alt - cur);
+                    frontier_set(&fr, score, (uint32_t)z, alt - cur);
                 else
-                    frontier_drop(&fr, (int32_t)z);
+                    frontier_drop(&fr, (uint32_t)z);
             }
         }
     }
@@ -556,6 +564,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
     counts[0] = visits;
     counts[1] = commits;
     counts[2] = relabels;
+    counts[3] = fr.spilled;
     result = commits + relabels;
 
 done:
@@ -565,7 +574,6 @@ done:
     free(blocks);
     free(fr.link);
     free(fr.where);
-    free(fr.first);
     free(fr.mid);
     free(fr.low);
     free(fr.heap.heap);

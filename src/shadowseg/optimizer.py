@@ -36,6 +36,7 @@ class HcfResult:
     visits: int                 # sites taken from the queue (stale entries not counted)
     commits: int
     relabels: int
+    spilled: int                # sites the kernel's frontier moved from a full bucket to its heap
     # with trace=True: ("commit"|"relabel", running energy after), else None
     trace: list[tuple[str, float]] | None
 
@@ -45,8 +46,9 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     """Label every pixel of the frame, minimizing the posterior energy.
 
     `u1` and `u2` are (3, H, W) potential tables indexed by label-1, with
-    H * W below 2**31. With `trace`, the result lists every commit and
-    relabel in order.
+    H * W below 2**31. The site potentials, the weighted label bias and
+    the clique weights must be finite. With `trace`, the result lists every
+    commit and relabel in order.
     """
     shape = np.shape(u1)
     if len(shape) != 3 or shape[0] != 3 or np.shape(u2) != shape:
@@ -62,10 +64,17 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                          "HCF labels fewer than 2**31")
     lib = _native.library()
     t1, t2 = (np.ascontiguousarray(u, dtype=np.float64) for u in (u1, u2))
-    bias = np.ascontiguousarray(prior.lambda1 * prior.bias, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):     # checked below
+        bias = np.ascontiguousarray(prior.lambda1 * prior.bias, dtype=np.float64)
     weights = np.array([prior.lambda2 / d2 for _, _, d2 in NEIGHBORS_8], dtype=np.float64)
+    # the sweep's exactness rests on (score, site) being a strict total order
+    if not np.isfinite(bias).all():
+        raise ValueError("the weighted label bias lambda1 * bias must be finite, "
+                         f"got {bias.tolist()}")
+    if not np.isfinite(weights).all():
+        raise ValueError(f"the clique weight lambda2 must be finite, got {prior.lambda2}")
     labels = np.empty(n, dtype=np.int64)
-    counts = np.empty(3, dtype=np.int64)
+    counts = np.empty(4, dtype=np.int64)
     # sized for the n commits; when relabels overflow it, the kernel
     # reports how many events there were and runs again at that size
     capacity = n if trace else 0
@@ -76,8 +85,10 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                                  height, width, _OFFSETS.ctypes.data,
                                  weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
                                  kinds.ctypes.data, energies.ctypes.data, capacity)
-        if n_events < 0:
+        if n_events == -1:
             raise MemoryError("HCF kernel could not allocate its work arrays")
+        if n_events == -2:
+            raise ValueError(_non_finite(t1, t2))
         if not trace or n_events <= capacity:
             break
         capacity = n_events
@@ -86,6 +97,15 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
         events = [(_TRACE_KINDS[k], e) for k, e in
                   zip(kinds[:n_events].tolist(), energies[:n_events].tolist())]
     grid = labels.reshape(height, width)
-    visits, commits, relabels = counts.tolist()
+    visits, commits, relabels, spilled = counts.tolist()
     return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
-                     visits=visits, commits=commits, relabels=relabels, trace=events)
+                     visits=visits, commits=commits, relabels=relabels, spilled=spilled,
+                     trace=events)
+
+
+def _non_finite(t1: np.ndarray, t2: np.ndarray) -> str:
+    """Why the kernel found a site potential u1 + u2 + bias NaN or infinite."""
+    for name, table in (("u1", t1), ("u2", t2)):
+        if not np.isfinite(table).all():
+            return f"potential table {name} holds NaN or infinite values"
+    return "a site potential u1 + u2 + lambda1 * bias overflows to infinity"

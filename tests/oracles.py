@@ -304,9 +304,11 @@ def stability(row: int, col: int, labels: np.ndarray, u1: np.ndarray,
 
 
 def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
-                trace: bool = False) -> HcfResult:
+                trace: bool = False, rekeyed: list | None = None) -> HcfResult:
     """The reference sweep, with a lazy-deletion heap: each site carries a
-    version counter, and stale heap entries are dropped on pop."""
+    version counter, and stale heap entries are dropped on pop. With a
+    list `rekeyed`, every push after the first heap, a neighbour update
+    that queues a site under a new score, appends its (site, score)."""
     _, height, width = u1.shape
     n = height * width
     lam2 = prior.lambda2
@@ -377,6 +379,8 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                 lo = min(g0, g1, g2)
                 second = g0 + g1 + g2 - lo - max(g0, g1, g2)
                 heapq.heappush(heap, (lo - second, z, version[z]))
+                if rekeyed is not None:
+                    rekeyed.append((z, lo - second))
             else:
                 cur = f[zb + zl - 1]
                 if zl == 1:
@@ -387,10 +391,14 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                     alt = min(g0, g1)
                 if alt - cur < 0.0:
                     heapq.heappush(heap, (alt - cur, z, version[z]))
+                    if rekeyed is not None:
+                        rekeyed.append((z, alt - cur))
 
     grid = np.array(labels, dtype=np.int64).reshape(height, width)
+    # one heap of every site: nothing spills
     return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
-                     visits=visits, commits=commits, relabels=relabels, trace=events)
+                     visits=visits, commits=commits, relabels=relabels, spilled=0,
+                     trace=events)
 
 
 def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):

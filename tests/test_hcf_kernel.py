@@ -19,6 +19,7 @@ from shadowseg.synth import scene_preset
 
 
 def assert_same_as_python(u1, u2, prior):
+    """The kernel's result, after checking it against hcf_python's."""
     fast = hcf_minimize(u1, u2, prior, trace=True)
     ref = hcf_python(u1, u2, prior, trace=True)
     assert np.array_equal(fast.labels, ref.labels)
@@ -32,6 +33,8 @@ def assert_same_as_python(u1, u2, prior):
     assert untraced.trace is None
     assert np.array_equal(untraced.labels, ref.labels)
     assert (untraced.visits, untraced.relabels) == (ref.visits, ref.relabels)
+    assert untraced.spilled == fast.spilled
+    return fast
 
 
 def test_criterion_1_to_3_instances():
@@ -104,16 +107,20 @@ def test_grids_around_block_boundaries(shape):
                                                     lambda2=[0.5, 1.0, 3.0][i % 3]))
 
 
-def test_tied_scores_within_blocks_across_blocks_and_across_tiers():
-    # integer potentials on a 40 x 50 grid: most sites share a handful of
-    # scores, so the (score, site) order alone decides between sites of
-    # one block, of different blocks, and between touched and untouched
-    # sites
+def tied_instances():
+    """Integer potentials on a 40 x 50 grid: most sites share a handful of
+    scores, so the (score, site) order alone decides between sites of one
+    block, of different blocks, and between touched and untouched sites."""
     rng = np.random.default_rng(63)
     u1 = np.round(rng.normal(0.0, 1.5, size=(3, 40, 50)))
     u2 = np.round(rng.normal(0.0, 1.0, size=(3, 40, 50)))
     for lambda2 in (0.5, 1.0, 2.0):
-        assert_same_as_python(u1, u2, initial_prior(lambda1=0.0, lambda2=lambda2))
+        yield u1, u2, initial_prior(lambda1=0.0, lambda2=lambda2)
+
+
+def test_tied_scores_within_blocks_across_blocks_and_across_tiers():
+    for u1, u2, prior in tied_instances():
+        assert_same_as_python(u1, u2, prior)
 
 
 @pytest.mark.parametrize("lambda2", [0.0, 0.25])
@@ -143,19 +150,21 @@ def checkerboard(height, width, lambda2):
 
 
 # The frontier keeps sites in buckets of nearby scores; once the lowest
-# bucket holds more than 32 sites, they move to an indexed heap. On these
-# grids, 85 to 530 sites of a sweep do.
+# bucket holds more than 32 sites, they move to an indexed heap, so a sweep
+# that spills at all spills more than 32. On these grids, 85 to 530 sites
+# of a sweep do.
 @pytest.mark.parametrize("lambda2", [0.5, 4.0])
 def test_tied_checkerboard_fills_a_bucket_past_its_cap(lambda2):
     for shape in [(30, 40), (24, 64), (40, 13)]:
         u1, u2 = checkerboard(*shape, lambda2)
-        assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
+        result = assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
+        assert result.spilled > 32
 
 
-def test_signed_zeros_tie():
-    # with lambda1 = 0, every bias term is a signed zero, and the planted
-    # -0.0 and +0.0 give scores of both signs, which (score, site) orders
-    # as equal
+def signed_zero_instances():
+    """With lambda1 = 0, every bias term is a signed zero, and the planted
+    -0.0 and +0.0 give scores of both signs, which (score, site) orders as
+    equal."""
     rng = np.random.default_rng(65)
     for lambda2 in (0.5, 1.0, 2.0):
         u1 = np.round(rng.normal(0.0, 1.0, size=(3, 20, 30)))
@@ -164,18 +173,105 @@ def test_signed_zeros_tie():
         u1[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
         u2[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
         assert np.signbit(u1[zeros]).any() and not np.signbit(u1[zeros]).all()
-        assert_same_as_python(u1, u2, initial_prior(lambda1=0.0, lambda2=lambda2))
+        yield u1, u2, initial_prior(lambda1=0.0, lambda2=lambda2)
 
 
-def test_scores_beyond_the_bucketed_range():
-    # the frontier's buckets resolve scores from -2**32 to -2**-32; larger
-    # and smaller magnitudes share the two end buckets
+def test_signed_zeros_tie():
+    for u1, u2, prior in signed_zero_instances():
+        assert_same_as_python(u1, u2, prior)
+
+
+def clamp_end_instances():
+    """The frontier's buckets resolve scores from -2**32 to -2**-32; larger
+    and smaller magnitudes share the two end buckets."""
     rng = np.random.default_rng(66)
     for lambda2 in (1e-12, 1.0, 1e12):
         scale = 10.0 ** rng.uniform(-15.0, 15.0, size=(3, 20, 30))
         u1 = rng.normal(0.0, 1.0, size=(3, 20, 30)) * scale
         u2 = rng.normal(0.0, 1.0, size=(3, 20, 30)) * scale
-        assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2))
+        yield u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2)
+
+
+def test_scores_beyond_the_bucketed_range():
+    for u1, u2, prior in clamp_end_instances():
+        assert_same_as_python(u1, u2, prior)
+
+
+# A mirror of the kernel's score_key and bucket_of: a score's key is the
+# top 20 bits of its IEEE 754 pattern, reordered as the scores are, and
+# there are 2**8 buckets per power of two from -2**32 up.
+SPLIT_BITS, BUCKET_BITS = 8, 14
+LOWEST_KEY = (2047 - (1023 + 32)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1)
+
+
+def score_key(score):
+    u = int(np.float64(score + 0.0).view(np.uint64))
+    u = ~u & (2**64 - 1) if u >> 63 else u | 1 << 63
+    return u >> (52 - SPLIT_BITS)
+
+
+def bucket_of(score):
+    return min(max(score_key(score) - LOWEST_KEY, 0), 2**BUCKET_BITS - 1)
+
+
+def bucket_edge(b):
+    """The smallest magnitude of a negative score in bucket b - 1; smaller
+    ones down to the next edge are in bucket b."""
+    key = LOWEST_KEY + b - 1
+    bits = (~key & (2**20 - 1)) << (52 - SPLIT_BITS)
+    return -float(np.uint64(bits).view(np.float64))
+
+
+BITMAP_BOUNDARIES = (64, 4096, 1, 16383)
+
+
+def boundary_instances(b):
+    """Scores planted around the boundary between buckets b - 1 and b.
+
+    Each site prefers background or foreground by a gap within 2% of the
+    boundary's edge; a neighbour that commits to the label it prefers
+    widens the gap by the clique weight, one that commits to the other
+    narrows it, so touched sites move between the buckets on either side
+    and leave them empty as they are visited. At the clamp ends, b = 1 and
+    16383, a fifth of the gaps lie beyond the bucketed range, and at 16383
+    a tenth are zero."""
+    edge = bucket_edge(b)
+    rng = np.random.default_rng(67 + b)
+    for w in (edge / 1024, edge / 256, edge / 64):
+        gap = edge * 1.02 ** rng.uniform(-1.0, 1.0, size=(10, 14))
+        beyond = rng.random(gap.shape) < (0.2 if b in (1, 16383) else 0.0)
+        outward = 1.0 if b == 1 else -1.0
+        gap[beyond] *= 2.0 ** (outward * rng.uniform(1.0, 8.0, size=int(beyond.sum())))
+        if b == 16383:
+            gap[rng.random(gap.shape) < 0.1] = 0.0
+        fg = rng.random(gap.shape) < 0.3
+        u1 = np.stack([np.where(fg, gap, 0.0), gap + gap * fg, np.where(fg, 0.0, 2.0 * gap)])
+        yield u1, np.zeros_like(u1), initial_prior(lambda1=0.0, lambda2=w)
+
+
+# The word boundaries of the frontier's bitmap, 63/64 in a word of low and
+# 4095/4096 in a word of mid, and its two clamp ends, 0 and 16383.
+@pytest.mark.parametrize("b", BITMAP_BOUNDARIES,
+                         ids=["low-word", "mid-word", "clamp-0", "clamp-16383"])
+def test_scores_at_the_bitmap_word_boundaries(b):
+    edge = bucket_edge(b)
+    assert bucket_of(-edge) == b - 1 and bucket_of(np.nextafter(-edge, 0.0)) == b
+    for u1, u2, prior in boundary_instances(b):
+        assert_same_as_python(u1, u2, prior)
+
+        rekeyed = []
+        hcf_python(u1, u2, prior, rekeyed=rekeyed)
+        last, moves = {}, set()
+        for z, score in rekeyed:
+            if z in last and last[z] != bucket_of(score):
+                moves.add((last[z], bucket_of(score)))
+            last[z] = bucket_of(score)
+        assert any(min(move) < b <= max(move) for move in moves)
+        assert {b - 1, b} <= {bucket_of(score) for _, score in rekeyed}
+        if b == 1:
+            assert min(score for _, score in rekeyed) < -2.0**32
+        if b == 16383:
+            assert max(score for _, score in rekeyed) > -2.0**-32
 
 
 def test_hcf_rejects_a_grid_of_2_31_sites():
@@ -212,8 +308,11 @@ def test_engine_instances_of_the_presets(preset, config):
 
 
 def test_engine_instances_at_320x240():
+    # ties on real frames fill a bucket past its cap too: 210 and 291 sites
+    # of the two sweeps move to the heap
     for state, frame in engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2):
-        assert_same_as_python(*detection_potentials(state, frame), state.prior)
+        result = assert_same_as_python(*detection_potentials(state, frame), state.prior)
+        assert result.spilled > 32
 
 
 def test_kernel_loads_wherever_a_compiler_is_found():

@@ -3,7 +3,8 @@ error: engine settings out of range, frames smaller than 3x3 or with NaN
 or infinite pixels, PGM frames that do not use the 0..255 scale, inputs
 of the potential tables that are not six (H, W) grids and a finite
 positive pooled variance, and potential tables the HCF sweep cannot read
-as two (3, H, W) arrays of one shape."""
+as two (3, H, W) arrays of one shape, or whose site potentials, label
+bias or clique weights are NaN or infinite."""
 
 import numpy as np
 import pytest
@@ -174,6 +175,41 @@ def test_hcf_rejects_a_label_bias_of_another_size():
     u = np.zeros((3, 4, 5))
     prior = PriorParams(bias=np.zeros(1))
     with pytest.raises(ValueError, match="label bias"):
+        hcf_minimize(u, u, prior)
+
+
+@pytest.mark.parametrize("table, value", [
+    (0, np.nan), (0, np.inf), (0, -np.inf), (1, np.nan), (1, np.inf), (1, -np.inf),
+])
+def test_hcf_rejects_non_finite_potential_tables(table, value):
+    # NaN breaks the strict (score, site) order the sweep rests on, and an
+    # infinite potential turns scores into NaN
+    rng = np.random.default_rng(68)
+    tables = [rng.normal(0.0, 2.0, size=(3, 8, 9)) for _ in range(2)]
+    planted = rng.random(tables[table].shape) < 0.05
+    tables[table][planted] = value
+    with pytest.raises(ValueError, match=f"potential table u{table + 1} holds NaN or infinite"):
+        hcf_minimize(*tables, initial_prior())
+
+
+def test_hcf_rejects_site_potentials_that_overflow():
+    u = np.full((3, 4, 5), 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        hcf_minimize(u, u, initial_prior())
+
+
+@pytest.mark.parametrize("prior, message", [
+    (PriorParams(bias=np.array([-0.5, np.nan, -0.5])), "label bias"),
+    (PriorParams(bias=np.array([-np.inf, 0.0, 0.0])), "label bias"),
+    (PriorParams(bias=np.full(3, -1.0 / 3.0), lambda1=np.inf), "label bias"),
+    (PriorParams(bias=np.array([0.0, -1.0, 0.0]), lambda1=np.inf), "label bias"),
+    (PriorParams(bias=np.full(3, -1.0 / 3.0), lambda2=np.nan), "clique weight"),
+    (PriorParams(bias=np.full(3, -1.0 / 3.0), lambda2=np.inf), "clique weight"),
+], ids=["bias-nan", "bias-minus-inf", "lambda1-inf", "lambda1-inf-times-zero",
+        "lambda2-nan", "lambda2-inf"])
+def test_hcf_rejects_a_non_finite_bias_or_clique_weight(prior, message):
+    u = np.zeros((3, 4, 5))
+    with pytest.raises(ValueError, match=message):
         hcf_minimize(u, u, prior)
 
 
