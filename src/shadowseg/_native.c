@@ -581,11 +581,13 @@ done:
     return result;
 }
 
+#define K 3     /* components per pixel mixture: shadowseg.background.K */
+
 /* One recursive update of every pixel's mixture, in place: the oracle
    update_mixture pixel by pixel.
 
    weights, means, variances
-             (k, n) components, lane-major, updated in place
+             (K, n) components, lane-major, updated in place
    frame     n observations
    alpha     learning rate; the other four are the constants of
              shadowseg.background, passed so that they live in one place
@@ -596,7 +598,7 @@ done:
    first component of lowest weight is replaced. The weights are then
    renormalized by their sum taken from lane 0 upward. */
 void mixture_update(double *weights, double *means, double *variances,
-                    const double *frame, int64_t k, int64_t n, double alpha,
+                    const double *frame, int64_t n, double alpha,
                     double match_sigmas, double init_weight, double init_variance,
                     double variance_floor)
 {
@@ -605,7 +607,7 @@ void mixture_update(double *weights, double *means, double *variances,
         double g = frame[i];
         int64_t match = -1;
         double match_rank = 0.0;
-        for (int64_t j = 0; j < k; j++) {
+        for (int64_t j = 0; j < K; j++) {
             int64_t at = j * n + i;
             double sigma = sqrt(variances[at]);
             double rank = weights[at] / sigma;
@@ -625,7 +627,7 @@ void mixture_update(double *weights, double *means, double *variances,
             variances[at] = v < variance_floor ? variance_floor : v;
         } else {
             int64_t low = 0;
-            for (int64_t j = 1; j < k; j++)
+            for (int64_t j = 1; j < K; j++)
                 if (weights[j * n + i] < weights[low * n + i])
                     low = j;
             int64_t at = low * n + i;
@@ -634,9 +636,9 @@ void mixture_update(double *weights, double *means, double *variances,
             variances[at] = init_variance;
         }
         double total = weights[i];
-        for (int64_t j = 1; j < k; j++)
+        for (int64_t j = 1; j < K; j++)
             total += weights[j * n + i];
-        for (int64_t j = 0; j < k; j++)
+        for (int64_t j = 0; j < K; j++)
             weights[j * n + i] /= total;
     }
 }
@@ -645,12 +647,12 @@ void mixture_update(double *weights, double *means, double *variances,
    weight/stddev, first index on ties: the oracle select_background.
    Inputs as for mixture_update; mean and variance are n outputs. */
 void mixture_select(const double *weights, const double *means, const double *variances,
-                    int64_t k, int64_t n, double *mean, double *variance)
+                    int64_t n, double *mean, double *variance)
 {
     for (int64_t i = 0; i < n; i++) {
         int64_t best = 0;
         double best_rank = weights[i] / sqrt(variances[i]);
-        for (int64_t j = 1; j < k; j++) {
+        for (int64_t j = 1; j < K; j++) {
             double rank = weights[j * n + i] / sqrt(variances[j * n + i]);
             if (rank > best_rank) {
                 best = j;
@@ -681,9 +683,9 @@ typedef struct {
              n values each
    gauss     the background's and the shadow's constants
    edge_var  each edge component's variance, 2 * pooled
-   fg_log    the foreground intensity potential, log y_max + 0.0
+   fg_log    the foreground intensity potential, log Y_MAX + 0.0
    inv_y_max, y_max_sq, floor
-             1 / y_max, y_max * y_max and the density floor over y_max_sq
+             1 / Y_MAX, Y_MAX^2 and the density floor over Y_MAX^2
    u1, u2    out: (3, n) tables, label-major
    fv        out: the vertical triangular factor, n values
 

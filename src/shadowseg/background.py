@@ -1,12 +1,13 @@
 """Per-pixel mixture-of-Gaussians background maintenance.
 
-Every pixel carries K weighted Gaussian components summarizing its recent
-intensity history.  An observation is matched to the component of largest
-weight/stddev among those within 3 standard deviations of it, the first
-index on ties; the matched component is pulled toward the observation
-with learning rate alpha, and when nothing matches the lowest-weight
-component is replaced.  The component with the largest weight/stddev
-ratio is the background hypothesis at that pixel.
+Every pixel carries K = 3 weighted Gaussian components (a constant, as in
+Stauffer & Grimson, CVPR 1999) summarizing its recent intensity history.
+An observation is matched to the component of largest weight/stddev
+among those within 3 standard deviations of it, the first index on ties;
+the matched component is pulled toward the observation with learning
+rate alpha, and when nothing matches the lowest-weight component is
+replaced. The component with the largest weight/stddev ratio is the
+background hypothesis at that pixel.
 
 :class:`MixtureGrid` applies these rules to every pixel at once, in the
 C kernels `mixture_update` and `mixture_select` (`_native.c`, see
@@ -22,7 +23,7 @@ import numpy as np
 
 from shadowseg import _native
 
-K_DEFAULT = 3
+K = 3                   # components per pixel; `#define K` in _native.c
 MATCH_SIGMAS = 3.0
 INIT_WEIGHT = 0.05      # replacement component weight, pre-normalization
 INIT_VARIANCE = 900.0   # replacement / placeholder component variance
@@ -42,25 +43,23 @@ class MixtureGrid:
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
         # owned C-ordered copies: `update` writes into them in place
-        self.weights = np.array(weights, dtype=np.float64, order="C")
-        self.means = np.array(means, dtype=np.float64, order="C")
-        self.variances = np.array(variances, dtype=np.float64, order="C")
-        if self.weights.ndim != 3 or not (self.weights.shape == self.means.shape
-                                          == self.variances.shape):
-            raise ValueError("weights, means and variances must be (K, H, W) arrays of "
+        self.weights, self.means, self.variances = (
+            np.array(a, dtype=np.float64, order="C") for a in (weights, means, variances))
+        if (self.weights.ndim != 3 or self.weights.shape[0] != K
+                or not self.weights.shape == self.means.shape == self.variances.shape):
+            raise ValueError(f"weights, means and variances must be ({K}, H, W) arrays of "
                              f"one shape, got {self.weights.shape}, {self.means.shape}, "
                              f"{self.variances.shape}")
-        self.k = self.weights.shape[0]
 
     @classmethod
-    def seed(cls, frame: np.ndarray, k: int = K_DEFAULT) -> "MixtureGrid":
+    def seed(cls, frame: np.ndarray) -> "MixtureGrid":
         """Mixtures for a fresh scene: the first component carries the frame
         at full weight, the rest are zero-weight placeholders."""
         h, w = frame.shape
-        weights = np.zeros((k, h, w))
+        weights = np.zeros((K, h, w))
         weights[0] = 1.0
-        means = np.broadcast_to(np.asarray(frame, dtype=np.float64), (k, h, w))
-        variances = np.full((k, h, w), INIT_VARIANCE)
+        means = np.broadcast_to(np.asarray(frame, dtype=np.float64), (K, h, w))
+        variances = np.full((K, h, w), INIT_VARIANCE)
         return cls(weights, means, variances)
 
     def update(self, frame: np.ndarray, alpha: float) -> None:
@@ -71,7 +70,7 @@ class MixtureGrid:
                              f"{self.weights.shape[1:]}")
         _native.library().mixture_update(
             self.weights.ctypes.data, self.means.ctypes.data, self.variances.ctypes.data,
-            frame.ctypes.data, self.k, frame.size,
+            frame.ctypes.data, frame.size,
             alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
 
     def select_background(self) -> BackgroundModel:
@@ -81,11 +80,11 @@ class MixtureGrid:
         variance = np.empty_like(mean)
         _native.library().mixture_select(
             self.weights.ctypes.data, self.means.ctypes.data, self.variances.ctypes.data,
-            self.k, mean.size, mean.ctypes.data, variance.ctypes.data)
+            mean.size, mean.ctypes.data, variance.ctypes.data)
         return BackgroundModel(mean, variance)
 
 
-def init_static(frames: list[np.ndarray], k: int = K_DEFAULT) -> MixtureGrid:
+def init_static(frames: list[np.ndarray]) -> MixtureGrid:
     """Mixtures bootstrapped from recorded empty-scene frames: the first
     component carries the per-pixel sample mean and unbiased sample
     variance (floored) at full weight."""
@@ -96,6 +95,6 @@ def init_static(frames: list[np.ndarray], k: int = K_DEFAULT) -> MixtureGrid:
         if f.shape != shape:
             raise ValueError(f"frame dimension mismatch: {f.shape} vs {shape}")
     stack = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
-    mixtures = MixtureGrid.seed(stack.mean(axis=0), k)
+    mixtures = MixtureGrid.seed(stack.mean(axis=0))
     mixtures.variances[0] = np.maximum(stack.var(axis=0, ddof=1), VARIANCE_FLOOR)
     return mixtures

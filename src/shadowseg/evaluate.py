@@ -41,23 +41,23 @@ def evaluate(predicted, truth, ignore=None) -> EvalReport:
     """Accumulate metrics over matched (predicted, truth) label frames.
 
     `predicted` and `truth` are sequences of (H, W) arrays with values in
-    {1, 2, 3}; `ignore`, if given, is a matching sequence of boolean masks
-    marking pixels to leave out (e.g. a boundary band).
+    {1, 2, 3}, anything else a ValueError; `ignore`, if given, matches them
+    with boolean masks of pixels to leave out (e.g. a boundary band).
     """
     if len(predicted) != len(truth):
         raise ValueError(f"{len(predicted)} predicted frames vs {len(truth)} truth frames")
     confusion = np.zeros((3, 3), dtype=np.int64)
     for idx, (pred, true) in enumerate(zip(predicted, truth)):
-        pred = np.asarray(pred)
-        true = np.asarray(true)
+        pred, true = np.asarray(pred), np.asarray(true)
         if pred.shape != true.shape:
             raise ValueError(f"frame {idx}: shape {pred.shape} vs {true.shape}")
-        keep = np.ones(true.shape, dtype=bool)
+        for name, labels in (("predicted", pred), ("truth", true)):
+            if (bad := np.setdiff1d(labels, LABELS)).size:
+                raise ValueError(f"frame {idx}: {name} labels {bad.tolist()} are not 1, 2 or 3")
+        cells = 3 * true.astype(np.int64) + pred.astype(np.int64) - 4
         if ignore is not None:
-            keep &= ~np.asarray(ignore[idx], dtype=bool)
-        for t in LABELS:
-            for p in LABELS:
-                confusion[t - 1, p - 1] += np.count_nonzero((true == t) & (pred == p) & keep)
+            cells = cells[~np.asarray(ignore[idx], dtype=bool)]
+        confusion += np.bincount(cells.ravel(), minlength=9).reshape(3, 3)
     total = int(confusion.sum())
     correct = int(np.trace(confusion))
     precision = {name: _ratio(confusion[i, i], confusion[:, i].sum())
@@ -78,17 +78,15 @@ def label_boundary_mask(labels, radius: int = 1) -> np.ndarray:
         raise ValueError(f"boundary radius must be >= 1, got {radius}")
     labels = np.asarray(labels)
     height, width = labels.shape
-    boundary = np.zeros((height, width), dtype=bool)
+    if labels.size == 0:
+        return np.zeros((height, width), dtype=bool)
+    # off the grid, a neighbour's label is the pixel's own or another neighbour's
+    padded = np.pad(labels, 1, mode="edge")
+    mask = np.zeros((height, width), dtype=bool)
     for dr, dc, _ in NEIGHBORS_8:
-        src = labels[max(0, dr):height + min(0, dr), max(0, dc):width + min(0, dc)]
-        dst = labels[max(0, -dr):height + min(0, -dr), max(0, -dc):width + min(0, -dc)]
-        differs = src != dst
-        boundary[max(0, -dr):height + min(0, -dr), max(0, -dc):width + min(0, -dc)] |= differs
-    mask = boundary
+        mask |= padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width] != labels
     for _ in range(radius - 1):
-        grown = mask.copy()
+        padded = np.pad(mask, 1)        # a copy: the mask grows from its last state
         for dr, dc, _ in NEIGHBORS_8:
-            src = mask[max(0, dr):height + min(0, dr), max(0, dc):width + min(0, dc)]
-            grown[max(0, -dr):height + min(0, -dr), max(0, -dc):width + min(0, -dc)] |= src
-        mask = grown
+            mask |= padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width]
     return mask

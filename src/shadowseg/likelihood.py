@@ -2,7 +2,7 @@
 
 Intensity: background pixels follow the background Gaussian, shadowed
 pixels its gain/offset transform (mean gain*mu + offset, variance
-gain^2 * var), foreground is uniform over [0, y_max].
+gain^2 * var), foreground is uniform over the intensity scale [0, Y_MAX].
 
 Edges: background edge vectors follow the edge model's bivariate normal,
 shadowed ones the gain-scaled version, and foreground edges the product
@@ -27,18 +27,19 @@ import numpy as np
 
 from shadowseg import _native
 from shadowseg.energy import FOREGROUND
-from shadowseg.shadow import ShadowParams
+from shadowseg.shadow import Y_MAX, ShadowParams
 
-# Floor on each triangular factor (as a multiple of 1/y_max^2) so the
-# foreground edge energy stays finite when |e| reaches y_max.
+# Floor on each triangular factor (as a multiple of 1/Y_MAX^2) so the
+# foreground edge energy stays finite when |e| reaches Y_MAX.
 EDGE_DENSITY_FLOOR = 0.1
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_FOREGROUND_SCALARS = (np.log(Y_MAX) + 0.0, 1.0 / Y_MAX, Y_MAX * Y_MAX,
+                       EDGE_DENSITY_FLOOR / (Y_MAX * Y_MAX))
 
 
 def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
-                           pooled: float, shadow: ShadowParams,
-                           y_max: float) -> tuple[np.ndarray, np.ndarray]:
+                           pooled: float, shadow: ShadowParams) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (3, H, W) intensity and edge potential tables, indexed by label-1.
 
     The six grids are (H, W) each. `pooled` is the scene-wide intensity
@@ -63,8 +64,7 @@ def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
     fv = np.empty(shape)
     _native.library().potential_tables(
         *(grid.ctypes.data for grid in grids), fv.size, gauss.ctypes.data, edge_var,
-        np.log(y_max) + 0.0, 1.0 / y_max, y_max * y_max,
-        EDGE_DENSITY_FLOOR / (y_max * y_max), u1.ctypes.data, u2.ctypes.data, fv.ctypes.data)
+        *_FOREGROUND_SCALARS, u1.ctypes.data, u2.ctypes.data, fv.ctypes.data)
     # the kernel left the two triangular factors; numpy's log, not libm's,
     # keeps the foreground edge row byte-identical to the oracle's edge_potential
     fh = u2[FOREGROUND - 1]

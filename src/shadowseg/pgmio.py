@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
+from shadowseg.energy import BACKGROUND, FOREGROUND, LABELS
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
-LABEL_TO_BYTE = {BACKGROUND: 0, SHADOW: 128, FOREGROUND: 255}
-BYTE_TO_LABEL = {0: BACKGROUND, 128: SHADOW, 255: FOREGROUND}
+# the byte of each label 0..3 (0 is never written), and the label of each
+# byte, 0 for a byte that encodes no label
+_BYTE_OF_LABEL = np.array([0, 0, 128, 255], dtype=np.uint8)
+_LABEL_OF_BYTE = np.zeros(256, dtype=np.int64)
+_LABEL_OF_BYTE[_BYTE_OF_LABEL[list(LABELS)]] = LABELS
 
 
 class PgmError(Exception):
@@ -98,28 +101,22 @@ def read_frame(path) -> np.ndarray:
 def write_labels(labels, path) -> None:
     """Store a fully committed label map as PGM (0 / 128 / 255)."""
     labels = np.asarray(labels)
-    out = np.zeros(labels.shape, dtype=np.uint8)
-    known = np.zeros(labels.shape, dtype=bool)
-    for label, byte in LABEL_TO_BYTE.items():
-        mask = labels == label
-        out[mask] = byte
-        known |= mask
-    if not known.all():
-        bad = np.unique(labels[~known])
+    # integer labels need only a range check; others must equal one (1.0, not 1.5)
+    if labels.dtype.kind in "iu" and labels.size:
+        known = BACKGROUND <= labels.min() and labels.max() <= FOREGROUND
+    else:
+        known = np.isin(labels, LABELS).all()
+    if not known:
+        bad = np.unique(labels[~np.isin(labels, LABELS)])
         raise ValueError(f"uncommitted or unknown labels present: {bad.tolist()}")
-    write_pgm(path, out)
+    write_pgm(path, _BYTE_OF_LABEL[labels.astype(np.intp, copy=False)])
 
 
 def read_labels(path) -> np.ndarray:
     """Inverse of write_labels."""
     pixels, _ = read_pgm(path)
-    labels = np.zeros(pixels.shape, dtype=np.int64)
-    known = np.zeros(pixels.shape, dtype=bool)
-    for byte, label in BYTE_TO_LABEL.items():
-        mask = pixels == byte
-        labels[mask] = label
-        known |= mask
-    if not known.all():
-        bad = np.unique(pixels[~known])
+    labels = _LABEL_OF_BYTE[pixels]
+    if not labels.all():
+        bad = np.unique(pixels[labels == 0])
         raise PgmError(f"not a label map, unexpected byte values: {bad.tolist()}")
     return labels

@@ -27,8 +27,7 @@ from shadowseg.energy import (BACKGROUND, FOREGROUND, LAMBDA1_DEFAULT,
                               initial_prior, update_label_bias)
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.optimizer import hcf_minimize
-from shadowseg.shadow import (Y_MAX, ShadowParams, fit_shadow, initial_shadow_params,
-                              update_shadow)
+from shadowseg.shadow import ShadowParams, fit_shadow, initial_shadow_params, update_shadow
 
 
 @dataclass
@@ -122,7 +121,7 @@ def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndar
     mean_h, mean_v = background_edge_model(state.background)
     return build_potential_tables(frame, edge_h, edge_v, state.background.mean,
                                   mean_h, mean_v, pooled_variance(state.background),
-                                  state.shadow, Y_MAX)
+                                  state.shadow)
 
 
 def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnostics]:

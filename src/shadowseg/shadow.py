@@ -1,10 +1,11 @@
 """Global linear shadow transform and its per-frame adaptation.
 
 A shadowed pixel is modeled as a gain/offset transform of the lit
-background intensity.  After each segmented frame the transform is refit
+background intensity. After each segmented frame the transform is refit
 by least squares over the shadow-labeled pixels and blended into the
 running estimate with an effective rate proportional to the shadowed
-fraction of the scene, so sparse-shadow frames barely move it.
+fraction of the scene, so sparse-shadow frames barely move it. A refit needs
+MIN_SHADOW_PIXELS pairs, and the offset stays within [-Y_MAX, Y_MAX].
 """
 
 from __future__ import annotations
@@ -32,18 +33,18 @@ def initial_shadow_params() -> ShadowParams:
     return ShadowParams(gain=0.5, offset=0.0)
 
 
-def fit_shadow(observed, background, min_pairs: int = MIN_SHADOW_PIXELS) -> tuple[float, float] | None:
+def fit_shadow(observed, background) -> tuple[float, float] | None:
     """Closed-form least-squares gain/offset for observed = gain*background + offset.
 
-    Returns None for fewer than `min_pairs` pairs or for a degenerate
-    design (all background values equal).
+    Returns None for fewer than MIN_SHADOW_PIXELS pairs or for a
+    degenerate design (all background values equal).
     """
     g = np.asarray(observed, dtype=np.float64).ravel()
     b = np.asarray(background, dtype=np.float64).ravel()
     if g.shape != b.shape:
         raise ValueError("observed and background must pair up")
     n = g.size
-    if n < min_pairs:
+    if n < MIN_SHADOW_PIXELS:
         return None
     sum_g = float(g.sum())
     sum_b = float(b.sum())
@@ -58,8 +59,7 @@ def fit_shadow(observed, background, min_pairs: int = MIN_SHADOW_PIXELS) -> tupl
 
 
 def update_shadow(params: ShadowParams, fit: tuple[float, float],
-                  neg_shadow_fraction: float, alpha: float,
-                  y_max: float = Y_MAX) -> ShadowParams:
+                  neg_shadow_fraction: float, alpha: float) -> ShadowParams:
     """Blend a fresh fit into the running transform.
 
     `neg_shadow_fraction` is the negated fraction of shadow-labeled pixels,
@@ -72,5 +72,5 @@ def update_shadow(params: ShadowParams, fit: tuple[float, float],
     gain = keep * params.gain + blend * gain_fit
     offset = keep * params.offset + blend * offset_fit
     gain = min(max(gain, GAIN_MIN), GAIN_MAX)
-    offset = min(max(offset, -y_max), y_max)
+    offset = min(max(offset, -Y_MAX), Y_MAX)
     return ShadowParams(gain, offset)

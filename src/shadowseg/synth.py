@@ -22,11 +22,11 @@ import numpy as np
 
 from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
 from shadowseg.pgmio import write_labels, write_pgm
+from shadowseg.shadow import Y_MAX
 
 RAMP_LOW, RAMP_HIGH = 40.0, 150.0       # background ramp, left to right
 TEXTURE_AMP, TEXTURE_PERIOD = 6.0, 16.0
 FLICKER_MEAN, FLICKER_SIGMA = 120.0, 25.0
-Y_MAX = 255
 
 
 def background_pattern(height: int, width: int) -> np.ndarray:
@@ -58,10 +58,16 @@ class SynthScene:
     flicker_rows: int = 0
 
     def __post_init__(self):
+        if self.n_frames < 1:
+            raise ValueError(f"a scene needs at least 1 frame, got {self.n_frames}")
+        if self.lead_in < 0:
+            raise ValueError(f"lead-in must be >= 0 frames, got {self.lead_in}")
         if not 0.0 < self.gain <= 1.0:
             raise ValueError(f"planted gain {self.gain} outside (0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise sigma must be nonnegative")
+        if not np.isfinite(self.offset):
+            raise ValueError(f"planted offset must be finite, got {self.offset}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.background is None:
             self.background = background_pattern(self.height, self.width)
         self.background = np.asarray(self.background, dtype=np.float64)

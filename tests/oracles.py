@@ -142,7 +142,7 @@ def pixel(grid: MixtureGrid, row: int, col: int) -> PixelMixture:
         GaussianComponent(float(grid.weights[i, row, col]),
                           float(grid.means[i, row, col]),
                           float(grid.variances[i, row, col]))
-        for i in range(grid.k)
+        for i in range(grid.weights.shape[0])
     ])
 
 

@@ -153,6 +153,13 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
                  "--truth", str(tmp_path / "none")]) == 1
 
 
+def test_synth_rejects_scenes_it_cannot_render(tmp_path, capsys):
+    for flags in (["--frames", "0"], ["--frames", "-1"], ["--noise", "nan"], ["--c", "nan"]):
+        assert main(["synth", *flags, "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "s").exists()
+
+
 def test_segment_fails_cleanly_when_the_kernels_cannot_build(tmp_path, monkeypatch, capsys):
     frame_dir, _ = tiny_sequence(tmp_path / "scene", n_frames=4)
     out = tmp_path / "labels"
@@ -207,7 +214,7 @@ def test_dump_potentials_match_detection_state(tmp_path):
     pooled = pooled_variance(state.background)
     mean_h, mean_v = frame_edges(state.background.mean)
     u1, u2 = build_potential_tables(frame, eh, ev, state.background.mean, mean_h, mean_v,
-                                    pooled, state.shadow, 255.0)
+                                    pooled, state.shadow)
     expected = tmp_path / "expected.f64"
     dump_potentials(u1, u2, expected)
     assert expected.read_bytes() == (dump_dir / dumps[0]).read_bytes()

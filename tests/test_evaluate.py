@@ -78,6 +78,26 @@ def test_mismatched_inputs_raise():
         evaluate([np.ones((2, 2))], [np.ones((2, 3))])
 
 
+@pytest.mark.parametrize("side", ["predicted", "truth"])
+@pytest.mark.parametrize("bad", [0, 4, -1, 2.5])
+def test_labels_outside_the_three_classes_raise(side, bad):
+    # an uncommitted (0) or unknown label would drop out of the confusion
+    # matrix and out of the accuracy's denominator
+    good = np.ones((2, 2), dtype=int)
+    other = np.array([[1, 2], [3, 1]], dtype=type(bad))
+    other[1, 1] = bad
+    maps = {"predicted": [good, other], "truth": [good, good]}
+    if side == "truth":
+        maps = {"predicted": [good, good], "truth": [good, other]}
+    with pytest.raises(ValueError, match=rf"frame 1: {side} labels \[{bad}\] are not"):
+        evaluate(maps["predicted"], maps["truth"])
+
+
+def test_uncommitted_prediction_is_not_scored_on_the_rest():
+    with pytest.raises(ValueError, match=r"frame 0: predicted labels \[0\]"):
+        evaluate([np.array([[0, 0], [1, 1]])], [np.ones((2, 2), int)])
+
+
 def test_to_dict_is_json_friendly():
     report = evaluate([np.ones((2, 2), dtype=int)], [np.ones((2, 2), dtype=int)])
     d = report.to_dict()

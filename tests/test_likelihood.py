@@ -156,7 +156,7 @@ def test_foreground_edge_density_matches_uniform_difference_marginal():
 
 def assert_same_tables_as_oracle(*args):
     tables = build_potential_tables(*args)
-    expected = oracles.potential_tables(*args)
+    expected = oracles.potential_tables(*args, Y_MAX)
     for table, reference in zip(tables, expected):
         assert table.shape == reference.shape
         assert table.tobytes() == reference.tobytes()
@@ -170,7 +170,7 @@ def test_tables_stack_the_scalar_potentials():
     mu = rng.uniform(0, 255, size=(h, w))
     mean_h, mean_v = rng.uniform(-5, 5, size=(2, h, w))
     shadow = ShadowParams(gain=0.6, offset=5.0)
-    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 25.0, shadow, Y_MAX)
+    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 25.0, shadow)
 
 
 def random_inputs(rng, h, w, y_max, edge_range):
@@ -181,7 +181,7 @@ def random_inputs(rng, h, w, y_max, edge_range):
     return frame, eh, ev, mu, mean_h, mean_v
 
 
-@pytest.mark.parametrize("y_max", [1.0, 37.5, 100.0, 255.0, 1000.0])
+@pytest.mark.parametrize("y_max", [Y_MAX])
 def test_tables_are_byte_identical_to_the_oracle_on_random_inputs(y_max):
     # edges beyond y_max reach the foreground density floor; gains of 0.1
     # and 1, nonzero offsets and pooled variances over seven decades
@@ -191,20 +191,20 @@ def test_tables_are_byte_identical_to_the_oracle_on_random_inputs(y_max):
         grids = random_inputs(rng, h, w, y_max, 1.5 * y_max)
         shadow = ShadowParams(gain=float(gain), offset=float(rng.uniform(-255, 255)))
         pooled = float(10 ** rng.uniform(-3, 4))
-        assert_same_tables_as_oracle(*grids, pooled, shadow, y_max)
+        assert_same_tables_as_oracle(*grids, pooled, shadow)
 
 
-def test_floor_branch_is_exercised_at_y_max_100():
+def test_floor_branch_is_exercised_at_y_max():
     rng = np.random.default_rng(19)
-    frame, eh, ev, mu, mean_h, mean_v = random_inputs(rng, 12, 17, 100.0, 250.0)
-    assert np.count_nonzero(np.abs(eh) > 100.0) > 10
-    # the factor reaches the floor from |e| = y_max - 0.1 on
-    eh[0, :4] = ev[0, :4] = [99.95, -99.99, 100.0, -100.0]
-    _, u2 = build_potential_tables(frame, eh, ev, mu, mean_h, mean_v, 9.0, NO_SHADOW, 100.0)
-    floor = EDGE_DENSITY_FLOOR / (100.0 * 100.0)
-    both = (np.abs(eh) > 100.0) & (np.abs(ev) > 100.0)
+    frame, eh, ev, mu, mean_h, mean_v = random_inputs(rng, 12, 17, Y_MAX, 2.5 * Y_MAX)
+    assert np.count_nonzero(np.abs(eh) > Y_MAX) > 10
+    # the factor reaches the floor from |e| = Y_MAX - 0.1 on
+    eh[0, :4] = ev[0, :4] = [254.95, -254.99, 255.0, -255.0]
+    _, u2 = build_potential_tables(frame, eh, ev, mu, mean_h, mean_v, 9.0, NO_SHADOW)
+    floor = EDGE_DENSITY_FLOOR / (Y_MAX * Y_MAX)
+    both = (np.abs(eh) > Y_MAX) & (np.abs(ev) > Y_MAX)
     assert np.allclose(u2[FOREGROUND - 1][both], -2 * math.log(floor), atol=1e-12)
-    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 9.0, NO_SHADOW, 100.0)
+    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 9.0, NO_SHADOW)
 
 
 def test_tables_of_integer_frames_and_transposed_views():
@@ -214,12 +214,11 @@ def test_tables_of_integer_frames_and_transposed_views():
     mu = rng.uniform(0, 255, size=(23, 9))
     mean_h, mean_v = rng.uniform(-20, 20, size=(2, 23, 9))
     shadow = ShadowParams(gain=0.45, offset=-12.5)
-    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 6.25, shadow, Y_MAX)
+    assert_same_tables_as_oracle(frame, eh, ev, mu, mean_h, mean_v, 6.25, shadow)
     transposed = [g.T for g in (frame, eh, ev, mu, mean_h, mean_v)]
     assert not transposed[0].flags.c_contiguous
-    assert_same_tables_as_oracle(*transposed, 6.25, shadow, Y_MAX)
-    assert_same_tables_as_oracle(*(g.astype(np.float32) for g in transposed), 6.25, shadow,
-                                 Y_MAX)
+    assert_same_tables_as_oracle(*transposed, 6.25, shadow)
+    assert_same_tables_as_oracle(*(g.astype(np.float32) for g in transposed), 6.25, shadow)
 
 
 def assert_same_tables_as_oracle_on_engine_frames(scene, config, n_labeled=None):
@@ -228,8 +227,7 @@ def assert_same_tables_as_oracle_on_engine_frames(scene, config, n_labeled=None)
     for state, frame in engine_frames(scene, config, n_labeled):
         assert_same_tables_as_oracle(frame, *frame_edges(frame), state.background.mean,
                                      *background_edge_model(state.background),
-                                     pooled_variance(state.background), state.shadow,
-                                     Y_MAX)
+                                     pooled_variance(state.background), state.shadow)
 
 
 @pytest.mark.parametrize("preset, config", [

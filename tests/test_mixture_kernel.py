@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import pixel, select_background, update_mixture
-from shadowseg.background import (INIT_VARIANCE, MATCH_SIGMAS, VARIANCE_FLOOR,
+from shadowseg.background import (INIT_VARIANCE, K, MATCH_SIGMAS, VARIANCE_FLOOR,
                                   MixtureGrid, init_static)
 
 # variances whose square roots are exact, so that an observation can sit
@@ -77,7 +77,7 @@ def frames_around(rng, weights, means, variances, n):
     return out
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [K])
 def test_random_mixtures_with_ties_boundaries_and_replacement(k):
     rng = np.random.default_rng(70 + k)
     for alpha in (0.02, 0.3, 1.0):
@@ -86,21 +86,21 @@ def test_random_mixtures_with_ties_boundaries_and_replacement(k):
         assert_same_as_oracles(weights, means, variances, frames, alpha)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [K])
 def test_adaptive_seed_with_placeholders(k):
     rng = np.random.default_rng(80 + k)
-    seed = MixtureGrid.seed(np.round(rng.uniform(0, 255, size=(12, 10))), k)
+    seed = MixtureGrid.seed(np.round(rng.uniform(0, 255, size=(12, 10))))
     frames = [seed.means[0] + rng.normal(0.0, 5.0, size=(12, 10)) for _ in range(4)]
     frames += [rng.uniform(0, 255, size=(12, 10)) for _ in range(4)]
     for alpha in (0.02, 1.0):
         assert_same_as_oracles(seed.weights, seed.means, seed.variances, frames, alpha)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [K])
 def test_static_seed_with_floored_variances(k):
     rng = np.random.default_rng(90 + k)
     boot = [np.full((8, 8), 120.0)] * 2 + [120.0 + rng.normal(0.0, 3.0, size=(8, 8))]
-    seed = init_static(boot, k)
+    seed = init_static(boot)
     assert (seed.variances[0] == VARIANCE_FLOOR).any()
     frames = [120.0 + rng.normal(0.0, 4.0, size=(8, 8)) for _ in range(5)]
     frames.append(np.full((8, 8), 255.0))
@@ -122,7 +122,7 @@ def test_tied_components_go_to_the_first_index():
 
 def test_non_contiguous_input_is_copied():
     rng = np.random.default_rng(5)
-    weights, means, variances = random_mixtures(rng, 4, 6, 7)
+    weights, means, variances = random_mixtures(rng, K, 6, 7)
     fortran = [np.asfortranarray(a) for a in (weights, means, variances)]
     strided = [np.repeat(a, 2, axis=2)[:, :, ::2] for a in (weights, means, variances)]
     frames = frames_around(rng, weights, means, variances, 3)
@@ -155,3 +155,12 @@ def test_shapes_are_checked():
         MixtureGrid(np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones((3, 2, 3)))
     with pytest.raises(ValueError, match="one shape"):
         MixtureGrid(np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5])
+def test_mixtures_of_other_than_k_components_are_rejected(k):
+    # the kernels are compiled for K components and would read past a
+    # shorter array or ignore the lanes of a longer one
+    lanes = np.full((k, 2, 3), 1.0 / k), np.full((k, 2, 3), 50.0), np.full((k, 2, 3), 9.0)
+    with pytest.raises(ValueError, match=rf"\({K}, H, W\) arrays of one shape"):
+        MixtureGrid(*lanes)

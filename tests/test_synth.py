@@ -125,6 +125,18 @@ def test_scene_validation():
         quiet_scene(background=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_frames", 0, "at least 1 frame"), ("n_frames", -3, "at least 1 frame"),
+    ("lead_in", -1, "lead-in"),
+    ("offset", np.nan, "offset must be finite"), ("offset", np.inf, "offset must be finite"),
+    ("offset", -np.inf, "offset must be finite"),
+    ("noise_sigma", np.nan, "noise sigma"), ("noise_sigma", np.inf, "noise sigma"),
+])
+def test_scenes_that_cannot_be_rendered_are_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        quiet_scene(**{field: value})
+
+
 def test_generated_files_round_trip(tmp_path):
     scene = SynthScene(height=16, width=16, n_frames=3)
     frame_paths, truth_paths = generate_synthetic(scene, tmp_path, seed=3)

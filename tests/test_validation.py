@@ -226,13 +226,13 @@ def test_potential_tables_reject_grids_of_other_shapes(which, bad):
     grids = [np.zeros((4, 5)) for _ in range(6)]
     grids[which] = bad
     with pytest.raises(ValueError, match="2-D grids of one shape"):
-        build_potential_tables(*grids, 9.0, ShadowParams(0.5, 0.0), 255.0)
+        build_potential_tables(*grids, 9.0, ShadowParams(0.5, 0.0))
 
 
 def test_potential_tables_reject_grids_that_are_not_2d():
     grids = [np.zeros((2, 4, 5)) for _ in range(6)]
     with pytest.raises(ValueError, match="2-D grids of one shape"):
-        build_potential_tables(*grids, 9.0, ShadowParams(0.5, 0.0), 255.0)
+        build_potential_tables(*grids, 9.0, ShadowParams(0.5, 0.0))
 
 
 @pytest.mark.parametrize("pooled", [0.0, -4.0, np.nan, np.inf, -np.inf,
@@ -241,4 +241,4 @@ def test_potential_tables_reject_grids_that_are_not_2d():
 def test_potential_tables_reject_a_pooled_variance_not_finite_positive_scalar(pooled):
     grids = [np.zeros((4, 5)) for _ in range(6)]
     with pytest.raises(ValueError, match="pooled variance"):
-        build_potential_tables(*grids, pooled, ShadowParams(0.5, 0.0), 255.0)
+        build_potential_tables(*grids, pooled, ShadowParams(0.5, 0.0))
