@@ -18,6 +18,20 @@
    triangular factors of the foreground edge potential for numpy to take
    the per-pixel logs of.
 
+   mixture_select and potential_tables run two pixels a step where SSE2 is
+   there, which x86-64 always has, so no -march flag is needed. sqrtpd,
+   divpd, mulpd, addpd and subpd round exactly as their scalar forms do,
+   and each lane runs the scalar loop's operations in its order, so the
+   bytes do not change; the scalar loop is left for the odd last pixel and
+   for other machines. mixture_update stays scalar: a two-pixel version
+   was byte-identical but slower.
+
+   hcf_sweep also returns what the energy of its labels is summed from:
+   on its last pass over the labels it counts each label and the
+   disagreeing neighbour pairs, and gathers each site's potentials and
+   bias of its label into rows that numpy sums as energy.total_energy
+   does, so the caller need not gather them again.
+
    The HCF queue has two tiers. Sites that no neighbour update has touched
    keep their initial score; they sit in blocks of BLOCK consecutive sites,
    and a small heap holds one (score, site) key per block. Every other
@@ -43,6 +57,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* Sites per block of the static tier. */
 #define BLOCK 64
@@ -354,13 +371,19 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
 /* Label a height x width grid of fewer than 2^31 sites.
 
    u1, u2    (3, height, width) data potential tables, label-major
-   bias      3 weighted label biases, lambda1 * bias; a site's potential
-             with no committed neighbour is (u1 + u2) + bias
+   bias      the 3 label biases, unweighted; a site's potential with no
+             committed neighbour is (u1 + u2) + lambda1 * bias
    offsets   8 (drow, dcol) pairs, the neighbour order of hcf_python
    weights   8 clique weights, lambda2 / squared distance, in that order
    labels    out: height * width labels in {1, 2, 3}
-   counts    out: visits, commits, relabels, and the sites the frontier
-             moved from a full lowest bucket to its heap
+   counts    out, 11 values: visits, commits, relabels, the sites the
+             frontier moved from a full lowest bucket to its heap; the
+             sites of each label 1..3; the disagreeing neighbour pairs
+             along each of energy.PAIR_DIRECTIONS, (0, 1), (1, 0), (1, 1)
+             and (1, -1)
+   terms     out: (3, height, width) rows, each site's u1, u2 and bias of
+             its label, which energy.energy_of_terms sums; until the
+             final labels pass the sweep keeps its site potentials here
    kinds, energies
              out: per commit (kind 0) or relabel (kind 1), the running
              energy after it; only the first `capacity` are written
@@ -368,20 +391,23 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
    Returns the number of commits and relabels, which may exceed
    `capacity`; -1 when memory runs out, -2 when a site potential is NaN or
    infinite. */
-int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
+int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double lambda1,
                   int64_t height, int64_t width,
                   const int64_t *offsets, const double *weights,
-                  int64_t *labels, int64_t *counts,
+                  int64_t *labels, int64_t *counts, double *terms,
                   uint8_t *kinds, double *energies, int64_t capacity)
 {
     int64_t n = height * width, n_blocks = (n + BLOCK - 1) / BLOCK;
     int64_t visits = 0, commits = 0, relabels = 0, fresh = n, result = -1;
     double running = 0.0;
+    double weighted[3] = {lambda1 * bias[0], lambda1 * bias[1], lambda1 * bias[2]};
 
-    /* + 1: malloc(0) may return NULL on an empty grid. score holds a
-       site's initial score while it is fresh, its frontier score once it
-       is bucketed. */
-    double *f = malloc((3 * n + 1) * sizeof(double));
+    /* each site's potential of each label, site-major, in the caller's
+       terms array: the same 3n doubles, so the sweep holds no extra
+       frame-sized buffer. + 1: malloc(0) may return NULL on an empty
+       grid. score holds a site's initial score while it is fresh, its
+       frontier score once it is bucketed. */
+    double *f = terms;
     double *score = malloc((n + 1) * sizeof(double));
     uint8_t *state = malloc(n + 1);
     Entry *blocks = malloc((n_blocks + 1) * sizeof(Entry));
@@ -390,7 +416,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
                    calloc((size_t)1 << (BUCKET_BITS - 12), sizeof(uint64_t)),
                    calloc((size_t)1 << (BUCKET_BITS - 6), sizeof(uint64_t)),
                    {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}, 0};
-    if (f == NULL || score == NULL || state == NULL || blocks == NULL
+    if (score == NULL || state == NULL || blocks == NULL
         || fr.link == NULL || fr.where == NULL || fr.mid == NULL || fr.low == NULL
         || fr.heap.heap == NULL || fr.heap.slot == NULL)
         goto done;
@@ -399,9 +425,9 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
 
     int finite = 1;
     for (int64_t y = 0; y < n; y++) {
-        double a = (u1[y] + u2[y]) + bias[0];
-        double b = (u1[n + y] + u2[n + y]) + bias[1];
-        double c = (u1[2 * n + y] + u2[2 * n + y]) + bias[2];
+        double a = (u1[y] + u2[y]) + weighted[0];
+        double b = (u1[n + y] + u2[n + y]) + weighted[1];
+        double c = (u1[2 * n + y] + u2[2 * n + y]) + weighted[2];
         finite &= isfinite(a) & isfinite(b) & isfinite(c);
         f[3 * y] = a;
         f[3 * y + 1] = b;
@@ -559,16 +585,40 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias,
         }
     }
 
-    for (int64_t y = 0; y < n; y++)
-        labels[y] = state[y];
+    /* The final labels and what the energy sums of them. The site
+       potentials are spent, so their rows are overwritten by the terms. */
+    int64_t sites[3] = {0, 0, 0}, pairs[4] = {0, 0, 0, 0};
+    for (int64_t r = 0; r < height; r++) {
+        const uint8_t *row = state + r * width, *below = row + width;
+        int last_row = r == height - 1;
+        for (int64_t c = 0; c < width; c++) {
+            int64_t y = r * width + c;
+            uint8_t lab = row[c];
+            labels[y] = lab;
+            sites[lab - 1]++;
+            terms[y] = u1[(lab - 1) * n + y];
+            terms[n + y] = u2[(lab - 1) * n + y];
+            terms[2 * n + y] = bias[lab - 1];
+            if (c + 1 < width)
+                pairs[0] += lab != row[c + 1];
+            if (last_row)
+                continue;
+            pairs[1] += lab != below[c];
+            if (c + 1 < width)
+                pairs[2] += lab != below[c + 1];
+            if (c > 0)
+                pairs[3] += lab != below[c - 1];
+        }
+    }
     counts[0] = visits;
     counts[1] = commits;
     counts[2] = relabels;
     counts[3] = fr.spilled;
+    memcpy(counts + 4, sites, sizeof sites);
+    memcpy(counts + 7, pairs, sizeof pairs);
     result = commits + relabels;
 
 done:
-    free(f);
     free(score);
     free(state);
     free(blocks);
@@ -643,13 +693,43 @@ void mixture_update(double *weights, double *means, double *variances,
     }
 }
 
+#ifdef __SSE2__
+/* Per lane, a where mask is set and b elsewhere: SSE2 has no blendv. */
+static inline __m128d pick_pd(__m128d mask, __m128d a, __m128d b)
+{
+    return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
+}
+#endif
+
 /* Per pixel, the mean and variance of the component of largest
    weight/stddev, first index on ties: the oracle select_background.
-   Inputs as for mixture_update; mean and variance are n outputs. */
+   Inputs as for mixture_update; mean and variance are n outputs.
+
+   Two pixels a step where SSE2 is there: each lane runs the scalar loop's
+   operations in its order, and an ordered > keeps the first index on ties
+   and never lets a NaN rank win, as the scalar compare does. */
 void mixture_select(const double *weights, const double *means, const double *variances,
                     int64_t n, double *mean, double *variance)
 {
-    for (int64_t i = 0; i < n; i++) {
+    int64_t i = 0;
+#ifdef __SSE2__
+    for (; i + 2 <= n; i += 2) {
+        __m128d best_mean = _mm_loadu_pd(means + i);
+        __m128d best_var = _mm_loadu_pd(variances + i);
+        __m128d best_rank = _mm_div_pd(_mm_loadu_pd(weights + i), _mm_sqrt_pd(best_var));
+        for (int64_t j = 1; j < K; j++) {
+            __m128d var = _mm_loadu_pd(variances + j * n + i);
+            __m128d rank = _mm_div_pd(_mm_loadu_pd(weights + j * n + i), _mm_sqrt_pd(var));
+            __m128d wins = _mm_cmpgt_pd(rank, best_rank);
+            best_rank = pick_pd(wins, rank, best_rank);
+            best_mean = pick_pd(wins, _mm_loadu_pd(means + j * n + i), best_mean);
+            best_var = pick_pd(wins, var, best_var);
+        }
+        _mm_storeu_pd(mean + i, best_mean);
+        _mm_storeu_pd(variance + i, best_var);
+    }
+#endif
+    for (; i < n; i++) {
         int64_t best = 0;
         double best_rank = weights[i] / sqrt(variances[i]);
         for (int64_t j = 1; j < K; j++) {
@@ -690,14 +770,51 @@ typedef struct {
    fv        out: the vertical triangular factor, n values
 
    The foreground edge row u2[2] gets the horizontal triangular factor,
-   not its potential: the caller takes -log of it and subtracts log fv. */
+   not its potential: the caller takes -log of it and subtracts log fv.
+
+   Two pixels a step where SSE2 is there, each lane in the scalar loop's
+   order of operations; maxpd(floor, t) is floor > t ? floor : t, the
+   scalar clamp, NaN included. */
 void potential_tables(const double *frame, const double *edge_h, const double *edge_v,
                       const double *bg_mean, const double *mean_h, const double *mean_v,
                       int64_t n, const Gaussian *gauss, double edge_var, double fg_log,
                       double inv_y_max, double y_max_sq, double floor,
                       double *u1, double *u2, double *fv)
 {
-    for (int64_t i = 0; i < n; i++) {
+    int64_t i = 0;
+#ifdef __SSE2__
+    const __m128d var2 = _mm_set1_pd(edge_var), sign = _mm_set1_pd(-0.0);
+    const __m128d inv2 = _mm_set1_pd(inv_y_max), sq2 = _mm_set1_pd(y_max_sq);
+    const __m128d floor2 = _mm_set1_pd(floor);
+    for (; i + 2 <= n; i += 2) {
+        __m128d g = _mm_loadu_pd(frame + i), m = _mm_loadu_pd(bg_mean + i);
+        __m128d eh = _mm_loadu_pd(edge_h + i), ev = _mm_loadu_pd(edge_v + i);
+        __m128d mh = _mm_loadu_pd(mean_h + i), mv = _mm_loadu_pd(mean_v + i);
+        for (int l = 0; l < 2; l++) {
+            const Gaussian *p = &gauss[l];
+            __m128d gain = _mm_set1_pd(p->gain);
+            __m128d dev = _mm_sub_pd(g, _mm_add_pd(_mm_mul_pd(gain, m),
+                                                   _mm_set1_pd(p->offset)));
+            _mm_storeu_pd(u1 + l * n + i,
+                          _mm_add_pd(_mm_set1_pd(p->log_norm),
+                                     _mm_div_pd(_mm_mul_pd(dev, dev), _mm_set1_pd(p->two_var))));
+            __m128d dev_h = _mm_sub_pd(eh, _mm_mul_pd(gain, mh));
+            __m128d dev_v = _mm_sub_pd(ev, _mm_mul_pd(gain, mv));
+            __m128d quad = _mm_add_pd(_mm_div_pd(_mm_mul_pd(dev_h, dev_h), var2),
+                                      _mm_div_pd(_mm_mul_pd(dev_v, dev_v), var2));
+            _mm_storeu_pd(u2 + l * n + i,
+                          _mm_add_pd(_mm_set1_pd(p->edge_log_norm),
+                                     _mm_div_pd(quad, _mm_set1_pd(p->edge_scale))));
+        }
+        _mm_storeu_pd(u1 + 2 * n + i, _mm_set1_pd(fg_log));
+        /* andnot with -0.0 clears the sign bit, as fabs does */
+        __m128d th = _mm_sub_pd(inv2, _mm_div_pd(_mm_andnot_pd(sign, eh), sq2));
+        __m128d tv = _mm_sub_pd(inv2, _mm_div_pd(_mm_andnot_pd(sign, ev), sq2));
+        _mm_storeu_pd(u2 + 2 * n + i, _mm_max_pd(floor2, th));
+        _mm_storeu_pd(fv + i, _mm_max_pd(floor2, tv));
+    }
+#endif
+    for (; i < n; i++) {
         double g = frame[i], m = bg_mean[i];
         double eh = edge_h[i], ev = edge_v[i], mh = mean_h[i], mv = mean_v[i];
         for (int l = 0; l < 2; l++) {

@@ -57,15 +57,27 @@ def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: Prio
     def pick(values):
         return np.where(background, values[0], np.where(shadow, values[1], values[2]))
 
-    energy = float(pick(u1).sum() + pick(u2).sum())
-    energy += prior.lambda1 * float(pick(prior.bias).sum())
     labels = labels.astype(np.uint8)       # the comparisons below read 1 byte a site
-    pair = 0.0
-    for dr, dc, d2 in PAIR_DIRECTIONS:
+    pairs = []
+    for dr, dc, _ in PAIR_DIRECTIONS:
         rows = labels.shape[0] - dr
         a = labels[:rows, max(0, -dc):labels.shape[1] - max(0, dc)]
         b = labels[dr:, max(0, dc):labels.shape[1] - max(0, -dc)]
-        pair += np.count_nonzero(a != b) / d2
+        pairs.append(np.count_nonzero(a != b))
+    return energy_of_terms((pick(u1), pick(u2), pick(prior.bias)), pairs, prior)
+
+
+def energy_of_terms(terms, pairs, prior: PriorParams) -> float:
+    """Objective value of a labeling from its terms: `terms` holds each
+    site's u1, u2 and unweighted bias of its label as three C-ordered
+    (H, W) grids, `pairs` the disagreeing neighbor pairs along each of
+    PAIR_DIRECTIONS. The HCF kernel returns both, so that the optimizer
+    gets the bits of `total_energy` without its gathers."""
+    energy = float(terms[0].sum() + terms[1].sum())
+    energy += prior.lambda1 * float(terms[2].sum())
+    pair = 0.0
+    for count, (_, _, d2) in zip(pairs, PAIR_DIRECTIONS):
+        pair += count / d2
     return energy + prior.lambda2 * pair
 
 

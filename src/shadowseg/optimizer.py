@@ -9,11 +9,15 @@ penalize anyone. Energy decreases monotonically and the procedure stops
 when no committed site can strictly improve.
 
 The sweep runs in a C kernel (`hcf_sweep` in `_native.c`, see
-`shadowseg._native`). It reads the two potential tables and the weighted
-label biases and sums the site potentials itself, as `unary_costs` in
-``tests/oracles.py`` does. Its labels, energy, counts and trace are
-bit-identical to `hcf_python` there, the reference loop that spells out
-the visit order.
+`shadowseg._native`). It reads the two potential tables and the label
+biases and sums the site potentials itself, as `unary_costs` in
+``tests/oracles.py`` does. On its final pass over the labels it also
+counts each label and the disagreeing neighbor pairs, and gathers each
+site's potentials and bias of its label; numpy's sums of those
+(`energy.energy_of_terms`) give the energy, to the bit what
+`energy.total_energy` gives for the labels. Its labels, energy, counts
+and trace are bit-identical to `hcf_python` there, the reference loop
+that spells out the visit order.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shadowseg import _native
-from shadowseg.energy import NEIGHBORS_8, PriorParams, total_energy
+from shadowseg.energy import NEIGHBORS_8, PriorParams, energy_of_terms
 
 _OFFSETS = np.array([(dr, dc) for dr, dc, _ in NEIGHBORS_8], dtype=np.int64)
 _TRACE_KINDS = ("commit", "relabel")
@@ -37,6 +41,9 @@ class HcfResult:
     commits: int
     relabels: int
     spilled: int                # sites the kernel's frontier moved from a full bucket to its heap
+    label_counts: tuple[int, int, int]          # sites labeled 1, 2 and 3
+    pair_counts: tuple[int, int, int, int]      # disagreeing neighbor pairs along each of
+                                                # energy.PAIR_DIRECTIONS
     # with trace=True: ("commit"|"relabel", running energy after), else None
     trace: list[tuple[str, float]] | None
 
@@ -64,17 +71,19 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                          "HCF labels fewer than 2**31")
     lib = _native.library()
     t1, t2 = (np.ascontiguousarray(u, dtype=np.float64) for u in (u1, u2))
+    bias = np.ascontiguousarray(prior.bias, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):     # checked below
-        bias = np.ascontiguousarray(prior.lambda1 * prior.bias, dtype=np.float64)
+        weighted = prior.lambda1 * bias
     weights = np.array([prior.lambda2 / d2 for _, _, d2 in NEIGHBORS_8], dtype=np.float64)
     # the sweep's exactness rests on (score, site) being a strict total order
-    if not np.isfinite(bias).all():
+    if not np.isfinite(weighted).all():
         raise ValueError("the weighted label bias lambda1 * bias must be finite, "
-                         f"got {bias.tolist()}")
+                         f"got {weighted.tolist()}")
     if not np.isfinite(weights).all():
         raise ValueError(f"the clique weight lambda2 must be finite, got {prior.lambda2}")
+    terms = np.empty((3, height, width))       # also the kernel's work rows
     labels = np.empty(n, dtype=np.int64)
-    counts = np.empty(4, dtype=np.int64)
+    counts = np.empty(11, dtype=np.int64)
     # sized for the n commits; when relabels overflow it, the kernel
     # reports how many events there were and runs again at that size
     capacity = n if trace else 0
@@ -82,9 +91,10 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
         kinds = np.empty(capacity, dtype=np.uint8)
         energies = np.empty(capacity, dtype=np.float64)
         n_events = lib.hcf_sweep(t1.ctypes.data, t2.ctypes.data, bias.ctypes.data,
-                                 height, width, _OFFSETS.ctypes.data,
+                                 prior.lambda1, height, width, _OFFSETS.ctypes.data,
                                  weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
-                                 kinds.ctypes.data, energies.ctypes.data, capacity)
+                                 terms.ctypes.data, kinds.ctypes.data, energies.ctypes.data,
+                                 capacity)
         if n_events == -1:
             raise MemoryError("HCF kernel could not allocate its work arrays")
         if n_events == -2:
@@ -96,11 +106,13 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     if trace:
         events = [(_TRACE_KINDS[k], e) for k, e in
                   zip(kinds[:n_events].tolist(), energies[:n_events].tolist())]
-    grid = labels.reshape(height, width)
-    visits, commits, relabels, spilled = counts.tolist()
-    return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
+    counts = counts.tolist()
+    visits, commits, relabels, spilled = counts[:4]
+    pairs = tuple(counts[7:])
+    return HcfResult(labels=labels.reshape(height, width),
+                     energy=energy_of_terms(terms, pairs, prior),
                      visits=visits, commits=commits, relabels=relabels, spilled=spilled,
-                     trace=events)
+                     label_counts=tuple(counts[4:7]), pair_counts=pairs, trace=events)
 
 
 def _non_finite(t1: np.ndarray, t2: np.ndarray) -> str:

@@ -81,6 +81,8 @@ def write_pgm(path, pixels, maxval: int = 255) -> None:
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {pixels.shape}")
+    if pixels.size == 0:
+        raise ValueError(f"cannot write an empty image, got shape {pixels.shape}")
     if not 1 <= maxval <= 255:
         raise ValueError(f"unsupported maxval {maxval}")
     if pixels.min() < 0 or pixels.max() > maxval:

@@ -22,8 +22,7 @@ import numpy as np
 
 from shadowseg.background import BackgroundModel, MixtureGrid, init_static
 from shadowseg.edge import background_edge_model, frame_edges
-from shadowseg.energy import (BACKGROUND, FOREGROUND, LAMBDA1_DEFAULT,
-                              LAMBDA2_DEFAULT, PriorParams, SHADOW,
+from shadowseg.energy import (LAMBDA1_DEFAULT, LAMBDA2_DEFAULT, SHADOW, PriorParams,
                               initial_prior, update_label_bias)
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.optimizer import hcf_minimize
@@ -116,7 +115,11 @@ def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndar
     The per-pixel background variances are pooled into one scene-wide
     value, and each edge component gets twice that value.
     """
-    frame = _checked_frame(frame, state.background.mean.shape)
+    return _detection_tables(state, _checked_frame(frame, state.background.mean.shape))
+
+
+def _detection_tables(state: EngineState, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`detection_potentials` of a frame `_checked_frame` has passed."""
     edge_h, edge_v = frame_edges(frame)
     mean_h, mean_v = background_edge_model(state.background)
     return build_potential_tables(frame, edge_h, edge_v, state.background.mean,
@@ -133,12 +136,11 @@ def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnosti
     frame = _checked_frame(frame, state.background.mean.shape)
     cfg = state.config
 
-    u1, u2 = detection_potentials(state, frame)
+    u1, u2 = _detection_tables(state, frame)
     result = hcf_minimize(u1, u2, state.prior)
     labels = result.labels
 
-    counts = np.array([np.count_nonzero(labels == lab)
-                       for lab in (BACKGROUND, SHADOW, FOREGROUND)], dtype=np.float64)
+    counts = np.array(result.label_counts, dtype=np.float64)
     state.prior = update_label_bias(state.prior, counts, cfg.alpha)
 
     shadow_mask = labels == SHADOW

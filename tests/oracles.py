@@ -19,7 +19,8 @@ references the kernels match bit for bit:
 - the clique terms of the labeling energy (`pair_potential`,
   `unary_costs`, `local_potential`), and the energy of a whole labeling
   by gathers along the label axis (`total_energy`), which the engine's
-  `energy.total_energy` matches byte for byte;
+  `energy.total_energy` matches byte for byte, with the label and pair
+  counts it rests on (`label_counts`, `pair_counts`);
 - the HCF stability score of one site (`stability`), the HCF sweep as a
   plain Python loop (`hcf_python`), whose visit order, labels, energy,
   counts and trace the compiled sweep reproduces bit for bit, and an
@@ -27,18 +28,19 @@ references the kernels match bit for bit:
 
 The parity tests draw their frame-sized instances from one generator,
 `engine_frames`: each labeled frame of a seeded scene with the engine
-state that labels it. `QVGA_SCENE` is the 320x240 scene among them.
+state that labels it. `QVGA_SCENE` is the 320x240 scene among them, and
+`BENCHMARK_WORKLOADS` the three scenes of the benchmark.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from shadowseg import EngineState, process_frame
+from shadowseg import EngineConfig, EngineState, process_frame
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
 from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
@@ -46,7 +48,7 @@ from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI
 from shadowseg.optimizer import HcfResult
 from shadowseg.shadow import ShadowParams
-from shadowseg.synth import SynthScene, render_scene
+from shadowseg.synth import SynthScene, render_scene, scene_preset
 
 
 # --- mixture of Gaussians, one pixel -------------------------------------------
@@ -249,12 +251,25 @@ def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: Prio
     energy = float(np.take_along_axis(u1, idx, 0).sum() + np.take_along_axis(u2, idx, 0).sum())
     energy += prior.lambda1 * float(prior.bias[labels - 1].sum())
     pair = 0.0
-    for dr, dc, d2 in PAIR_DIRECTIONS:
+    for count, (_, _, d2) in zip(pair_counts(labels), PAIR_DIRECTIONS):
+        pair += count / d2
+    return energy + prior.lambda2 * pair
+
+
+def label_counts(labels: np.ndarray) -> tuple:
+    """The sites of each label 1, 2, 3."""
+    return tuple(int(np.count_nonzero(labels == lab)) for lab in LABELS)
+
+
+def pair_counts(labels: np.ndarray) -> tuple:
+    """The disagreeing neighbour pairs along each of PAIR_DIRECTIONS."""
+    counts = []
+    for dr, dc, _ in PAIR_DIRECTIONS:
         rows = labels.shape[0] - dr
         a = labels[:rows, max(0, -dc):labels.shape[1] - max(0, dc)]
         b = labels[dr:, max(0, dc):labels.shape[1] - max(0, -dc)]
-        pair += np.count_nonzero(a != b) / d2
-    return energy + prior.lambda2 * pair
+        counts.append(int(np.count_nonzero(a != b)))
+    return tuple(counts)
 
 
 def local_potential(row: int, col: int, label: int, labels: np.ndarray,
@@ -398,6 +413,7 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     # one heap of every site: nothing spills
     return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
                      visits=visits, commits=commits, relabels=relabels, spilled=0,
+                     label_counts=label_counts(grid), pair_counts=pair_counts(grid),
                      trace=events)
 
 
@@ -438,13 +454,30 @@ QVGA_SCENE = SynthScene(height=240, width=320, n_frames=7, lead_in=5,
                         start=(24, 16), step=(0, 8), gain=0.5, offset=0.0)
 
 
-def engine_frames(scene, config, n_labeled=None):
-    """Each labeled frame of `scene` (seed 0) with the engine state that
-    labels it, after a static bootstrap from the scene's lead-in: yields
-    `(state, frame)`, and folds the frame into the state when the next
-    one is asked for."""
-    frames, _ = render_scene(scene, seed=0)
-    state = EngineState.from_static(frames[:scene.lead_in], config)
-    for frame in frames[scene.lead_in:][:n_labeled]:
+def engine_frames(scene, config, n_labeled=None, *, seed=0, adaptive=False):
+    """Each labeled frame of `scene` with the engine state that labels it,
+    after a static bootstrap from the scene's lead-in or, `adaptive`, an
+    adaptive start from its first frame, which is then labeled too (as
+    `segment` does): yields `(state, frame)`, and folds the frame into the
+    state when the next one is asked for."""
+    frames, _ = render_scene(scene, seed=seed)
+    if adaptive:
+        state = EngineState.from_first_frame(frames[0], config)
+    else:
+        state = EngineState.from_static(frames[:scene.lead_in], config)
+        frames = frames[scene.lead_in:]
+    for frame in frames[:n_labeled]:
         yield state, frame
         process_frame(state, frame)
+
+
+# The scenes, settings and starts of the benchmark's three workloads
+# (bench/scenes.py, which renders the same frames for the same geometry and
+# seed), as engine_frames keyword arguments; their seed-1 instances.
+BENCHMARK_WORKLOADS = {
+    "qvga_static": dict(scene=replace(QVGA_SCENE, n_frames=13), config=EngineConfig()),
+    "cli_adaptive_64": dict(scene=scene_preset("quality"), config=EngineConfig(),
+                            adaptive=True),
+    "recovery_flicker_64": dict(scene=scene_preset("recovery", n_frames=16),
+                                config=EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
+}

@@ -4,6 +4,7 @@
 import copy
 import os
 
+import shadowseg.pipeline as pipeline
 from shadowseg import EngineConfig, EngineState, detection_potentials, process_frame, read_frame
 from shadowseg.cli import main
 from shadowseg.energy import total_energy
@@ -27,6 +28,18 @@ def test_process_frame_labels_the_detection_potentials(tmp_path):
         prior = copy.deepcopy(state.prior)
         labels, diag = process_frame(state, frame)
         assert diag.energy == total_energy(labels, u1, u2, prior)
+
+
+def test_process_frame_checks_its_frame_once(tmp_path, monkeypatch):
+    frames = [read_frame(p) for p in scene_frames(tmp_path)]
+    state = EngineState.from_static(frames[:3], EngineConfig(alpha=0.1))
+    checked = []
+    check = pipeline._checked_frame
+    monkeypatch.setattr(pipeline, "_checked_frame",
+                        lambda *args: checked.append(args) or check(*args))
+    for frame in frames[3:]:
+        process_frame(state, frame)
+    assert len(checked) == len(frames) - 3
 
 
 def test_dump_is_exactly_the_detection_potentials(tmp_path):

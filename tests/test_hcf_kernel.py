@@ -11,11 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from oracles import QVGA_SCENE, engine_frames, hcf_python
+from oracles import QVGA_SCENE, engine_frames, hcf_python, label_counts, pair_counts
 from shadowseg import EngineConfig, _native, detection_potentials
-from shadowseg.energy import initial_prior
+from shadowseg.energy import initial_prior, total_energy
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import scene_preset
+
+
+def assert_terms_of_its_labels(result, u1, u2, prior):
+    """The sweep's energy is `energy.total_energy` of its labels, to the
+    bit, and its label and pair counts are numpy's."""
+    expected = total_energy(result.labels, u1, u2, prior)
+    assert np.float64(result.energy).tobytes() == np.float64(expected).tobytes()
+    assert result.label_counts == label_counts(result.labels)
+    assert result.pair_counts == pair_counts(result.labels)
 
 
 def assert_same_as_python(u1, u2, prior):
@@ -24,6 +33,8 @@ def assert_same_as_python(u1, u2, prior):
     ref = hcf_python(u1, u2, prior, trace=True)
     assert np.array_equal(fast.labels, ref.labels)
     assert np.float64(fast.energy).tobytes() == np.float64(ref.energy).tobytes()
+    assert (fast.label_counts, fast.pair_counts) == (ref.label_counts, ref.pair_counts)
+    assert_terms_of_its_labels(fast, u1, u2, prior)
     assert (fast.visits, fast.commits, fast.relabels) == (ref.visits, ref.commits, ref.relabels)
     assert [kind for kind, _ in fast.trace] == [kind for kind, _ in ref.trace]
     assert (np.array([e for _, e in fast.trace]).tobytes()
@@ -32,6 +43,7 @@ def assert_same_as_python(u1, u2, prior):
     untraced = hcf_minimize(u1, u2, prior)
     assert untraced.trace is None
     assert np.array_equal(untraced.labels, ref.labels)
+    assert_terms_of_its_labels(untraced, u1, u2, prior)
     assert (untraced.visits, untraced.relabels) == (ref.visits, ref.relabels)
     assert untraced.spilled == fast.spilled
     return fast
@@ -272,6 +284,48 @@ def test_scores_at_the_bitmap_word_boundaries(b):
             assert min(score for _, score in rekeyed) < -2.0**32
         if b == 16383:
             assert max(score for _, score in rekeyed) > -2.0**-32
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (1, 65), (2, 1), (7, 1), (65, 1),
+                                   (2, 2)])
+def test_energy_terms_and_counts_of_thin_and_square_grids(shape):
+    rng = np.random.default_rng(68)
+    for i in range(8):
+        u1 = rng.normal(0.0, 2.0, size=(3, *shape))
+        u2 = rng.normal(0.0, 2.0, size=(3, *shape))
+        if i % 2:
+            u1, u2 = np.round(u1), np.round(u2)
+        prior = initial_prior(lambda1=float(rng.uniform(0, 3)), lambda2=[0.0, 0.5, 2.0][i % 3])
+        assert_same_as_python(u1, u2, prior)
+
+
+@pytest.mark.parametrize("label", [1, 2, 3])
+def test_energy_terms_and_counts_of_single_label_grids(label):
+    # every site prefers `label` by far: no pair disagrees
+    for shape in [(1, 9), (9, 1), (2, 2), (17, 23)]:
+        u1 = np.full((3, *shape), 10.0)
+        u1[label - 1] = 0.0
+        u2 = np.zeros_like(u1)
+        result = assert_same_as_python(u1, u2, initial_prior(lambda1=1.0, lambda2=1.0))
+        sites = [0, 0, 0]
+        sites[label - 1] = u1[0].size
+        assert result.label_counts == tuple(sites)
+        assert result.pair_counts == (0, 0, 0, 0)
+
+
+def test_energy_terms_and_counts_of_unit_checkerboards():
+    # with no smoothness, labels 1 and 3 alternate site by site: every axial
+    # pair disagrees and no diagonal one does
+    for h, w in [(1, 8), (8, 1), (2, 2), (9, 14)]:
+        black = np.add.outer(np.arange(h), np.arange(w)) % 2 == 1
+        u1 = np.zeros((3, h, w))
+        u1[0][black] = 1.0
+        u1[2][~black] = 1.0
+        u1[1] = 2.0
+        result = assert_same_as_python(u1, np.zeros_like(u1), initial_prior(lambda2=0.0))
+        assert np.array_equal(result.labels, np.where(black, 3, 1))
+        assert result.label_counts == (int((~black).sum()), 0, int(black.sum()))
+        assert result.pair_counts == (h * (w - 1), (h - 1) * w, 0, 0)
 
 
 def test_hcf_rejects_a_grid_of_2_31_sites():

@@ -135,3 +135,14 @@ def test_unknown_label_bytes_are_rejected(tmp_path):
     path.write_bytes(b"P5\n2 1\n255\n\x00\x07")
     with pytest.raises(PgmError):
         read_labels(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_an_empty_image_is_rejected_by_its_shape(tmp_path, shape):
+    path = tmp_path / "empty.pgm"
+    pattern = rf"empty image, got shape \({shape[0]}, {shape[1]}\)"
+    with pytest.raises(ValueError, match=pattern):
+        write_pgm(path, np.zeros(shape))
+    with pytest.raises(ValueError, match=pattern):
+        write_labels(np.zeros(shape, dtype=int), path)
+    assert not path.exists()

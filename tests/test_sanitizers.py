@@ -1,8 +1,9 @@
 """The compiled kernels built with AddressSanitizer and
 UndefinedBehaviorSanitizer: on the HCF tie, clamp-end, signed-zero and
-bitmap-boundary corpora and one 64x64 engine frame, which runs all four
-kernels, the sanitized build must report nothing and return exactly what
-the normal build returns.
+bitmap-boundary corpora, one 64x64 engine frame and one 63x65 engine
+frame, whose odd pixel count ends the two-pixel loops on their scalar
+tail, all four kernels run, and the sanitized build must report nothing
+and return exactly what the normal build returns.
 
 Run as a script, this file prints a digest of those outputs, using the
 kernels of the library named as its argument, or the normal build without
@@ -10,6 +11,7 @@ one."""
 
 import ctypes
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -20,11 +22,12 @@ from oracles import engine_frames
 from shadowseg import EngineConfig, _native, process_frame
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
-from shadowseg.synth import scene_preset
+from shadowseg.synth import SynthScene, scene_preset
 from test_hcf_kernel import (BITMAP_BOUNDARIES, boundary_instances, checkerboard,
                              clamp_end_instances, signed_zero_instances, tied_instances)
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+ODD_SCENE = SynthScene(height=63, width=65, n_frames=6, lead_in=5)
 
 
 def hcf_corpora():
@@ -44,9 +47,12 @@ def kernel_digest() -> str:
         result = hcf_minimize(u1, u2, prior, trace=True)
         digest.update(result.labels.tobytes())
         digest.update(repr((result.energy, result.visits, result.commits, result.relabels,
-                            result.spilled, result.trace)).encode())
+                            result.spilled, result.label_counts, result.pair_counts,
+                            result.trace)).encode())
     config = EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)
-    for state, frame in engine_frames(scene_preset("recovery"), config, n_labeled=1):
+    for state, frame in itertools.chain(
+            engine_frames(scene_preset("recovery"), config, n_labeled=1),
+            engine_frames(ODD_SCENE, EngineConfig(), n_labeled=1)):
         labels, diag = process_frame(state, frame)
         digest.update(labels.tobytes())
         digest.update(repr(diag).encode())

@@ -9,7 +9,8 @@ bias or clique weights are NaN or infinite."""
 import numpy as np
 import pytest
 
-from shadowseg import EngineConfig, EngineState, PgmError, process_frame, read_frame
+from shadowseg import (EngineConfig, EngineState, PgmError, detection_potentials, process_frame,
+                       read_frame)
 from shadowseg.cli import main
 from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.likelihood import build_potential_tables
@@ -115,6 +116,8 @@ def test_non_finite_frames_are_rejected(bad):
     state = EngineState.from_static(frames[1:])
     with pytest.raises(ValueError, match="NaN or infinite"):
         process_frame(state, poisoned)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        detection_potentials(state, poisoned)
     assert state.k == 0
     labels, diag = process_frame(state, frames[0])
     assert np.isfinite(diag.energy)
