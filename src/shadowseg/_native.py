@@ -32,6 +32,17 @@ _SIGNATURES = {
 }
 
 
+def address(array) -> int:
+    """The address of a C-contiguous array's data, as `array.ctypes.data`
+    gives it. A writable array's comes from a ctypes view of its buffer,
+    which exists only for this call: about 0.5 against 1.9 us raw per call
+    on a 2-vCPU VM, and a frame passes 25 arrays to the kernels."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):     # read-only, or empty
+        return array.ctypes.data
+
+
 @functools.cache
 def library():
     """The compiled kernels, loaded on first use; OSError, naming the

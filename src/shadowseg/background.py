@@ -50,6 +50,15 @@ class MixtureGrid:
             raise ValueError(f"weights, means and variances must be ({K}, H, W) arrays of "
                              f"one shape, got {self.weights.shape}, {self.means.shape}, "
                              f"{self.variances.shape}")
+        # written as `not (...)` so that NaN is rejected too: the kernel and
+        # the scalar oracle order a NaN rank weight/stddev differently
+        if self.weights.size:
+            if not (self.weights.min() >= 0 and self.weights.max() < np.inf):
+                raise ValueError("mixture weights must be finite and >= 0")
+            if not (self.means.min() > -np.inf and self.means.max() < np.inf):
+                raise ValueError("mixture means must be finite")
+            if not (self.variances.min() > 0 and self.variances.max() < np.inf):
+                raise ValueError("mixture variances must be finite and > 0")
 
     @classmethod
     def seed(cls, frame: np.ndarray) -> "MixtureGrid":
@@ -68,9 +77,10 @@ class MixtureGrid:
         if frame.shape != self.weights.shape[1:]:
             raise ValueError(f"frame shape {frame.shape} does not match mixture shape "
                              f"{self.weights.shape[1:]}")
+        address = _native.address
         _native.library().mixture_update(
-            self.weights.ctypes.data, self.means.ctypes.data, self.variances.ctypes.data,
-            frame.ctypes.data, frame.size,
+            address(self.weights), address(self.means), address(self.variances),
+            address(frame), frame.size,
             alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
 
     def select_background(self) -> BackgroundModel:
@@ -78,9 +88,10 @@ class MixtureGrid:
         lowest component index. The arrays returned are new."""
         mean = np.empty(self.weights.shape[1:])
         variance = np.empty_like(mean)
+        address = _native.address
         _native.library().mixture_select(
-            self.weights.ctypes.data, self.means.ctypes.data, self.variances.ctypes.data,
-            mean.size, mean.ctypes.data, variance.ctypes.data)
+            address(self.weights), address(self.means), address(self.variances),
+            mean.size, address(mean), address(variance))
         return BackgroundModel(mean, variance)
 
 
@@ -95,6 +106,8 @@ def init_static(frames: list[np.ndarray]) -> MixtureGrid:
         if f.shape != shape:
             raise ValueError(f"frame dimension mismatch: {f.shape} vs {shape}")
     stack = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
-    mixtures = MixtureGrid.seed(stack.mean(axis=0))
-    mixtures.variances[0] = np.maximum(stack.var(axis=0, ddof=1), VARIANCE_FLOOR)
+    mean, variance = stack.mean(axis=0), stack.var(axis=0, ddof=1)
+    del stack       # freed before the mixtures are built, to lower the peak memory
+    mixtures = MixtureGrid.seed(mean)
+    mixtures.variances[0] = np.maximum(variance, VARIANCE_FLOOR)
     return mixtures

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import glob
 import json
 import os
@@ -162,11 +163,11 @@ def _segment_arguments(seg: argparse.ArgumentParser) -> None:
 
 
 def _setting_types() -> dict:
-    """Setting name -> type, for every `segment` flag but --config."""
-    seg = argparse.ArgumentParser(add_help=False)
-    _segment_arguments(seg)
-    return {action.dest: action.type or str for action in seg._actions
-            if action.dest != "config"}
+    """Setting name -> type, for every `segment` flag but --config and --help."""
+    commands = next(action for action in _parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action.type or str for action in commands.choices["segment"]._actions
+            if action.dest not in ("config", "help")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,8 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process: built on the first
+    call, not at import, so that importing the module stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (PgmError, ValueError, OSError) as exc:

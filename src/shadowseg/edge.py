@@ -32,17 +32,17 @@ def frame_edges(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if frame.ndim != 2 or frame.shape[0] < 3 or frame.shape[1] < 3:
         raise ValueError("frame must be at least 3x3")
-    wide = np.int64 if np.issubdtype(frame.dtype, np.integer) else np.float64
+    wide = np.int64 if frame.dtype.kind in "iu" else np.float64
     grid = np.asarray(frame, dtype=wide)
-    pairs = []
-    for axis in (1, 0):
-        out = np.empty(grid.shape, grid.dtype)
-        src, dst = np.moveaxis(grid, axis, 0), np.moveaxis(out, axis, 0)
-        np.subtract(src[2:], src[:-2], out=dst[1:-1])
-        np.subtract(src[1], src[0], out=dst[0])
-        np.subtract(src[-1], src[-2], out=dst[-1])
-        pairs.append(out)
-    return pairs[0], pairs[1]
+    h = np.empty(grid.shape, wide)
+    v = np.empty(grid.shape, wide)
+    np.subtract(grid[:, 2:], grid[:, :-2], out=h[:, 1:-1])
+    np.subtract(grid[:, 1], grid[:, 0], out=h[:, 0])
+    np.subtract(grid[:, -1], grid[:, -2], out=h[:, -1])
+    np.subtract(grid[2:], grid[:-2], out=v[1:-1])
+    np.subtract(grid[1], grid[0], out=v[0])
+    np.subtract(grid[-1], grid[-2], out=v[-1])
+    return h, v
 
 
 def background_edge_model(bg: BackgroundModel) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ weight 1/distance^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +84,13 @@ def energy_of_terms(terms, pairs, prior: PriorParams) -> float:
 def update_label_bias(prior: PriorParams, counts, alpha: float) -> PriorParams:
     """Blend the bias toward the negated label frequencies of the last frame.
 
-    A zero total count leaves the prior untouched.
+    `counts` are the three label counts, integers. A zero total count
+    leaves the prior untouched.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
+    total = sum(counts)
     if total == 0:
         return prior
-    target = -counts / total
-    return replace(prior, bias=(1.0 - alpha) * prior.bias + alpha * target)
+    # per label, the float64 operations of (1 - alpha) * bias + alpha * (-counts / total)
+    keep = 1.0 - alpha
+    bias = [keep * b + alpha * (-c / total) for b, c in zip(prior.bias.tolist(), counts)]
+    return PriorParams(np.array(bias), prior.lambda1, prior.lambda2)

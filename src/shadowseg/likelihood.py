@@ -23,6 +23,8 @@ the two functions over the labels, as `potential_tables` in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from shadowseg import _native
@@ -52,9 +54,9 @@ def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
                          f"2-D grids of one shape, got {[np.shape(g) for g in grids]}")
     if np.ndim(pooled) != 0:
         raise ValueError(f"the pooled variance must be a scalar, got shape {np.shape(pooled)}")
-    if not (np.isfinite(pooled) and pooled > 0):
-        raise ValueError(f"the pooled variance must be finite and positive, got {pooled}")
     pooled = float(pooled)
+    if not (math.isfinite(pooled) and pooled > 0):
+        raise ValueError(f"the pooled variance must be finite and positive, got {pooled}")
     grids = [np.ascontiguousarray(grid, dtype=np.float64) for grid in grids]
     edge_var = 2.0 * pooled
     gauss = np.array([_label_constants(gain, offset, pooled, edge_var)
@@ -62,9 +64,10 @@ def build_potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v,
     u1 = np.empty((3, *shape))
     u2 = np.empty((3, *shape))
     fv = np.empty(shape)
+    address = _native.address
     _native.library().potential_tables(
-        *(grid.ctypes.data for grid in grids), fv.size, gauss.ctypes.data, edge_var,
-        *_FOREGROUND_SCALARS, u1.ctypes.data, u2.ctypes.data, fv.ctypes.data)
+        *[address(grid) for grid in grids], fv.size, address(gauss), edge_var,
+        *_FOREGROUND_SCALARS, address(u1), address(u2), address(fv))
     # the kernel left the two triangular factors; numpy's log, not libm's,
     # keeps the foreground edge row byte-identical to the oracle's edge_potential
     fh = u2[FOREGROUND - 1]

@@ -22,6 +22,7 @@ that spells out the visit order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from shadowseg import _native
 from shadowseg.energy import NEIGHBORS_8, PriorParams, energy_of_terms
 
 _OFFSETS = np.array([(dr, dc) for dr, dc, _ in NEIGHBORS_8], dtype=np.int64)
+_OFFSETS_ADDRESS = _native.address(_OFFSETS)
 _TRACE_KINDS = ("commit", "relabel")
 
 
@@ -70,30 +72,39 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
         raise ValueError(f"a grid of {height} x {width} sites is too large, "
                          "HCF labels fewer than 2**31")
     lib = _native.library()
-    t1, t2 = (np.ascontiguousarray(u, dtype=np.float64) for u in (u1, u2))
-    bias = np.ascontiguousarray(prior.bias, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):     # checked below
-        weighted = prior.lambda1 * bias
-    weights = np.array([prior.lambda2 / d2 for _, _, d2 in NEIGHBORS_8], dtype=np.float64)
+    t1 = np.ascontiguousarray(u1, dtype=np.float64)
+    t2 = np.ascontiguousarray(u2, dtype=np.float64)
+    # the same IEEE products and quotients numpy would form, on Python floats
+    lambda1, lambda2 = float(prior.lambda1), float(prior.lambda2)
+    bias = [float(b) for b in prior.bias]
+    weighted = [lambda1 * b for b in bias]
     # the sweep's exactness rests on (score, site) being a strict total order
-    if not np.isfinite(weighted).all():
+    if not all(map(math.isfinite, weighted)):
         raise ValueError("the weighted label bias lambda1 * bias must be finite, "
-                         f"got {weighted.tolist()}")
-    if not np.isfinite(weights).all():
+                         f"got {weighted}")
+    if not math.isfinite(lambda2):
         raise ValueError(f"the clique weight lambda2 must be finite, got {prior.lambda2}")
+    # the kernel's bias, then its 8 clique weights lambda2 / d2
+    scalars = np.array(bias + [lambda2 / d2 for _, _, d2 in NEIGHBORS_8])
     terms = np.empty((3, height, width))       # also the kernel's work rows
     labels = np.empty(n, dtype=np.int64)
     counts = np.empty(11, dtype=np.int64)
+    address = _native.address
+    tables_at = (address(t1), address(t2))
+    bias_at = address(scalars)
+    weights_at = bias_at + 3 * scalars.itemsize
+    out_at = (address(labels), address(counts), address(terms))
     # sized for the n commits; when relabels overflow it, the kernel
     # reports how many events there were and runs again at that size
     capacity = n if trace else 0
+    events_at = (None, None)        # at capacity 0 the kernel writes no event
     while True:
-        kinds = np.empty(capacity, dtype=np.uint8)
-        energies = np.empty(capacity, dtype=np.float64)
-        n_events = lib.hcf_sweep(t1.ctypes.data, t2.ctypes.data, bias.ctypes.data,
-                                 prior.lambda1, height, width, _OFFSETS.ctypes.data,
-                                 weights.ctypes.data, labels.ctypes.data, counts.ctypes.data,
-                                 terms.ctypes.data, kinds.ctypes.data, energies.ctypes.data,
+        if trace:
+            kinds = np.empty(capacity, dtype=np.uint8)
+            energies = np.empty(capacity, dtype=np.float64)
+            events_at = (address(kinds), address(energies))
+        n_events = lib.hcf_sweep(*tables_at, bias_at, lambda1, height, width,
+                                 _OFFSETS_ADDRESS, weights_at, *out_at, *events_at,
                                  capacity)
         if n_events == -1:
             raise MemoryError("HCF kernel could not allocate its work arrays")

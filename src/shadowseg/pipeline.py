@@ -92,10 +92,12 @@ class EngineState:
 def _checked_frame(frame, shape=None) -> np.ndarray:
     """`frame` as float64; rejects a frame smaller than 3x3, NaN or infinite
     pixels and, when `shape` is given, a frame of any other shape."""
-    frame = np.asarray(frame, dtype=np.float64)
+    raw = np.asarray(frame)
+    frame = raw.astype(np.float64, copy=False)
     if frame.ndim != 2 or min(frame.shape) < 3:
         raise ValueError("frame must be at least 3x3")
-    if not np.isfinite(frame).all():
+    # integer pixels, as PGM input holds, cannot be NaN or infinite
+    if raw.dtype.kind not in "biu" and not np.isfinite(frame).all():
         raise ValueError("frame has NaN or infinite pixels")
     if shape is not None and frame.shape != shape:
         raise ValueError(f"frame shape {frame.shape} does not match model shape {shape}")
@@ -103,8 +105,9 @@ def _checked_frame(frame, shape=None) -> np.ndarray:
 
 
 def pooled_variance(bg: BackgroundModel) -> float:
-    """Scene-wide mean of the per-pixel background variances."""
-    return float(np.mean(bg.variance))
+    """Scene-wide mean of the per-pixel background variances: numpy's
+    pairwise sum over the count, the two operations of `np.mean`."""
+    return float(bg.variance.sum()) / bg.variance.size
 
 
 def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +143,7 @@ def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnosti
     result = hcf_minimize(u1, u2, state.prior)
     labels = result.labels
 
-    counts = np.array(result.label_counts, dtype=np.float64)
+    counts = result.label_counts
     state.prior = update_label_bias(state.prior, counts, cfg.alpha)
 
     shadow_mask = labels == SHADOW
@@ -154,8 +157,7 @@ def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnosti
     state.k += 1
 
     diag = FrameDiagnostics(k=state.k, energy=result.energy,
-                            n_background=int(counts[0]), n_shadow=int(counts[1]),
-                            n_foreground=int(counts[2]),
+                            n_background=counts[0], n_shadow=counts[1], n_foreground=counts[2],
                             gain=state.shadow.gain, offset=state.shadow.offset,
                             visits=result.visits)
     return labels, diag

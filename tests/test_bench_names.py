@@ -59,7 +59,9 @@ def test_tracer_spans_every_frame_of_a_dumping_segment_run(tmp_path):
     assert len(frame_spans) == n_frames
     for index in frame_spans:
         children = [span[0] for span in tracer.spans if span[3] == index]
-        assert "likelihood.potentials" in children
+        # the wrappers call each layer once: one table build, one sweep
+        assert children.count("likelihood.potentials") == 1
+        assert children.count("optimizer.hcf") == 1
         # the frame's edges and the background's edge means, built once each
         assert children.count("edge.frame_edges") == 1
         assert children.count("edge.model") == 1

@@ -8,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from shadowseg import EngineState, _native
-from shadowseg.cli import DIAG_HEADER, _read_config_file, _setting_types, main
+from shadowseg import EngineState, _native, cli
+from shadowseg.cli import DIAG_HEADER, _read_config_file, _setting_types, build_parser, main
 from shadowseg.edge import frame_edges
 from shadowseg.likelihood import build_potential_tables, dump_potentials
 from shadowseg.pgmio import read_frame, read_labels, write_labels, write_pgm
@@ -98,6 +98,38 @@ def test_segment_runs_are_byte_identical(tmp_path):
         with open(out_a / name, "rb") as fa, open(out_b / name, "rb") as fb:
             assert fa.read() == fb.read()
     assert diag_a.read_bytes() == diag_b.read_bytes()
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    frame_dir, _ = tiny_sequence(tmp_path / "scene", n_frames=4)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("speed = 11\n")
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    runs = []
+    try:
+        for name in ("a", "b"):
+            out, diag = tmp_path / name, tmp_path / f"{name}.csv"
+            assert main(["segment", "--input", frame_dir, "--out", str(out),
+                         "--diag", str(diag)]) == 0
+            capsys.readouterr()
+            assert main(["segment", "--input", frame_dir, "--out", str(out),
+                         "--alpha", "2"]) == 1
+            assert main(["segment", "--config", str(cfg)]) == 1
+            with pytest.raises(SystemExit) as exit_info:
+                main(["segment", "--alpha", "fast"])
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            runs.append((files, diag.read_bytes(), capsys.readouterr().err, exit_info.value.code))
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert runs[0] == runs[1]
+    files, _, err, code = runs[0]
+    assert len(files) == 4 and code == 2
+    assert err.splitlines()[:2] == ["error: alpha must be in (0, 1], got 2.0",
+                                    f"error: {cfg}:1: unknown setting 'speed'"]
+    assert "argument --alpha: invalid float value: 'fast'" in err
 
 
 def test_config_file_supplies_settings_and_flags_win(tmp_path):

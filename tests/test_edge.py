@@ -112,8 +112,13 @@ def test_edges_and_model_match_replicate_padding_byte_for_byte(shape):
     for frame in (rng.uniform(-300, 300, size=shape),
                   rng.integers(0, 256, size=shape).astype(np.uint8),
                   rng.uniform(0, 255, size=shape).astype(np.float32),
-                  rng.uniform(0, 255, size=shape[::-1]).T):
-        wide = np.int64 if frame.dtype == np.uint8 else np.float64
+                  # differences of +-2**62 wrap in int64, the same way in both
+                  rng.choice([-2**62, -1, 0, 2**62], size=shape),
+                  rng.random(shape) < 0.5,
+                  np.asfortranarray(rng.uniform(0, 255, size=shape)),
+                  rng.uniform(0, 255, size=shape[::-1]).T,
+                  rng.integers(0, 256, size=(2 * shape[0], 3 * shape[1]))[1::2, ::3]):
+        wide = np.int64 if frame.dtype.kind in "iu" else np.float64
         for got, want in zip(frame_edges(frame), padded_pairs(frame.astype(wide))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     bg = BackgroundModel(mean=rng.uniform(0, 255, size=shape),

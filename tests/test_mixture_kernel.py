@@ -164,3 +164,28 @@ def test_mixtures_of_other_than_k_components_are_rejected(k):
     lanes = np.full((k, 2, 3), 1.0 / k), np.full((k, 2, 3), 50.0), np.full((k, 2, 3), 9.0)
     with pytest.raises(ValueError, match=rf"\({K}, H, W\) arrays of one shape"):
         MixtureGrid(*lanes)
+
+
+@pytest.mark.parametrize("lane, value, message", [
+    (0, np.nan, "weights must be finite and >= 0"),
+    (0, np.inf, "weights must be finite and >= 0"),
+    (0, -0.5, "weights must be finite and >= 0"),
+    (1, np.nan, "means must be finite"),
+    (1, -np.inf, "means must be finite"),
+    (2, np.nan, "variances must be finite and > 0"),
+    (2, np.inf, "variances must be finite and > 0"),
+    (2, 0.0, "variances must be finite and > 0"),
+    (2, -25.0, "variances must be finite and > 0"),
+])
+def test_mixtures_the_kernels_cannot_rank_are_rejected(lane, value, message):
+    # a NaN weight of component 0 once selected mean 10 in the kernel and
+    # 20 in the oracle
+    def one_pixel(planted):
+        lanes = [np.array([0.0, 0.5, 0.5]), np.array([10.0, 20.0, 30.0]), np.full(3, 25.0)]
+        lanes[lane][0] = planted
+        return [a.reshape(3, 1, 1) for a in lanes]
+
+    with pytest.raises(ValueError, match=message):
+        MixtureGrid(*one_pixel(value))
+    good = one_pixel({0: 0.0, 1: 10.0, 2: 25.0}[lane])
+    assert MixtureGrid(*good).select_background().mean[0, 0] == 20.0

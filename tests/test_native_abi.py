@@ -9,6 +9,8 @@ pass every parity test; this one reads the prototypes themselves."""
 import ctypes
 import re
 
+import numpy as np
+
 from shadowseg import _native
 
 # a definition at the start of a line: return type, name, parameters, body
@@ -55,3 +57,13 @@ def test_the_parser_reads_pointers_scalars_and_skips_static_functions():
         "kernel": ([ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p], None),
         "count": ([ctypes.c_void_p], ctypes.c_int64),
     }
+
+
+def test_address_is_the_data_address_numpy_reports():
+    writable = np.arange(12.0).reshape(3, 4)
+    read_only = np.arange(5.0)
+    read_only.flags.writeable = False
+    views = (writable[1:], writable[2], np.empty(0), read_only,
+             np.frombuffer(b"\0" * 16, dtype=np.float64), np.broadcast_to(read_only, (2, 5)))
+    for array in (writable, *views):
+        assert _native.address(array) == array.ctypes.data

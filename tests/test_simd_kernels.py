@@ -89,7 +89,17 @@ def test_selection_of_odd_pixel_counts_with_planted_ties(n, scalar, monkeypatch)
                           on(scalar, monkeypatch, lambda: astuple(grid.select_background())))
 
 
-def test_selection_keeps_the_scalar_loops_nan_and_infinity(scalar, monkeypatch):
+def kernel_selection(lib, weights, means, variances):
+    """`mixture_select` of `lib` on C-ordered (3, H, W) lanes, called
+    directly: `MixtureGrid` rejects the NaN, infinite, negative and zero
+    values planted here."""
+    mean, variance = np.empty(means.shape[1:]), np.empty(means.shape[1:])
+    lib.mixture_select(weights.ctypes.data, means.ctypes.data, variances.ctypes.data,
+                       mean.size, mean.ctypes.data, variance.ctypes.data)
+    return mean, variance
+
+
+def test_selection_keeps_the_scalar_loops_nan_and_infinity(scalar):
     # the oracle starts from rank -inf, the kernels from lane 0's rank, so
     # only the scalar loop speaks for NaN ranks
     rng = np.random.default_rng(210)
@@ -98,11 +108,9 @@ def test_selection_keeps_the_scalar_loops_nan_and_infinity(scalar, monkeypatch):
     for lane in (weights, variances):
         at = rng.random(lane.shape) < 0.15
         lane[at] = rng.choice(specials, size=int(at.sum()))
-    grid = MixtureGrid(weights, means, variances)
-    bg = grid.select_background()
-    assert np.isnan(bg.variance).any()
-    assert same_bytes((bg.mean, bg.variance),
-                      on(scalar, monkeypatch, lambda: astuple(grid.select_background())))
+    mean, variance = kernel_selection(_native.library(), weights, means, variances)
+    assert np.isnan(variance).any()
+    assert same_bytes((mean, variance), kernel_selection(scalar, weights, means, variances))
 
 
 def clamp_edges(rng, n):

@@ -216,6 +216,20 @@ def test_hcf_rejects_a_non_finite_bias_or_clique_weight(prior, message):
         hcf_minimize(u, u, prior)
 
 
+def test_hcf_checks_its_prior_on_every_call():
+    rng = np.random.default_rng(69)
+    u1, u2 = rng.normal(0.0, 2.0, size=(2, 3, 5, 6))
+    good = initial_prior()
+    overflowing = PriorParams(bias=np.array([-1e10, -0.5, 0.0]), lambda1=1e300)
+    for _ in range(2):
+        assert hcf_minimize(u1, u2, good).commits == 30
+        with pytest.raises(ValueError, match="clique weight lambda2 must be finite, got nan"):
+            hcf_minimize(u1, u2, PriorParams(bias=good.bias, lambda2=np.nan))
+        with pytest.raises(ValueError, match=r"lambda1 \* bias must be finite, "
+                                             r"got \[-inf, -5e\+299, 0\.0\]"):
+            hcf_minimize(u1, u2, overflowing)
+
+
 @pytest.mark.parametrize("which, bad", [
     (0, np.zeros((4, 6))),
     (2, np.zeros((5, 4))),
