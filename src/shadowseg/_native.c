@@ -29,8 +29,9 @@
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
    disagreeing neighbour pairs, and gathers each site's potentials and
-   bias of its label into rows that numpy sums as energy.total_energy
-   does, so the caller need not gather them again.
+   bias of its label into rows that numpy sums (energy.energy_of_terms) as
+   the oracle total_energy of tests/oracles.py sums its gathers, so the
+   caller need not gather them again.
 
    The HCF queue has two tiers. Sites that no neighbour update has touched
    keep their initial score; they sit in blocks of BLOCK consecutive sites,

@@ -50,6 +50,9 @@ class MixtureGrid:
             raise ValueError(f"weights, means and variances must be ({K}, H, W) arrays of "
                              f"one shape, got {self.weights.shape}, {self.means.shape}, "
                              f"{self.variances.shape}")
+        self._check_values()
+
+    def _check_values(self) -> None:
         # written as `not (...)` so that NaN is rejected too: the kernel and
         # the scalar oracle order a NaN rank weight/stddev differently
         if self.weights.size:
@@ -106,8 +109,12 @@ def init_static(frames: list[np.ndarray]) -> MixtureGrid:
         if f.shape != shape:
             raise ValueError(f"frame dimension mismatch: {f.shape} vs {shape}")
     stack = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
-    mean, variance = stack.mean(axis=0), stack.var(axis=0, ddof=1)
+    # huge finite frames overflow to an infinite mean or variance, which the
+    # mixtures' checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, variance = stack.mean(axis=0), stack.var(axis=0, ddof=1)
     del stack       # freed before the mixtures are built, to lower the peak memory
     mixtures = MixtureGrid.seed(mean)
-    mixtures.variances[0] = np.maximum(variance, VARIANCE_FLOOR)
+    mixtures.variances[0] = np.maximum(variance, VARIANCE_FLOOR, out=variance)
+    mixtures._check_values()
     return mixtures

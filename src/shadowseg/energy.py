@@ -1,11 +1,14 @@
 """Labeling energy: unary potentials plus an MRF smoothness prior.
 
 A labeling assigns each pixel background (1), shadow (2), or foreground
-(3); 0 marks a site the optimizer has not committed yet.  The objective is
-the sum of per-pixel negative log-likelihoods, a weighted per-label bias
-(single-pixel cliques), and weighted disagreement penalties over the
-8-neighborhood two-pixel cliques, each unordered pair counted once with
-weight 1/distance^2.
+(3).  The objective is the sum of per-pixel negative log-likelihoods, a
+weighted per-label bias (single-pixel cliques), and weighted disagreement
+penalties over the 8-neighborhood two-pixel cliques, each unordered pair
+counted once with weight 1/distance^2.
+
+The engine sums the objective from the terms the HCF kernel returns
+(`energy_of_terms`). The reference that gathers them from a labeling is
+`total_energy` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-UNCOMMITTED = 0
 BACKGROUND = 1
 SHADOW = 2
 FOREGROUND = 3
@@ -46,33 +48,13 @@ def initial_prior(lambda1: float = LAMBDA1_DEFAULT, lambda2: float = LAMBDA2_DEF
     return PriorParams(bias=np.full(3, -1.0 / 3.0), lambda1=lambda1, lambda2=lambda2)
 
 
-def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> float:
-    """Objective value of a fully committed labeling, labels in {1, 2, 3}."""
-    if (labels == UNCOMMITTED).any():
-        raise ValueError("labeling contains uncommitted sites")
-    background, shadow = labels == BACKGROUND, labels == SHADOW
-
-    # each site's value for its label, in site order: the same sums, to the
-    # bit, as the gathers of `total_energy` in tests/oracles.py
-    def pick(values):
-        return np.where(background, values[0], np.where(shadow, values[1], values[2]))
-
-    labels = labels.astype(np.uint8)       # the comparisons below read 1 byte a site
-    pairs = []
-    for dr, dc, _ in PAIR_DIRECTIONS:
-        rows = labels.shape[0] - dr
-        a = labels[:rows, max(0, -dc):labels.shape[1] - max(0, dc)]
-        b = labels[dr:, max(0, dc):labels.shape[1] - max(0, -dc)]
-        pairs.append(np.count_nonzero(a != b))
-    return energy_of_terms((pick(u1), pick(u2), pick(prior.bias)), pairs, prior)
-
-
 def energy_of_terms(terms, pairs, prior: PriorParams) -> float:
     """Objective value of a labeling from its terms: `terms` holds each
     site's u1, u2 and unweighted bias of its label as three C-ordered
     (H, W) grids, `pairs` the disagreeing neighbor pairs along each of
     PAIR_DIRECTIONS. The HCF kernel returns both, so that the optimizer
-    gets the bits of `total_energy` without its gathers."""
+    gets the bits of the oracle `total_energy` (``tests/oracles.py``)
+    without its gathers."""
     energy = float(terms[0].sum() + terms[1].sum())
     energy += prior.lambda1 * float(terms[2].sum())
     pair = 0.0

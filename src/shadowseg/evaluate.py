@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shadowseg.energy import LABELS, NEIGHBORS_8
+from shadowseg.energy import LABELS
 
 CLASS_NAMES = ("background", "shadow", "foreground")
 
@@ -37,12 +37,14 @@ def _ratio(numer: float, denom: float) -> float:
     return numer / denom if denom > 0 else 1.0
 
 
-def evaluate(predicted, truth, ignore=None) -> EvalReport:
+def evaluate(predicted, truth) -> EvalReport:
     """Accumulate metrics over matched (predicted, truth) label frames.
 
-    `predicted` and `truth` are sequences of (H, W) arrays with values in
-    {1, 2, 3}, anything else a ValueError; `ignore`, if given, matches them
-    with boolean masks of pixels to leave out (e.g. a boundary band).
+    `predicted` and `truth` are sequences of arrays with values in
+    {1, 2, 3}, anything else a ValueError; each pair has one shape, (H, W)
+    for whole frames. To leave pixels out, pass the kept ones, `pred[keep]`
+    and `true[keep]`: the acceptance test drops the band around label
+    boundaries that `label_boundary_mask` in ``tests/oracles.py`` marks.
     """
     if len(predicted) != len(truth):
         raise ValueError(f"{len(predicted)} predicted frames vs {len(truth)} truth frames")
@@ -55,8 +57,6 @@ def evaluate(predicted, truth, ignore=None) -> EvalReport:
             if (bad := np.setdiff1d(labels, LABELS)).size:
                 raise ValueError(f"frame {idx}: {name} labels {bad.tolist()} are not 1, 2 or 3")
         cells = 3 * true.astype(np.int64) + pred.astype(np.int64) - 4
-        if ignore is not None:
-            cells = cells[~np.asarray(ignore[idx], dtype=bool)]
         confusion += np.bincount(cells.ravel(), minlength=9).reshape(3, 3)
     total = int(confusion.sum())
     correct = int(np.trace(confusion))
@@ -67,26 +67,3 @@ def evaluate(predicted, truth, ignore=None) -> EvalReport:
     return EvalReport(confusion=confusion, precision=precision, recall=recall,
                       pixel_accuracy=_ratio(correct, total))
 
-
-def label_boundary_mask(labels, radius: int = 1) -> np.ndarray:
-    """Pixels within `radius` (Chebyshev) of a label change in `labels`.
-
-    Used to exclude the thin band around object and shadow outlines where
-    mixed pixels make ground truth ambiguous.
-    """
-    if radius < 1:
-        raise ValueError(f"boundary radius must be >= 1, got {radius}")
-    labels = np.asarray(labels)
-    height, width = labels.shape
-    if labels.size == 0:
-        return np.zeros((height, width), dtype=bool)
-    # off the grid, a neighbour's label is the pixel's own or another neighbour's
-    padded = np.pad(labels, 1, mode="edge")
-    mask = np.zeros((height, width), dtype=bool)
-    for dr, dc, _ in NEIGHBORS_8:
-        mask |= padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width] != labels
-    for _ in range(radius - 1):
-        padded = np.pad(mask, 1)        # a copy: the mask grows from its last state
-        for dr, dc, _ in NEIGHBORS_8:
-            mask |= padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width]
-    return mask

@@ -14,10 +14,10 @@ biases and sums the site potentials itself, as `unary_costs` in
 ``tests/oracles.py`` does. On its final pass over the labels it also
 counts each label and the disagreeing neighbor pairs, and gathers each
 site's potentials and bias of its label; numpy's sums of those
-(`energy.energy_of_terms`) give the energy, to the bit what
-`energy.total_energy` gives for the labels. Its labels, energy, counts
-and trace are bit-identical to `hcf_python` there, the reference loop
-that spells out the visit order.
+(`energy.energy_of_terms`) give the energy, to the bit what the oracle
+`total_energy` of ``tests/oracles.py`` gathers for the labels. Its
+labels, energy, counts and trace are bit-identical to `hcf_python`
+there, the reference loop that spells out the visit order.
 """
 
 from __future__ import annotations

@@ -150,7 +150,7 @@ def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnosti
     fit = fit_shadow(frame[shadow_mask], state.background.mean[shadow_mask])
     if fit is not None:
         frac = counts[1] / labels.size
-        state.shadow = update_shadow(state.shadow, fit, -frac, cfg.alpha)
+        state.shadow = update_shadow(state.shadow, fit, frac, cfg.alpha)
 
     state.mixtures.update(frame, cfg.alpha)
     state.background = state.mixtures.select_background()

@@ -59,16 +59,16 @@ def fit_shadow(observed, background) -> tuple[float, float] | None:
 
 
 def update_shadow(params: ShadowParams, fit: tuple[float, float],
-                  neg_shadow_fraction: float, alpha: float) -> ShadowParams:
+                  shadow_fraction: float, alpha: float) -> ShadowParams:
     """Blend a fresh fit into the running transform.
 
-    `neg_shadow_fraction` is the negated fraction of shadow-labeled pixels,
-    in [-1, 0]; the effective learning rate is `-neg_shadow_fraction * alpha`.
-    The result is clamped to the admissible gain/offset box.
+    `shadow_fraction` is the fraction of shadow-labeled pixels, in [0, 1];
+    the effective learning rate is `shadow_fraction * alpha`. The result is
+    clamped to the admissible gain/offset box.
     """
     gain_fit, offset_fit = fit
-    keep = 1.0 + neg_shadow_fraction * alpha
-    blend = -neg_shadow_fraction * alpha
+    keep = 1.0 - shadow_fraction * alpha
+    blend = shadow_fraction * alpha
     gain = keep * params.gain + blend * gain_fit
     offset = keep * params.offset + blend * offset_fit
     gain = min(max(gain, GAIN_MIN), GAIN_MAX)

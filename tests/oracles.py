@@ -19,12 +19,15 @@ references the kernels match bit for bit:
 - the clique terms of the labeling energy (`pair_potential`,
   `unary_costs`, `local_potential`), and the energy of a whole labeling
   by gathers along the label axis (`total_energy`), which the engine's
-  `energy.total_energy` matches byte for byte, with the label and pair
-  counts it rests on (`label_counts`, `pair_counts`);
+  sum of the HCF kernel's terms, `energy.energy_of_terms`, matches byte
+  for byte, with the label and pair counts it rests on (`label_counts`,
+  `pair_counts`); `UNCOMMITTED` marks a site not yet labeled;
 - the HCF stability score of one site (`stability`), the HCF sweep as a
   plain Python loop (`hcf_python`), whose visit order, labels, energy,
   counts and trace the compiled sweep reproduces bit for bit, and an
-  exhaustive MAP search for tiny grids (`brute_force_map`).
+  exhaustive MAP search for tiny grids (`brute_force_map`);
+- the band around label boundaries that the acceptance test leaves out
+  of its scores (`label_boundary_mask`).
 
 The parity tests draw their frame-sized instances from one generator,
 `engine_frames`: each labeled frame of a seeded scene with the engine
@@ -44,7 +47,7 @@ from shadowseg import EngineConfig, EngineState, process_frame
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
 from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
-                              PAIR_DIRECTIONS, SHADOW, PriorParams, UNCOMMITTED)
+                              PAIR_DIRECTIONS, SHADOW, PriorParams)
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI
 from shadowseg.optimizer import HcfResult
 from shadowseg.shadow import ShadowParams
@@ -231,6 +234,9 @@ def potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v, pooled, sha
 
 
 # --- labeling energy, one site -------------------------------------------------
+
+UNCOMMITTED = 0         # the label of a site the optimizer has not committed yet
+
 
 def pair_potential(label_x: int, label_y: int, dist_sq: float) -> float:
     """0 for agreeing labels, 1/dist_sq otherwise.  Labels must be committed."""
@@ -445,6 +451,32 @@ def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
     best = int(np.argmin(energies))
     grid = (assign[best] + 1).reshape(height, width).astype(np.int64)
     return grid, float(energies[best])
+
+
+# --- evaluation ----------------------------------------------------------------
+
+def label_boundary_mask(labels, radius: int = 1) -> np.ndarray:
+    """Pixels within `radius` (Chebyshev) of a label change in `labels`.
+
+    Used to exclude the thin band around object and shadow outlines where
+    mixed pixels make ground truth ambiguous.
+    """
+    if radius < 1:
+        raise ValueError(f"boundary radius must be >= 1, got {radius}")
+    labels = np.asarray(labels)
+    height, width = labels.shape
+    if labels.size == 0:
+        return np.zeros((height, width), dtype=bool)
+    # off the grid, a neighbour's label is the pixel's own or another neighbour's
+    padded = np.pad(labels, 1, mode="edge")
+    mask = np.zeros((height, width), dtype=bool)
+    for dr, dc, _ in NEIGHBORS_8:
+        mask |= padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width] != labels
+    for _ in range(radius - 1):
+        padded = np.pad(mask, 1)        # a copy: the mask grows from its last state
+        for dr, dc, _ in NEIGHBORS_8:
+            mask |= padded[1 + dr:1 + dr + height, 1 + dc:1 + dc + width]
+    return mask
 
 
 # --- engine instances ----------------------------------------------------------

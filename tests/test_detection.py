@@ -4,10 +4,10 @@
 import copy
 import os
 
+from oracles import total_energy
 import shadowseg.pipeline as pipeline
 from shadowseg import EngineConfig, EngineState, detection_potentials, process_frame, read_frame
 from shadowseg.cli import main
-from shadowseg.energy import total_energy
 from shadowseg.likelihood import dump_potentials
 from shadowseg.synth import SynthScene, generate_synthetic
 

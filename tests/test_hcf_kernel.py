@@ -11,15 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import QVGA_SCENE, engine_frames, hcf_python, label_counts, pair_counts
+from oracles import (QVGA_SCENE, engine_frames, hcf_python, label_counts, pair_counts,
+                     total_energy)
 from shadowseg import EngineConfig, _native, detection_potentials
-from shadowseg.energy import initial_prior, total_energy
+from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import scene_preset
 
 
 def assert_terms_of_its_labels(result, u1, u2, prior):
-    """The sweep's energy is `energy.total_energy` of its labels, to the
+    """The sweep's energy is the oracle `total_energy` of its labels, to the
     bit, and its label and pair counts are numpy's."""
     expected = total_energy(result.labels, u1, u2, prior)
     assert np.float64(result.energy).tobytes() == np.float64(expected).tobytes()

@@ -4,8 +4,8 @@ relabel loop, and agreement with exhaustive enumeration."""
 import numpy as np
 import pytest
 
-from oracles import brute_force_map, local_potential, stability, unary_costs
-from shadowseg.energy import PriorParams, initial_prior, total_energy
+from oracles import brute_force_map, local_potential, stability, total_energy, unary_costs
+from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.optimizer import hcf_minimize
 
 

@@ -6,10 +6,11 @@ import copy
 import numpy as np
 import pytest
 
+from oracles import total_energy
 from shadowseg import EngineConfig, EngineState, process_frame
 from shadowseg.background import VARIANCE_FLOOR, BackgroundModel
 from shadowseg.edge import frame_edges
-from shadowseg.energy import BACKGROUND, SHADOW, total_energy
+from shadowseg.energy import BACKGROUND, SHADOW
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.pipeline import pooled_variance
 from shadowseg.synth import SynthScene, background_pattern, render_scene

@@ -82,7 +82,7 @@ def test_fit_matches_normal_equations_oracle():
 
 def test_update_blend_example():
     params = ShadowParams(gain=0.5, offset=0.0)
-    out = update_shadow(params, (0.6, 0.0), neg_shadow_fraction=-0.1, alpha=0.1)
+    out = update_shadow(params, (0.6, 0.0), shadow_fraction=0.1, alpha=0.1)
     # keep = 1 - 0.01, blend = 0.01
     assert math.isclose(out.gain, 0.501, rel_tol=1e-12)
     assert out.offset == 0.0
@@ -90,14 +90,14 @@ def test_update_blend_example():
 
 def test_update_zero_fraction_is_identity():
     params = ShadowParams(gain=0.47, offset=3.5)
-    out = update_shadow(params, (0.9, 50.0), neg_shadow_fraction=0.0, alpha=0.5)
+    out = update_shadow(params, (0.9, 50.0), shadow_fraction=0.0, alpha=0.5)
     assert out.gain == params.gain
     assert out.offset == params.offset
 
 
 def test_update_full_fraction_full_rate_jumps_to_fit():
     params = ShadowParams(gain=0.5, offset=0.0)
-    out = update_shadow(params, (0.8, 12.0), neg_shadow_fraction=-1.0, alpha=1.0)
+    out = update_shadow(params, (0.8, 12.0), shadow_fraction=1.0, alpha=1.0)
     assert math.isclose(out.gain, 0.8, rel_tol=1e-12)
     assert math.isclose(out.offset, 12.0, rel_tol=1e-12)
 
@@ -108,7 +108,7 @@ def test_update_is_convex_combination_before_clamping():
         params = ShadowParams(gain=float(rng.uniform(GAIN_MIN, GAIN_MAX)),
                               offset=float(rng.uniform(-50, 50)))
         fit = (float(rng.uniform(GAIN_MIN, GAIN_MAX)), float(rng.uniform(-50, 50)))
-        frac = -float(rng.uniform(0, 1))
+        frac = float(rng.uniform(0, 1))
         alpha = float(rng.uniform(0, 1))
         out = update_shadow(params, fit, frac, alpha)
         lo, hi = sorted((params.gain, fit[0]))
@@ -119,9 +119,9 @@ def test_update_is_convex_combination_before_clamping():
 
 def test_update_clamps_to_admissible_box():
     params = ShadowParams(gain=0.9, offset=200.0)
-    out = update_shadow(params, (5.0, 400.0), neg_shadow_fraction=-1.0, alpha=1.0)
+    out = update_shadow(params, (5.0, 400.0), shadow_fraction=1.0, alpha=1.0)
     assert out.gain == GAIN_MAX
     assert out.offset == 255.0
-    out = update_shadow(params, (0.01, -400.0), neg_shadow_fraction=-1.0, alpha=1.0)
+    out = update_shadow(params, (0.01, -400.0), shadow_fraction=1.0, alpha=1.0)
     assert out.gain == GAIN_MIN
     assert out.offset == -255.0

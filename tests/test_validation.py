@@ -123,6 +123,15 @@ def test_non_finite_frames_are_rejected(bad):
     assert np.isfinite(diag.energy)
 
 
+def test_static_bootstrap_rejects_finite_frames_that_overflow():
+    # the lead-in's mean or sample variance overflows to inf: the bootstrap
+    # raises the mixtures' error instead of handing inf to the first frame
+    with pytest.raises(ValueError, match="mixture variances must be finite and > 0"):
+        EngineState.from_static([np.zeros((4, 4)), np.full((4, 4), 1e200)])
+    with pytest.raises(ValueError, match="mixture means must be finite"):
+        EngineState.from_static([np.full((4, 4), 1e308), np.full((4, 4), 1e308)])
+
+
 def test_frames_smaller_than_3x3_are_rejected_before_any_output(tmp_path, capsys):
     with pytest.raises(ValueError, match="at least 3x3"):
         EngineState.from_first_frame(np.zeros((2, 2)))
