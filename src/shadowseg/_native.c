@@ -385,22 +385,16 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
    terms     out: (3, height, width) rows, each site's u1, u2 and bias of
              its label, which energy.energy_of_terms sums; until the
              final labels pass the sweep keeps its site potentials here
-   kinds, energies
-             out: per commit (kind 0) or relabel (kind 1), the running
-             energy after it; only the first `capacity` are written
 
-   Returns the number of commits and relabels, which may exceed
-   `capacity`; -1 when memory runs out, -2 when a site potential is NaN or
+   Returns 0; -1 when memory runs out, -2 when a site potential is NaN or
    infinite. */
 int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double lambda1,
                   int64_t height, int64_t width,
                   const int64_t *offsets, const double *weights,
-                  int64_t *labels, int64_t *counts, double *terms,
-                  uint8_t *kinds, double *energies, int64_t capacity)
+                  int64_t *labels, int64_t *counts, double *terms)
 {
     int64_t n = height * width, n_blocks = (n + BLOCK - 1) / BLOCK;
     int64_t visits = 0, commits = 0, relabels = 0, fresh = n, result = -1;
-    double running = 0.0;
     double weighted[3] = {lambda1 * bias[0], lambda1 * bias[1], lambda1 * bias[2]};
 
     /* each site's potential of each label, site-major, in the caller's
@@ -505,25 +499,14 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
             best_f = fy[2];
         }
         uint8_t old = state[y];
-        uint8_t kind;
         if (old == 0) {
-            state[y] = best;
             commits++;
-            running += best_f;
-            kind = 0;
         } else {
             if (best_f >= fy[old - 1])
                 continue;
-            state[y] = best;
             relabels++;
-            running += best_f - fy[old - 1];
-            kind = 1;
         }
-        int64_t event = commits + relabels - 1;
-        if (event < capacity) {
-            kinds[event] = kind;
-            energies[event] = running;
-        }
+        state[y] = best;
 
         int64_t r = y / width, c = y - r * width;
         int interior = r > 0 && r < height - 1 && c > 0 && c < width - 1;
@@ -617,7 +600,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     counts[3] = fr.spilled;
     memcpy(counts + 4, sites, sizeof sites);
     memcpy(counts + 7, pairs, sizeof pairs);
-    result = commits + relabels;
+    result = 0;
 
 done:
     free(score);

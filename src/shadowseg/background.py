@@ -17,6 +17,7 @@ C kernels `mixture_update` and `mixture_select` (`_native.c`, see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,6 @@ class MixtureGrid:
             raise ValueError(f"weights, means and variances must be ({K}, H, W) arrays of "
                              f"one shape, got {self.weights.shape}, {self.means.shape}, "
                              f"{self.variances.shape}")
-        self._check_values()
-
-    def _check_values(self) -> None:
         # written as `not (...)` so that NaN is rejected too: the kernel and
         # the scalar oracle order a NaN rank weight/stddev differently
         if self.weights.size:
@@ -64,14 +62,16 @@ class MixtureGrid:
                 raise ValueError("mixture variances must be finite and > 0")
 
     @classmethod
-    def seed(cls, frame: np.ndarray) -> "MixtureGrid":
+    def seed(cls, frame: np.ndarray, variance) -> "MixtureGrid":
         """Mixtures for a fresh scene: the first component carries the frame
-        at full weight, the rest are zero-weight placeholders."""
+        at full weight with `variance`, one value or one per pixel; the rest
+        are zero-weight placeholders."""
         h, w = frame.shape
         weights = np.zeros((K, h, w))
         weights[0] = 1.0
         means = np.broadcast_to(np.asarray(frame, dtype=np.float64), (K, h, w))
         variances = np.full((K, h, w), INIT_VARIANCE)
+        variances[0] = variance
         return cls(weights, means, variances)
 
     def update(self, frame: np.ndarray, alpha: float) -> None:
@@ -98,6 +98,24 @@ class MixtureGrid:
         return BackgroundModel(mean, variance)
 
 
+def noise_variance(frame: np.ndarray) -> float:
+    """The variance of the frame's sensor noise, by Immerkaer's estimate
+    ("Fast noise variance estimation", CVIU 64(2), 1996), clamped to
+    [VARIANCE_FLOOR, INIT_VARIANCE]. The mask [1, -2, 1] x [1, -2, 1]
+    cancels the frame's planes and ramps, so mostly the noise is left:
+    sigma = sqrt(pi / 2) * sum |I * N| / (6 (W - 2)(H - 2)). The frame must
+    be at least 3x3. A frame near the float maximum overflows the mask to
+    inf or NaN, which is clamped to INIT_VARIANCE."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = frame[:-2] - 2.0 * frame[1:-1] + frame[2:]
+        masked = rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]
+        total = float(np.abs(masked).sum())
+    sigma = math.sqrt(math.pi / 2) * total / (6 * masked.size)   # (H - 2)(W - 2) sites
+    variance = sigma * sigma
+    # written as `not <` so that NaN is clamped too
+    return INIT_VARIANCE if not variance < INIT_VARIANCE else max(variance, VARIANCE_FLOOR)
+
+
 def init_static(frames: list[np.ndarray]) -> MixtureGrid:
     """Mixtures bootstrapped from recorded empty-scene frames: the first
     component carries the per-pixel sample mean and unbiased sample
@@ -114,7 +132,4 @@ def init_static(frames: list[np.ndarray]) -> MixtureGrid:
     with np.errstate(over="ignore", invalid="ignore"):
         mean, variance = stack.mean(axis=0), stack.var(axis=0, ddof=1)
     del stack       # freed before the mixtures are built, to lower the peak memory
-    mixtures = MixtureGrid.seed(mean)
-    mixtures.variances[0] = np.maximum(variance, VARIANCE_FLOOR, out=variance)
-    mixtures._check_values()
-    return mixtures
+    return MixtureGrid.seed(mean, np.maximum(variance, VARIANCE_FLOOR, out=variance))

@@ -16,8 +16,8 @@ counts each label and the disagreeing neighbor pairs, and gathers each
 site's potentials and bias of its label; numpy's sums of those
 (`energy.energy_of_terms`) give the energy, to the bit what the oracle
 `total_energy` of ``tests/oracles.py`` gathers for the labels. Its
-labels, energy, counts and trace are bit-identical to `hcf_python`
-there, the reference loop that spells out the visit order.
+labels, energy and counts are bit-identical to `hcf_python` there, the
+reference loop that spells out the visit order and can trace it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from shadowseg.energy import NEIGHBORS_8, PriorParams, energy_of_terms
 
 _OFFSETS = np.array([(dr, dc) for dr, dc, _ in NEIGHBORS_8], dtype=np.int64)
 _OFFSETS_ADDRESS = _native.address(_OFFSETS)
-_TRACE_KINDS = ("commit", "relabel")
 
 
 @dataclass
@@ -46,18 +45,14 @@ class HcfResult:
     label_counts: tuple[int, int, int]          # sites labeled 1, 2 and 3
     pair_counts: tuple[int, int, int, int]      # disagreeing neighbor pairs along each of
                                                 # energy.PAIR_DIRECTIONS
-    # with trace=True: ("commit"|"relabel", running energy after), else None
-    trace: list[tuple[str, float]] | None
 
 
-def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
-                 trace: bool = False) -> HcfResult:
+def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResult:
     """Label every pixel of the frame, minimizing the posterior energy.
 
     `u1` and `u2` are (3, H, W) potential tables indexed by label-1, with
     H * W below 2**31. The site potentials, the weighted label bias and
-    the clique weights must be finite. With `trace`, the result lists every
-    commit and relabel in order.
+    the clique weights must be finite.
     """
     shape = np.shape(u1)
     if len(shape) != 3 or shape[0] != 3 or np.shape(u2) != shape:
@@ -90,40 +85,22 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     labels = np.empty(n, dtype=np.int64)
     counts = np.empty(11, dtype=np.int64)
     address = _native.address
-    tables_at = (address(t1), address(t2))
     bias_at = address(scalars)
     weights_at = bias_at + 3 * scalars.itemsize
-    out_at = (address(labels), address(counts), address(terms))
-    # sized for the n commits; when relabels overflow it, the kernel
-    # reports how many events there were and runs again at that size
-    capacity = n if trace else 0
-    events_at = (None, None)        # at capacity 0 the kernel writes no event
-    while True:
-        if trace:
-            kinds = np.empty(capacity, dtype=np.uint8)
-            energies = np.empty(capacity, dtype=np.float64)
-            events_at = (address(kinds), address(energies))
-        n_events = lib.hcf_sweep(*tables_at, bias_at, lambda1, height, width,
-                                 _OFFSETS_ADDRESS, weights_at, *out_at, *events_at,
-                                 capacity)
-        if n_events == -1:
-            raise MemoryError("HCF kernel could not allocate its work arrays")
-        if n_events == -2:
-            raise ValueError(_non_finite(t1, t2))
-        if not trace or n_events <= capacity:
-            break
-        capacity = n_events
-    events = None
-    if trace:
-        events = [(_TRACE_KINDS[k], e) for k, e in
-                  zip(kinds[:n_events].tolist(), energies[:n_events].tolist())]
+    status = lib.hcf_sweep(address(t1), address(t2), bias_at, lambda1, height, width,
+                           _OFFSETS_ADDRESS, weights_at,
+                           address(labels), address(counts), address(terms))
+    if status == -1:
+        raise MemoryError("HCF kernel could not allocate its work arrays")
+    if status == -2:
+        raise ValueError(_non_finite(t1, t2))
     counts = counts.tolist()
     visits, commits, relabels, spilled = counts[:4]
     pairs = tuple(counts[7:])
     return HcfResult(labels=labels.reshape(height, width),
                      energy=energy_of_terms(terms, pairs, prior),
                      visits=visits, commits=commits, relabels=relabels, spilled=spilled,
-                     label_counts=tuple(counts[4:7]), pair_counts=pairs, trace=events)
+                     label_counts=tuple(counts[4:7]), pair_counts=pairs)
 
 
 def _non_finite(t1: np.ndarray, t2: np.ndarray) -> str:

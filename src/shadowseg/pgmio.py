@@ -1,8 +1,8 @@
 """Binary PGM (P5) reading and writing, plus the label-map encoding.
 
-Only 8-bit binary PGM is supported (maxval up to 255), and sequence
-frames must use maxval 255. Label maps are stored as ordinary PGM files
-with background = 0, shadow = 128 and foreground = 255.
+Only 8-bit binary PGM is read (maxval up to 255), and only maxval 255,
+which sequence frames must use, is written. Label maps are stored as
+ordinary PGM files with background = 0, shadow = 128 and foreground = 255.
 """
 
 from __future__ import annotations
@@ -77,18 +77,17 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     return pixels.copy(), maxval
 
 
-def write_pgm(path, pixels, maxval: int = 255) -> None:
+def write_pgm(path, pixels) -> None:
+    """Write a binary PGM file of maxval 255, the scale frames must use."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {pixels.shape}")
     if pixels.size == 0:
         raise ValueError(f"cannot write an empty image, got shape {pixels.shape}")
-    if not 1 <= maxval <= 255:
-        raise ValueError(f"unsupported maxval {maxval}")
-    if pixels.min() < 0 or pixels.max() > maxval:
-        raise ValueError("pixel values outside [0, maxval]")
+    if pixels.min() < 0 or pixels.max() > 255:
+        raise ValueError("pixel values outside [0, 255]")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.astype(np.uint8).tobytes())
 
 

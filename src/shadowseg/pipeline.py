@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from shadowseg.background import BackgroundModel, MixtureGrid, init_static
+from shadowseg.background import BackgroundModel, MixtureGrid, init_static, noise_variance
 from shadowseg.edge import background_edge_model, frame_edges
 from shadowseg.energy import (LAMBDA1_DEFAULT, LAMBDA2_DEFAULT, SHADOW, PriorParams,
                               initial_prior, update_label_bias)
@@ -75,9 +75,13 @@ class EngineState:
 
     @classmethod
     def from_first_frame(cls, frame, config: EngineConfig | None = None) -> "EngineState":
-        """Adaptive bootstrap: seed every mixture from a single frame."""
+        """Adaptive bootstrap: seed every mixture from a single frame, with
+        the frame's noise variance as the seed variance. Under the wider
+        INIT_VARIANCE the smoothness prior, not the data, would label the
+        first object frame, and flood it with foreground."""
         config = config or EngineConfig()
-        mixtures = MixtureGrid.seed(_checked_frame(frame))
+        frame = _checked_frame(frame)
+        mixtures = MixtureGrid.seed(frame, noise_variance(frame))
         return cls._assemble(mixtures, config)
 
     @classmethod

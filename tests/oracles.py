@@ -23,11 +23,14 @@ references the kernels match bit for bit:
   for byte, with the label and pair counts it rests on (`label_counts`,
   `pair_counts`); `UNCOMMITTED` marks a site not yet labeled;
 - the HCF stability score of one site (`stability`), the HCF sweep as a
-  plain Python loop (`hcf_python`), whose visit order, labels, energy,
-  counts and trace the compiled sweep reproduces bit for bit, and an
+  plain Python loop (`hcf_python`), whose visit order, labels, energy and
+  counts the compiled sweep reproduces bit for bit and whose result
+  (`TracedResult`) can also list every commit and relabel, and an
   exhaustive MAP search for tiny grids (`brute_force_map`);
 - the band around label boundaries that the acceptance test leaves out
-  of its scores (`label_boundary_mask`).
+  of its scores (`label_boundary_mask`);
+- the bytes of a binary PGM file of any maxval (`pgm_bytes`), since the
+  library writes only maxval 255 and the reader must reject the rest.
 
 The parity tests draw their frame-sized instances from one generator,
 `engine_frames`: each labeled frame of a seeded scene with the engine
@@ -324,10 +327,24 @@ def stability(row: int, col: int, labels: np.ndarray, u1: np.ndarray,
     return best_other - cur, best
 
 
+@dataclass
+class TracedResult(HcfResult):
+    # with trace=True: ("commit"|"relabel", running energy after), else None
+    trace: list[tuple[str, float]] | None = None
+
+
+def sweep_outcome(result: HcfResult) -> tuple:
+    """What the compiled sweep reproduces of `hcf_python`'s: the labels,
+    the bits of the energy, and the visits, commits and relabels."""
+    return (result.labels.tobytes(), np.float64(result.energy).tobytes(),
+            result.visits, result.commits, result.relabels)
+
+
 def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
-                trace: bool = False, rekeyed: list | None = None) -> HcfResult:
+               trace: bool = False, rekeyed: list | None = None) -> TracedResult:
     """The reference sweep, with a lazy-deletion heap: each site carries a
-    version counter, and stale heap entries are dropped on pop. With a
+    version counter, and stale heap entries are dropped on pop. With
+    `trace`, the result lists every commit and relabel in order. With a
     list `rekeyed`, every push after the first heap, a neighbour update
     that queues a site under a new score, appends its (site, score)."""
     _, height, width = u1.shape
@@ -417,10 +434,10 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
 
     grid = np.array(labels, dtype=np.int64).reshape(height, width)
     # one heap of every site: nothing spills
-    return HcfResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
-                     visits=visits, commits=commits, relabels=relabels, spilled=0,
-                     label_counts=label_counts(grid), pair_counts=pair_counts(grid),
-                     trace=events)
+    return TracedResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
+                        visits=visits, commits=commits, relabels=relabels, spilled=0,
+                        label_counts=label_counts(grid), pair_counts=pair_counts(grid),
+                        trace=events)
 
 
 def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
@@ -513,3 +530,11 @@ BENCHMARK_WORKLOADS = {
     "recovery_flicker_64": dict(scene=scene_preset("recovery", n_frames=16),
                                 config=EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
 }
+
+
+# --- PGM ------------------------------------------------------------------------
+
+def pgm_bytes(pixels: np.ndarray, maxval: int) -> bytes:
+    """A binary PGM file of `pixels` under the header's `maxval`."""
+    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}\n".encode("ascii")
+    return header + pixels.astype(np.uint8).tobytes()

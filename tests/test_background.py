@@ -15,7 +15,7 @@ from oracles import (
     update_mixture,
 )
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, VARIANCE_FLOOR,
-                                  BackgroundModel, MixtureGrid, init_static)
+                                  BackgroundModel, MixtureGrid, init_static, noise_variance)
 
 
 def mk(triples):
@@ -200,9 +200,25 @@ def test_grid_select_matches_scalar_selection():
             assert bg.variance[r, c] == var
 
 
+@pytest.mark.parametrize("sigma", [2.0, 4.0, 8.0])
+def test_noise_variance_estimates_the_sensor_noise(sigma):
+    # a flat 64x64 frame plus N(0, sigma^2) noise, and the same on a ramp,
+    # which the estimator's mask cancels; its spread is about 5% here
+    noisy = 100.0 + np.random.default_rng(0).normal(0.0, sigma, size=(64, 64))
+    ramp = np.add.outer(0.5 * np.arange(64), 1.5 * np.arange(64))
+    for frame in (noisy, noisy + ramp):
+        assert abs(noise_variance(frame) - sigma**2) <= 0.1 * sigma**2
+
+
+def test_noise_variance_is_clamped_to_the_mixture_variances():
+    assert noise_variance(np.full((64, 64), 100.0)) == VARIANCE_FLOOR
+    noisy = 128.0 + np.random.default_rng(0).normal(0.0, 40.0, size=(64, 64))
+    assert noise_variance(noisy) == INIT_VARIANCE
+
+
 def test_grid_seed_puts_frame_in_first_component():
     frame = np.arange(12, dtype=np.float64).reshape(3, 4)
-    grid = MixtureGrid.seed(frame)
+    grid = MixtureGrid.seed(frame, INIT_VARIANCE)
     assert np.allclose(grid.weights[0], 1.0)
     assert np.allclose(grid.weights[1:], 0.0)
     assert np.allclose(grid.means[0], frame)

@@ -1,5 +1,5 @@
 """The compiled HCF sweep against `hcf_python`, the reference loop of
-`tests/oracles.py`: bit-identical labels, energy, counts and traces. The
+`tests/oracles.py`: bit-identical labels, energy and counts. The
 kernels load wherever a compiler is found; when they cannot be built, the
 loader raises an OSError naming the reason."""
 
@@ -30,23 +30,15 @@ def assert_terms_of_its_labels(result, u1, u2, prior):
 
 def assert_same_as_python(u1, u2, prior):
     """The kernel's result, after checking it against hcf_python's."""
-    fast = hcf_minimize(u1, u2, prior, trace=True)
-    ref = hcf_python(u1, u2, prior, trace=True)
+    fast = hcf_minimize(u1, u2, prior)
+    ref = hcf_python(u1, u2, prior)
     assert np.array_equal(fast.labels, ref.labels)
     assert np.float64(fast.energy).tobytes() == np.float64(ref.energy).tobytes()
     assert (fast.label_counts, fast.pair_counts) == (ref.label_counts, ref.pair_counts)
     assert_terms_of_its_labels(fast, u1, u2, prior)
     assert (fast.visits, fast.commits, fast.relabels) == (ref.visits, ref.commits, ref.relabels)
-    assert [kind for kind, _ in fast.trace] == [kind for kind, _ in ref.trace]
-    assert (np.array([e for _, e in fast.trace]).tobytes()
-            == np.array([e for _, e in ref.trace]).tobytes())
-
-    untraced = hcf_minimize(u1, u2, prior)
-    assert untraced.trace is None
-    assert np.array_equal(untraced.labels, ref.labels)
-    assert_terms_of_its_labels(untraced, u1, u2, prior)
-    assert (untraced.visits, untraced.relabels) == (ref.visits, ref.relabels)
-    assert untraced.spilled == fast.spilled
+    # the oracle has no spill heap, so the kernel's count is checked against a rerun
+    assert hcf_minimize(u1, u2, prior).spilled == fast.spilled
     return fast
 
 
@@ -285,6 +277,19 @@ def test_scores_at_the_bitmap_word_boundaries(b):
             assert min(score for _, score in rekeyed) < -2.0**32
         if b == 16383:
             assert max(score for _, score in rekeyed) > -2.0**-32
+
+
+def hcf_corpora():
+    """The tie, checkerboard, clamp-end, bitmap-boundary and signed-zero
+    instances, as (u1, u2, prior)."""
+    yield from tied_instances()
+    for lambda2 in (0.5, 4.0):
+        u1, u2 = checkerboard(30, 40, lambda2)
+        yield u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2)
+    yield from clamp_end_instances()
+    for b in BITMAP_BOUNDARIES:
+        yield from boundary_instances(b)
+    yield from signed_zero_instances()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (1, 65), (2, 1), (7, 1), (65, 1),

@@ -1,0 +1,41 @@
+"""The parity checks against `hcf_python` catch order bugs in the HCF
+kernel. Each test builds `_native.c` with one bug planted by exact source
+substitution, and the tie, checkerboard, clamp-end, bitmap-boundary and
+signed-zero corpora must find it. A planted pattern must occur exactly
+once in the source, so an edit to the kernel that moves it fails here
+instead of leaving a mutant that no longer differs from the kernel."""
+
+from pathlib import Path
+
+import pytest
+
+from shadowseg import _native
+from test_hcf_kernel import assert_same_as_python, hcf_corpora
+
+MUTANTS = {
+    # equal scores ordered by the larger site first
+    "tie-break-reversed": ("a.score == b.score && a.site < b.site",
+                           "a.score == b.score && a.site > b.site"),
+    # the frontier's top taken from its buckets even when the spill heap's comes first
+    "heap-top-ignored": ("return top.site >= 0 && before(top, best) ? top : best;",
+                         "return best;"),
+    # the static tier's top rekeyed in place, never sifted down
+    "rekeyed-block-not-sifted": ("            block_sift_down(blocks, n_keyed, 0);\n", ""),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_parity_corpora_catch_the_mutant(mutant, tmp_path, monkeypatch):
+    pattern, replacement = MUTANTS[mutant]
+    source = Path(_native._SOURCE).read_text()
+    assert source.count(pattern) == 1
+    (tmp_path / "_native.c").write_text(source.replace(pattern, replacement))
+    lib = _native._load(str(tmp_path / "_native.c"))
+    monkeypatch.setattr(_native, "library", lambda: lib)
+    caught = 0
+    for u1, u2, prior in hcf_corpora():
+        try:
+            assert_same_as_python(u1, u2, prior)
+        except AssertionError:
+            caught += 1
+    assert caught > 0

@@ -15,13 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "shadowseg"
 BENCH = ROOT / "bench"
 
-# optional parameters that only the tests pass; the set must match exactly,
-# so that a new one fails the gate and a removed one is struck off here
-TEST_ONLY_OPTIONS = {
-    "optimizer.hcf_minimize(trace=)",   # the visit order the parity tests compare
-    "pgmio.write_pgm(maxval=)",         # frames of a lower maxval, to test their rejection
-}
-
 
 def _parse(directory: Path) -> dict:
     return {path: ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))}
@@ -129,7 +122,7 @@ def test_every_library_name_is_used_outside_the_tests():
 
 
 def test_every_optional_parameter_is_passed_outside_the_tests():
-    assert unpassed_options() == TEST_ONLY_OPTIONS
+    assert unpassed_options() == set()
 
 
 def test_the_scan_sees_definitions_of_every_kind():

@@ -89,7 +89,7 @@ def test_random_mixtures_with_ties_boundaries_and_replacement(k):
 @pytest.mark.parametrize("k", [K])
 def test_adaptive_seed_with_placeholders(k):
     rng = np.random.default_rng(80 + k)
-    seed = MixtureGrid.seed(np.round(rng.uniform(0, 255, size=(12, 10))))
+    seed = MixtureGrid.seed(np.round(rng.uniform(0, 255, size=(12, 10))), INIT_VARIANCE)
     frames = [seed.means[0] + rng.normal(0.0, 5.0, size=(12, 10)) for _ in range(4)]
     frames += [rng.uniform(0, 255, size=(12, 10)) for _ in range(4)]
     for alpha in (0.02, 1.0):
@@ -136,7 +136,7 @@ def test_non_contiguous_input_is_copied():
 
 
 def test_selection_never_aliases_the_mixtures():
-    grid = MixtureGrid.seed(np.full((3, 4), 50.0))
+    grid = MixtureGrid.seed(np.full((3, 4), 50.0), INIT_VARIANCE)
     bg = grid.select_background()
     for array in (bg.mean, bg.variance):
         assert not any(np.shares_memory(array, lane)
@@ -146,7 +146,7 @@ def test_selection_never_aliases_the_mixtures():
 
 
 def test_shapes_are_checked():
-    grid = MixtureGrid.seed(np.zeros((3, 4)))
+    grid = MixtureGrid.seed(np.zeros((3, 4)), INIT_VARIANCE)
     with pytest.raises(ValueError, match="frame shape"):
         grid.update(np.zeros((4, 3)), 0.1)
     with pytest.raises(ValueError, match="frame shape"):

@@ -20,35 +20,21 @@ import pytest
 
 from oracles import engine_frames
 from shadowseg import EngineConfig, _native, process_frame
-from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import SynthScene, scene_preset
-from test_hcf_kernel import (BITMAP_BOUNDARIES, boundary_instances, checkerboard,
-                             clamp_end_instances, signed_zero_instances, tied_instances)
+from test_hcf_kernel import hcf_corpora
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 ODD_SCENE = SynthScene(height=63, width=65, n_frames=6, lead_in=5)
 
 
-def hcf_corpora():
-    yield from tied_instances()
-    for lambda2 in (0.5, 4.0):
-        u1, u2 = checkerboard(30, 40, lambda2)
-        yield u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2)
-    yield from clamp_end_instances()
-    for b in BITMAP_BOUNDARIES:
-        yield from boundary_instances(b)
-    yield from signed_zero_instances()
-
-
 def kernel_digest() -> str:
     digest = hashlib.sha256()
     for u1, u2, prior in hcf_corpora():
-        result = hcf_minimize(u1, u2, prior, trace=True)
+        result = hcf_minimize(u1, u2, prior)
         digest.update(result.labels.tobytes())
         digest.update(repr((result.energy, result.visits, result.commits, result.relabels,
-                            result.spilled, result.label_counts, result.pair_counts,
-                            result.trace)).encode())
+                            result.spilled, result.label_counts, result.pair_counts)).encode())
     config = EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)
     for state, frame in itertools.chain(
             engine_frames(scene_preset("recovery"), config, n_labeled=1),

@@ -9,8 +9,10 @@ bias or clique weights are NaN or infinite."""
 import numpy as np
 import pytest
 
+from oracles import pgm_bytes
 from shadowseg import (EngineConfig, EngineState, PgmError, detection_potentials, process_frame,
                        read_frame)
+from shadowseg.background import INIT_VARIANCE
 from shadowseg.cli import main
 from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.likelihood import build_potential_tables
@@ -132,6 +134,13 @@ def test_static_bootstrap_rejects_finite_frames_that_overflow():
         EngineState.from_static([np.full((4, 4), 1e308), np.full((4, 4), 1e308)])
 
 
+def test_adaptive_start_clamps_a_noise_estimate_that_overflows():
+    # the noise estimate's mask overflows to NaN on a frame near the float
+    # maximum: the seed variance is clamped to INIT_VARIANCE, with no warning
+    state = EngineState.from_first_frame(np.full((4, 4), 1e308))
+    assert (state.mixtures.variances[0] == INIT_VARIANCE).all()
+
+
 def test_frames_smaller_than_3x3_are_rejected_before_any_output(tmp_path, capsys):
     with pytest.raises(ValueError, match="at least 3x3"):
         EngineState.from_first_frame(np.zeros((2, 2)))
@@ -152,7 +161,7 @@ def test_frames_smaller_than_3x3_are_rejected_before_any_output(tmp_path, capsys
 def test_read_frame_rejects_maxval_below_255(tmp_path):
     pixels = np.array([[0, 5], [10, 15]], dtype=np.uint8)
     path = tmp_path / "small.pgm"
-    write_pgm(path, pixels, maxval=15)
+    path.write_bytes(pgm_bytes(pixels, 15))
     with pytest.raises(PgmError, match="maxval"):
         read_frame(path)
     back, maxval = read_pgm(path)
@@ -161,7 +170,7 @@ def test_read_frame_rejects_maxval_below_255(tmp_path):
 
 def test_segment_reports_small_maxval_frames(tmp_path, capsys):
     frame_dir = tiny_frames(tmp_path)
-    write_pgm(frame_dir / "frame_0001.pgm", np.full((8, 8), 7, dtype=np.uint8), maxval=15)
+    (frame_dir / "frame_0001.pgm").write_bytes(pgm_bytes(np.full((8, 8), 7), 15))
     assert main(["segment", "--input", str(frame_dir), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "maxval" in err
