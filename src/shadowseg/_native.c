@@ -18,13 +18,15 @@
    triangular factors of the foreground edge potential for numpy to take
    the per-pixel logs of.
 
-   mixture_select and potential_tables run two pixels a step where SSE2 is
-   there, which x86-64 always has, so no -march flag is needed. sqrtpd,
-   divpd, mulpd, addpd and subpd round exactly as their scalar forms do,
-   and each lane runs the scalar loop's operations in its order, so the
-   bytes do not change; the scalar loop is left for the odd last pixel and
-   for other machines. mixture_update stays scalar: a two-pixel version
-   was byte-identical but slower.
+   mixture_select and potential_tables are one plain loop each, which
+   the compiler vectorizes under #pragma omp simd (-fopenmp-simd: no
+   OpenMP runtime, no threads). Vector sqrt, divide, multiply, add and
+   subtract round exactly as their scalar forms do, and each lane runs
+   the loop's operations in its order, so the bytes are those of the
+   scalar loop; a compiler that ignores the pragma runs that loop as it
+   stands. tests/test_simd_kernels.py checks that GCC still vectorizes
+   both. mixture_update stays scalar: a two-pixel version was
+   byte-identical but slower.
 
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
@@ -58,9 +60,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#ifdef __SSE2__
-#include <emmintrin.h>
-#endif
 
 /* Sites per block of the static tier. */
 #define BLOCK 64
@@ -677,54 +676,33 @@ void mixture_update(double *weights, double *means, double *variances,
     }
 }
 
-#ifdef __SSE2__
-/* Per lane, a where mask is set and b elsewhere: SSE2 has no blendv. */
-static inline __m128d pick_pd(__m128d mask, __m128d a, __m128d b)
-{
-    return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
-}
-#endif
-
 /* Per pixel, the mean and variance of the component of largest
    weight/stddev, first index on ties: the oracle select_background.
    Inputs as for mixture_update; mean and variance are n outputs.
 
-   Two pixels a step where SSE2 is there: each lane runs the scalar loop's
-   operations in its order, and an ordered > keeps the first index on ties
-   and never lets a NaN rank win, as the scalar compare does. */
+   The loop carries the winning mean and variance, not its index, and
+   loads each component's mean before the compare, so that no load is a
+   gather or under a branch and the pixel loop vectorizes; the ordered >
+   keeps the first component on ties and never lets a NaN rank win. */
 void mixture_select(const double *weights, const double *means, const double *variances,
                     int64_t n, double *mean, double *variance)
 {
-    int64_t i = 0;
-#ifdef __SSE2__
-    for (; i + 2 <= n; i += 2) {
-        __m128d best_mean = _mm_loadu_pd(means + i);
-        __m128d best_var = _mm_loadu_pd(variances + i);
-        __m128d best_rank = _mm_div_pd(_mm_loadu_pd(weights + i), _mm_sqrt_pd(best_var));
+#pragma omp simd
+    for (int64_t i = 0; i < n; i++) {
+        double best_mean = means[i], best_var = variances[i];
+        double best_rank = weights[i] / sqrt(best_var);
+#pragma GCC unroll 2
         for (int64_t j = 1; j < K; j++) {
-            __m128d var = _mm_loadu_pd(variances + j * n + i);
-            __m128d rank = _mm_div_pd(_mm_loadu_pd(weights + j * n + i), _mm_sqrt_pd(var));
-            __m128d wins = _mm_cmpgt_pd(rank, best_rank);
-            best_rank = pick_pd(wins, rank, best_rank);
-            best_mean = pick_pd(wins, _mm_loadu_pd(means + j * n + i), best_mean);
-            best_var = pick_pd(wins, var, best_var);
-        }
-        _mm_storeu_pd(mean + i, best_mean);
-        _mm_storeu_pd(variance + i, best_var);
-    }
-#endif
-    for (; i < n; i++) {
-        int64_t best = 0;
-        double best_rank = weights[i] / sqrt(variances[i]);
-        for (int64_t j = 1; j < K; j++) {
-            double rank = weights[j * n + i] / sqrt(variances[j * n + i]);
+            double mu = means[j * n + i], var = variances[j * n + i];
+            double rank = weights[j * n + i] / sqrt(var);
             if (rank > best_rank) {
-                best = j;
+                best_mean = mu;
+                best_var = var;
                 best_rank = rank;
             }
         }
-        mean[i] = means[best * n + i];
-        variance[i] = variances[best * n + i];
+        mean[i] = best_mean;
+        variance[i] = best_var;
     }
 }
 
@@ -754,53 +732,18 @@ typedef struct {
    fv        out: the vertical triangular factor, n values
 
    The foreground edge row u2[2] gets the horizontal triangular factor,
-   not its potential: the caller takes -log of it and subtracts log fv.
-
-   Two pixels a step where SSE2 is there, each lane in the scalar loop's
-   order of operations; maxpd(floor, t) is floor > t ? floor : t, the
-   scalar clamp, NaN included. */
+   not its potential: the caller takes -log of it and subtracts log fv. */
 void potential_tables(const double *frame, const double *edge_h, const double *edge_v,
                       const double *bg_mean, const double *mean_h, const double *mean_v,
                       int64_t n, const Gaussian *gauss, double edge_var, double fg_log,
                       double inv_y_max, double y_max_sq, double floor,
                       double *u1, double *u2, double *fv)
 {
-    int64_t i = 0;
-#ifdef __SSE2__
-    const __m128d var2 = _mm_set1_pd(edge_var), sign = _mm_set1_pd(-0.0);
-    const __m128d inv2 = _mm_set1_pd(inv_y_max), sq2 = _mm_set1_pd(y_max_sq);
-    const __m128d floor2 = _mm_set1_pd(floor);
-    for (; i + 2 <= n; i += 2) {
-        __m128d g = _mm_loadu_pd(frame + i), m = _mm_loadu_pd(bg_mean + i);
-        __m128d eh = _mm_loadu_pd(edge_h + i), ev = _mm_loadu_pd(edge_v + i);
-        __m128d mh = _mm_loadu_pd(mean_h + i), mv = _mm_loadu_pd(mean_v + i);
-        for (int l = 0; l < 2; l++) {
-            const Gaussian *p = &gauss[l];
-            __m128d gain = _mm_set1_pd(p->gain);
-            __m128d dev = _mm_sub_pd(g, _mm_add_pd(_mm_mul_pd(gain, m),
-                                                   _mm_set1_pd(p->offset)));
-            _mm_storeu_pd(u1 + l * n + i,
-                          _mm_add_pd(_mm_set1_pd(p->log_norm),
-                                     _mm_div_pd(_mm_mul_pd(dev, dev), _mm_set1_pd(p->two_var))));
-            __m128d dev_h = _mm_sub_pd(eh, _mm_mul_pd(gain, mh));
-            __m128d dev_v = _mm_sub_pd(ev, _mm_mul_pd(gain, mv));
-            __m128d quad = _mm_add_pd(_mm_div_pd(_mm_mul_pd(dev_h, dev_h), var2),
-                                      _mm_div_pd(_mm_mul_pd(dev_v, dev_v), var2));
-            _mm_storeu_pd(u2 + l * n + i,
-                          _mm_add_pd(_mm_set1_pd(p->edge_log_norm),
-                                     _mm_div_pd(quad, _mm_set1_pd(p->edge_scale))));
-        }
-        _mm_storeu_pd(u1 + 2 * n + i, _mm_set1_pd(fg_log));
-        /* andnot with -0.0 clears the sign bit, as fabs does */
-        __m128d th = _mm_sub_pd(inv2, _mm_div_pd(_mm_andnot_pd(sign, eh), sq2));
-        __m128d tv = _mm_sub_pd(inv2, _mm_div_pd(_mm_andnot_pd(sign, ev), sq2));
-        _mm_storeu_pd(u2 + 2 * n + i, _mm_max_pd(floor2, th));
-        _mm_storeu_pd(fv + i, _mm_max_pd(floor2, tv));
-    }
-#endif
-    for (; i < n; i++) {
+#pragma omp simd
+    for (int64_t i = 0; i < n; i++) {
         double g = frame[i], m = bg_mean[i];
         double eh = edge_h[i], ev = edge_v[i], mh = mean_h[i], mv = mean_v[i];
+#pragma GCC unroll 2
         for (int l = 0; l < 2; l++) {
             const Gaussian *p = &gauss[l];
             double dev = g - (p->gain * m + p->offset);

@@ -17,9 +17,10 @@ import zlib
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 # -fno-math-errno lets sqrt compile to one instruction, with no libm call.
-# No -ffast-math, -march or -ffp-contract=fast: each would break parity
-# with the reference oracles.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
+# -fopenmp-simd honours the source's `omp simd` loops and nothing else of
+# OpenMP: no runtime, no threads. No -ffast-math, -march or
+# -ffp-contract=fast: each would break parity with the reference oracles.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fopenmp-simd", "-shared", "-fPIC")
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # name -> (argtypes, restype), as declared in _native.c

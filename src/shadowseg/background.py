@@ -104,16 +104,13 @@ def noise_variance(frame: np.ndarray) -> float:
     [VARIANCE_FLOOR, INIT_VARIANCE]. The mask [1, -2, 1] x [1, -2, 1]
     cancels the frame's planes and ramps, so mostly the noise is left:
     sigma = sqrt(pi / 2) * sum |I * N| / (6 (W - 2)(H - 2)). The frame must
-    be at least 3x3. A frame near the float maximum overflows the mask to
-    inf or NaN, which is clamped to INIT_VARIANCE."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = frame[:-2] - 2.0 * frame[1:-1] + frame[2:]
-        masked = rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]
-        total = float(np.abs(masked).sum())
+    be at least 3x3."""
+    rows = frame[:-2] - 2.0 * frame[1:-1] + frame[2:]
+    masked = rows[:, :-2] - 2.0 * rows[:, 1:-1] + rows[:, 2:]
+    total = float(np.abs(masked).sum())
     sigma = math.sqrt(math.pi / 2) * total / (6 * masked.size)   # (H - 2)(W - 2) sites
     variance = sigma * sigma
-    # written as `not <` so that NaN is clamped too
-    return INIT_VARIANCE if not variance < INIT_VARIANCE else max(variance, VARIANCE_FLOOR)
+    return min(max(variance, VARIANCE_FLOOR), INIT_VARIANCE)
 
 
 def init_static(frames: list[np.ndarray]) -> MixtureGrid:
@@ -127,9 +124,6 @@ def init_static(frames: list[np.ndarray]) -> MixtureGrid:
         if f.shape != shape:
             raise ValueError(f"frame dimension mismatch: {f.shape} vs {shape}")
     stack = np.stack([np.asarray(f, dtype=np.float64) for f in frames])
-    # huge finite frames overflow to an infinite mean or variance, which the
-    # mixtures' checks reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, variance = stack.mean(axis=0), stack.var(axis=0, ddof=1)
+    mean, variance = stack.mean(axis=0), stack.var(axis=0, ddof=1)
     del stack       # freed before the mixtures are built, to lower the peak memory
     return MixtureGrid.seed(mean, np.maximum(variance, VARIANCE_FLOOR, out=variance))

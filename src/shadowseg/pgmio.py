@@ -84,7 +84,8 @@ def write_pgm(path, pixels) -> None:
         raise ValueError(f"expected a 2-d image, got shape {pixels.shape}")
     if pixels.size == 0:
         raise ValueError(f"cannot write an empty image, got shape {pixels.shape}")
-    if pixels.min() < 0 or pixels.max() > 255:
+    # written as `not` so that a NaN fails the check too
+    if not (pixels.min() >= 0 and pixels.max() <= 255):
         raise ValueError("pixel values outside [0, 255]")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))

@@ -26,7 +26,8 @@ from shadowseg.energy import (LAMBDA1_DEFAULT, LAMBDA2_DEFAULT, SHADOW, PriorPar
                               initial_prior, update_label_bias)
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.optimizer import hcf_minimize
-from shadowseg.shadow import ShadowParams, fit_shadow, initial_shadow_params, update_shadow
+from shadowseg.shadow import (Y_MAX, ShadowParams, fit_shadow, initial_shadow_params,
+                              update_shadow)
 
 
 @dataclass
@@ -94,15 +95,17 @@ class EngineState:
 
 
 def _checked_frame(frame, shape=None) -> np.ndarray:
-    """`frame` as float64; rejects a frame smaller than 3x3, NaN or infinite
-    pixels and, when `shape` is given, a frame of any other shape."""
+    """`frame` as float64; rejects a frame smaller than 3x3, pixels outside
+    the 0..Y_MAX scale (NaN and infinite ones included) and, when `shape`
+    is given, a frame of any other shape."""
     raw = np.asarray(frame)
     frame = raw.astype(np.float64, copy=False)
     if frame.ndim != 2 or min(frame.shape) < 3:
         raise ValueError("frame must be at least 3x3")
-    # integer pixels, as PGM input holds, cannot be NaN or infinite
-    if raw.dtype.kind not in "biu" and not np.isfinite(frame).all():
-        raise ValueError("frame has NaN or infinite pixels")
+    # uint8 pixels, as PGM input holds, are in range; written as `not` so
+    # that a NaN fails the check too
+    if raw.dtype != np.uint8 and not (frame.min() >= 0 and frame.max() <= Y_MAX):
+        raise ValueError(f"frame has NaN or infinite pixels, or pixels outside [0, {Y_MAX:g}]")
     if shape is not None and frame.shape != shape:
         raise ValueError(f"frame shape {frame.shape} does not match model shape {shape}")
     return frame

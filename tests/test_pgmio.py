@@ -95,6 +95,9 @@ def test_write_validates_input(tmp_path):
         write_pgm(path, np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError, match=r"outside \[0, 255\]"):
         write_pgm(path, np.full((2, 2), 256))
+    with pytest.raises(ValueError, match=r"outside \[0, 255\]"):
+        write_pgm(path, np.full((3, 3), np.nan))
+    assert not path.exists()
 
 
 def test_read_frame_returns_pixels_only(tmp_path):

@@ -1,8 +1,8 @@
 """The compiled kernels built with AddressSanitizer and
 UndefinedBehaviorSanitizer: on the HCF tie, clamp-end, signed-zero and
 bitmap-boundary corpora, one 64x64 engine frame and one 63x65 engine
-frame, whose odd pixel count ends the two-pixel loops on their scalar
-tail, all four kernels run, and the sanitized build must report nothing
+frame, whose odd pixel count ends the vectorized loops on their scalar
+epilogue, all four kernels run, and the sanitized build must report nothing
 and return exactly what the normal build returns.
 
 Run as a script, this file prints a digest of those outputs, using the

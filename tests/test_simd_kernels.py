@@ -1,10 +1,11 @@
-"""The two-pixel SSE2 loops of `mixture_select` and `potential_tables`
-against the scalar oracles of `tests/oracles.py` and against the scalar
-loop they stand in for: the same source built with __SSE2__ undefined,
-which compiles that loop alone. Odd pixel counts end on the scalar tail
-after the pairs."""
+"""The vectorized pixel loops of `mixture_select` and `potential_tables`
+against the scalar oracles of `tests/oracles.py` and against the same
+source built without -fopenmp-simd, where the compiler leaves those loops
+scalar. Odd pixel counts end on the vectorized loop's scalar epilogue.
+With GCC, a compile report must also show both loops vectorized."""
 
 import ctypes
+import re
 import subprocess
 
 import numpy as np
@@ -26,16 +27,45 @@ EXACT_VARIANCES = np.array([4.0, 9.0, 16.0, 25.0, 100.0, 900.0])
 
 @pytest.fixture(scope="module")
 def scalar(tmp_path_factory):
-    """The kernels built without their SSE2 loops."""
+    """The kernels built without -fopenmp-simd: scalar pixel loops."""
     library = tmp_path_factory.mktemp("scalar") / "_native-scalar.so"
-    proc = subprocess.run(["cc", *_native._CFLAGS, "-U__SSE2__", "-o", str(library),
-                           _native._SOURCE], capture_output=True, text=True, check=False)
+    flags = [flag for flag in _native._CFLAGS if flag != "-fopenmp-simd"]
+    proc = subprocess.run(["cc", *flags, "-o", str(library), _native._SOURCE],
+                          capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     lib = ctypes.CDLL(str(library))
     for name, (argtypes, restype) in _native._SIGNATURES.items():
         getattr(lib, name).argtypes = argtypes
         getattr(lib, name).restype = restype
     return lib
+
+
+def simd_loops(source: str) -> list[tuple[int, int]]:
+    """The first and last line of each loop under `#pragma omp simd`: from
+    the pragma to the closing brace of its function."""
+    with open(source) as fh:
+        lines = fh.read().splitlines()
+    starts = [i for i, line in enumerate(lines, 1) if line.strip() == "#pragma omp simd"]
+    return [(start, next(i for i in range(start, len(lines) + 1) if lines[i - 1] == "}"))
+            for start in starts]
+
+
+def test_gcc_vectorizes_every_omp_simd_loop(tmp_path):
+    # the same bytes come out of a loop the compiler leaves scalar, so only
+    # the compiler's report shows that a pixel loop still vectorizes
+    version = subprocess.run(["cc", "--version"], capture_output=True, text=True, check=False)
+    if "Free Software Foundation" not in version.stdout:
+        pytest.skip("cc is not GCC, whose -fopt-info reports this test reads")
+    proc = subprocess.run(["cc", *_native._CFLAGS, "-fopt-info-vec-optimized",
+                           "-o", str(tmp_path / "_native.so"), _native._SOURCE],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    vectorized = [int(line) for line in
+                  re.findall(r"_native\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)]
+    loops = simd_loops(_native._SOURCE)
+    assert len(loops) == 2
+    for first, last in loops:
+        assert any(first <= line <= last for line in vectorized), (first, proc.stderr)
 
 
 def on(lib, monkeypatch, fn, *args):
@@ -147,6 +177,8 @@ def test_tables_keep_the_scalar_loops_nan_and_infinity(scalar, monkeypatch):
     with np.errstate(invalid="ignore", divide="ignore"):
         tables = build_potential_tables(*args)
         assert same_bytes(tables, on(scalar, monkeypatch, build_potential_tables, *args))
+        # the oracle too, whose np.maximum(t, floor) keeps a NaN edge's NaN
+        assert same_bytes(tables, oracles.potential_tables(*args, Y_MAX))
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))

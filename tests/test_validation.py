@@ -12,7 +12,7 @@ import pytest
 from oracles import pgm_bytes
 from shadowseg import (EngineConfig, EngineState, PgmError, detection_potentials, process_frame,
                        read_frame)
-from shadowseg.background import INIT_VARIANCE
+from shadowseg.background import VARIANCE_FLOOR
 from shadowseg.cli import main
 from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.likelihood import build_potential_tables
@@ -125,20 +125,30 @@ def test_non_finite_frames_are_rejected(bad):
     assert np.isfinite(diag.energy)
 
 
-def test_static_bootstrap_rejects_finite_frames_that_overflow():
-    # the lead-in's mean or sample variance overflows to inf: the bootstrap
-    # raises the mixtures' error instead of handing inf to the first frame
-    with pytest.raises(ValueError, match="mixture variances must be finite and > 0"):
+def test_static_bootstrap_rejects_frames_outside_the_pixel_scale():
+    # finite frames whose mean or sample variance would overflow never reach
+    # the bootstrap: their pixels are off the 0..255 scale
+    with pytest.raises(ValueError, match=r"NaN or infinite pixels, or pixels outside \[0, 255\]"):
         EngineState.from_static([np.zeros((4, 4)), np.full((4, 4), 1e200)])
-    with pytest.raises(ValueError, match="mixture means must be finite"):
+    with pytest.raises(ValueError, match="NaN or infinite"):
         EngineState.from_static([np.full((4, 4), 1e308), np.full((4, 4), 1e308)])
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        EngineState.from_static([np.zeros((4, 4)), np.full((4, 4), -0.5)])
 
 
-def test_adaptive_start_clamps_a_noise_estimate_that_overflows():
-    # the noise estimate's mask overflows to NaN on a frame near the float
-    # maximum: the seed variance is clamped to INIT_VARIANCE, with no warning
-    state = EngineState.from_first_frame(np.full((4, 4), 1e308))
-    assert (state.mixtures.variances[0] == INIT_VARIANCE).all()
+def test_adaptive_start_rejects_frames_outside_the_pixel_scale():
+    # a frame near the float maximum would overflow the noise estimate's
+    # mask; it is refused before, not at the next frame's potential tables
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        EngineState.from_first_frame(np.full((4, 4), 1e308))
+    state = EngineState.from_first_frame(np.full((4, 4), 255.0))
+    assert (state.mixtures.variances[0] == VARIANCE_FLOOR).all()
+    for bad in (np.nextafter(255.0, np.inf), -1e-300):
+        frame = np.full((4, 4), 100.0)
+        frame[1, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            process_frame(state, frame)
+    assert state.k == 0
 
 
 def test_frames_smaller_than_3x3_are_rejected_before_any_output(tmp_path, capsys):
