@@ -41,7 +41,7 @@
    queued site sits in the frontier, a bucket queue (Dial, CACM 1969):
    a site's bucket comes from the top bits of its score mapped to an
    unsigned integer in the same order, and a bitmap of non-empty buckets
-   finds the lowest one with three count-trailing-zeros. Nearly all visits
+   finds the lowest one with two count-trailing-zeros. Nearly all visits
    come from the frontier, which held at most about 1,500 sites on 320x240
    frames, so a neighbour update relinks a site between two lists instead
    of sifting it through a heap. Nearly every update moves its site to
@@ -68,13 +68,15 @@
 #define FRESH 4
 /* Frontier buckets: 2^SPLIT_BITS per power of two, over scores from
    -2^32 to -2^-32; smaller and larger ones share the two end buckets.
-   That is 2^BUCKET_BITS buckets, under a bitmap of three levels that
+   That is 2^BUCKET_BITS buckets, under a bitmap of two levels that
    branch 64 ways. */
-#define SPLIT_BITS 8
-#define BUCKET_BITS 14
+#define SPLIT_BITS 6
+#define BUCKET_BITS 12
 /* score_key(-0x1p32): the exponent bits of 2^32 inverted, then the top
    SPLIT_BITS bits of its zero mantissa inverted */
 #define LOWEST_KEY ((uint32_t)(2047 - (1023 + 32)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1))
+_Static_assert(BUCKET_BITS - SPLIT_BITS == 6, "the buckets span 64 powers of two");
+_Static_assert(BUCKET_BITS <= 12, "one word of top covers the words of low");
 /* The most sites the lowest bucket may hold before they move to the heap. */
 #define BUCKET_CAP 32
 /* Frontier.where of a site in no bucket: in no part of the frontier, or
@@ -194,8 +196,8 @@ static void drop(Queue *q, int64_t site)
    circular list through its head node, link[n + b], which links to itself
    while the bucket is empty; so no insert or unlink tests for an end of a
    list. The bitmap starts zeroed and stays exact: a bit of low is set
-   while its bucket is non-empty, a bit of mid while its word of low is
-   non-zero, and a bit of top while its word of mid is. */
+   while its bucket is non-empty, and a bit of top while its word of low
+   is non-zero. */
 typedef struct {
     uint32_t next, prev;    /* site or head links within a bucket */
 } Link;
@@ -204,7 +206,7 @@ typedef struct {
     Link *link;             /* per site, then the head of each bucket */
     uint16_t *where;        /* per site: its bucket, NO_BUCKET or IN_HEAP */
     uint32_t heads;         /* index in link of bucket 0's head: n */
-    uint64_t top, *mid, *low;
+    uint64_t top, low[1 << (BUCKET_BITS - 6)];
     Queue heap;
     int64_t spilled;        /* sites moved from a full lowest bucket to the heap */
 } Frontier;
@@ -244,8 +246,7 @@ static inline void bucket_insert(Frontier *fr, uint32_t site, uint32_t b)
     fr->link[next].prev = site;
     fr->link[head].next = site;
     fr->low[b >> 6] |= bit(b);
-    fr->mid[b >> 12] |= bit(b >> 6);
-    fr->top |= bit(b >> 12);
+    fr->top |= bit(b >> 6);
     fr->where[site] = (uint16_t)b;
 }
 
@@ -253,10 +254,9 @@ static inline void bucket_insert(Frontier *fr, uint32_t site, uint32_t b)
    left zero. */
 static inline void bucket_mark(Frontier *fr, uint32_t b, uint64_t empty)
 {
-    uint64_t *low = &fr->low[b >> 6], *mid = &fr->mid[b >> 12];
+    uint64_t *low = &fr->low[b >> 6];
     *low &= ~(empty << (b & 63));
-    *mid &= ~((uint64_t)(*low == 0) << (b >> 6 & 63));
-    fr->top &= ~((uint64_t)(*mid == 0) << (b >> 12 & 63));
+    fr->top &= ~((uint64_t)(*low == 0) << (b >> 6));
 }
 
 static inline void bucket_remove(Frontier *fr, uint32_t site)
@@ -274,8 +274,7 @@ static int64_t lowest_bucket(const Frontier *fr)
 {
     if (fr->top == 0)
         return -1;
-    int64_t m = __builtin_ctzll(fr->top);
-    int64_t l = m * 64 + __builtin_ctzll(fr->mid[m]);
+    int64_t l = __builtin_ctzll(fr->top);
     return l * 64 + __builtin_ctzll(fr->low[l]);
 }
 
@@ -406,12 +405,9 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     uint8_t *state = malloc(n + 1);
     Entry *blocks = malloc((n_blocks + 1) * sizeof(Entry));
     Frontier fr = {malloc((n + (1 << BUCKET_BITS)) * sizeof(Link)),
-                   malloc((n + 1) * sizeof(uint16_t)), (uint32_t)n, 0,
-                   calloc((size_t)1 << (BUCKET_BITS - 12), sizeof(uint64_t)),
-                   calloc((size_t)1 << (BUCKET_BITS - 6), sizeof(uint64_t)),
+                   malloc((n + 1) * sizeof(uint16_t)), (uint32_t)n, 0, {0},
                    {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}, 0};
-    if (score == NULL || state == NULL || blocks == NULL
-        || fr.link == NULL || fr.where == NULL || fr.mid == NULL || fr.low == NULL
+    if (score == NULL || state == NULL || blocks == NULL || fr.link == NULL || fr.where == NULL
         || fr.heap.heap == NULL || fr.heap.slot == NULL)
         goto done;
     for (uint32_t head = fr.heads; head < fr.heads + (1 << BUCKET_BITS); head++)
@@ -607,8 +603,6 @@ done:
     free(blocks);
     free(fr.link);
     free(fr.where);
-    free(fr.mid);
-    free(fr.low);
     free(fr.heap.heap);
     free(fr.heap.slot);
     return result;

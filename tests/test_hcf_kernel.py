@@ -4,6 +4,7 @@ kernels load wherever a compiler is found; when they cannot be built, the
 loader raises an OSError naming the reason."""
 
 import os
+import re
 import shutil
 import subprocess
 import time
@@ -202,10 +203,18 @@ def test_scores_beyond_the_bucketed_range():
         assert_same_as_python(u1, u2, prior)
 
 
+def kernel_constant(name):
+    """The value of `#define name <integer>` in the kernel source."""
+    with open(_native._SOURCE) as source:
+        (value,) = re.findall(rf"^#define {name} (\d+)$", source.read(), re.MULTILINE)
+    return int(value)
+
+
 # A mirror of the kernel's score_key and bucket_of: a score's key is the
-# top 20 bits of its IEEE 754 pattern, reordered as the scores are, and
-# there are 2**8 buckets per power of two from -2**32 up.
-SPLIT_BITS, BUCKET_BITS = 8, 14
+# top 12 + SPLIT_BITS bits of its IEEE 754 pattern, reordered as the scores
+# are, and there are 2**SPLIT_BITS buckets per power of two from -2**32 up.
+SPLIT_BITS, BUCKET_BITS = kernel_constant("SPLIT_BITS"), kernel_constant("BUCKET_BITS")
+LAST_BUCKET = 2**BUCKET_BITS - 1
 LOWEST_KEY = (2047 - (1023 + 32)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1)
 
 
@@ -216,18 +225,18 @@ def score_key(score):
 
 
 def bucket_of(score):
-    return min(max(score_key(score) - LOWEST_KEY, 0), 2**BUCKET_BITS - 1)
+    return min(max(score_key(score) - LOWEST_KEY, 0), LAST_BUCKET)
 
 
 def bucket_edge(b):
     """The smallest magnitude of a negative score in bucket b - 1; smaller
     ones down to the next edge are in bucket b."""
     key = LOWEST_KEY + b - 1
-    bits = (~key & (2**20 - 1)) << (52 - SPLIT_BITS)
+    bits = (~key & (2 ** (12 + SPLIT_BITS) - 1)) << (52 - SPLIT_BITS)
     return -float(np.uint64(bits).view(np.float64))
 
 
-BITMAP_BOUNDARIES = (64, 4096, 1, 16383)
+BITMAP_BOUNDARIES = (64, 1, LAST_BUCKET)
 
 
 def boundary_instances(b):
@@ -238,26 +247,25 @@ def boundary_instances(b):
     widens the gap by the clique weight, one that commits to the other
     narrows it, so touched sites move between the buckets on either side
     and leave them empty as they are visited. At the clamp ends, b = 1 and
-    16383, a fifth of the gaps lie beyond the bucketed range, and at 16383
-    a tenth are zero."""
+    LAST_BUCKET, a fifth of the gaps lie beyond the bucketed range, and at
+    LAST_BUCKET a tenth are zero."""
     edge = bucket_edge(b)
     rng = np.random.default_rng(67 + b)
     for w in (edge / 1024, edge / 256, edge / 64):
         gap = edge * 1.02 ** rng.uniform(-1.0, 1.0, size=(10, 14))
-        beyond = rng.random(gap.shape) < (0.2 if b in (1, 16383) else 0.0)
+        beyond = rng.random(gap.shape) < (0.2 if b in (1, LAST_BUCKET) else 0.0)
         outward = 1.0 if b == 1 else -1.0
         gap[beyond] *= 2.0 ** (outward * rng.uniform(1.0, 8.0, size=int(beyond.sum())))
-        if b == 16383:
+        if b == LAST_BUCKET:
             gap[rng.random(gap.shape) < 0.1] = 0.0
         fg = rng.random(gap.shape) < 0.3
         u1 = np.stack([np.where(fg, gap, 0.0), gap + gap * fg, np.where(fg, 0.0, 2.0 * gap)])
         yield u1, np.zeros_like(u1), initial_prior(lambda1=0.0, lambda2=w)
 
 
-# The word boundaries of the frontier's bitmap, 63/64 in a word of low and
-# 4095/4096 in a word of mid, and its two clamp ends, 0 and 16383.
-@pytest.mark.parametrize("b", BITMAP_BOUNDARIES,
-                         ids=["low-word", "mid-word", "clamp-0", "clamp-16383"])
+# A word boundary of the frontier's bitmap, 63/64 in low, and its two
+# clamp ends, 0 and LAST_BUCKET.
+@pytest.mark.parametrize("b", BITMAP_BOUNDARIES, ids=["low-word", "clamp-0", "clamp-last"])
 def test_scores_at_the_bitmap_word_boundaries(b):
     edge = bucket_edge(b)
     assert bucket_of(-edge) == b - 1 and bucket_of(np.nextafter(-edge, 0.0)) == b
@@ -275,7 +283,7 @@ def test_scores_at_the_bitmap_word_boundaries(b):
         assert {b - 1, b} <= {bucket_of(score) for _, score in rekeyed}
         if b == 1:
             assert min(score for _, score in rekeyed) < -2.0**32
-        if b == 16383:
+        if b == LAST_BUCKET:
             assert max(score for _, score in rekeyed) > -2.0**-32
 
 
@@ -368,8 +376,8 @@ def test_engine_instances_of_the_presets(preset, config):
 
 
 def test_engine_instances_at_320x240():
-    # ties on real frames fill a bucket past its cap too: 210 and 291 sites
-    # of the two sweeps move to the heap
+    # ties on real frames fill a bucket past its cap too: 2,978 and 2,856
+    # sites of the two sweeps move to the heap
     for state, frame in engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2):
         result = assert_same_as_python(*detection_potentials(state, frame), state.prior)
         assert result.spilled > 32

@@ -21,6 +21,11 @@ MUTANTS = {
                          "return best;"),
     # the static tier's top rekeyed in place, never sifted down
     "rekeyed-block-not-sifted": ("            block_sift_down(blocks, n_keyed, 0);\n", ""),
+    # a bucket's word of low made non-empty without its bit of top
+    "top-bit-not-set": ("    fr->top |= bit(b >> 6);\n", ""),
+    # the bit of top cleared with its bucket's, while the word of low is still non-empty
+    "top-bit-cleared-early": ("fr->top &= ~((uint64_t)(*low == 0) << (b >> 6));",
+                              "fr->top &= ~((uint64_t)1 << (b >> 6));"),
 }
 
 

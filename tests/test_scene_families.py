@@ -1,6 +1,10 @@
-"""Scenes that defeat the background model, recorded as strict xfails
-that name their ROADMAP item; a fix turns each into a pass.
+"""Scenes that defeat the background or shadow model, recorded as strict
+xfails that name their ROADMAP item; a fix turns each into a pass.
 
+- Item 2, a shadow model that does not adapt: the shadow transform stays
+  near its start, gain 0.5, so the shadow of any other planted gain is
+  labelled foreground. The planted 0.5 is a plain case, which shows the
+  check can pass.
 - Item 5, global illumination drift: a slow uniform change of brightness
   leaves the background means behind, and the frame floods with
   foreground.
@@ -13,11 +17,31 @@ import numpy as np
 import pytest
 
 from shadowseg.energy import FOREGROUND
+from shadowseg.evaluate import evaluate
 from shadowseg.pipeline import EngineState, process_frame
 from shadowseg.synth import SynthScene, render_scene
 
 FLOOD_MARGIN = 0.1      # foreground fraction allowed above the truth's largest
 GHOST_FRAMES = 60       # object-free frames by which a ghost must be gone
+SHADOW_FRAMES = 8       # last frames over which the shadow is scored
+SHADOW_RECALL = 0.6     # shadow recall required over them
+GAIN_TOLERANCE = 0.05   # largest |learned gain - planted gain|
+
+GAIN_NOT_LEARNED = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: the shadow transform stays near gain 0.5")
+
+
+@pytest.mark.parametrize("gain", [0.5] + [pytest.param(g, marks=GAIN_NOT_LEARNED)
+                                          for g in (0.3, 0.4, 0.6, 0.7)])
+def test_shadow_transform_learns_the_planted_gain(gain):
+    scene = SynthScene(n_frames=20, lead_in=5, gain=gain, offset=0.0, noise_sigma=2.0)
+    frames, truths = render_scene(scene, seed=0)
+    state = EngineState.from_static(frames[:scene.lead_in])
+    labels = [process_frame(state, frame)[0] for frame in frames[scene.lead_in:]]
+    recall = evaluate(labels[-SHADOW_FRAMES:], truths[-SHADOW_FRAMES:]).recall["shadow"]
+    assert recall >= SHADOW_RECALL and abs(state.shadow.gain - gain) <= GAIN_TOLERANCE, \
+        (recall, state.shadow.gain)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
