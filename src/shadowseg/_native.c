@@ -28,6 +28,9 @@
    both. mixture_update stays scalar: a two-pixel version was
    byte-identical but slower.
 
+   Each visit of hcf_sweep commits or relabels its site, so it counts
+   only the relabels; every site commits exactly once.
+
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
    disagreeing neighbour pairs, and gathers each site's potentials and
@@ -54,7 +57,11 @@
    dropped.
 
    A site potential that is NaN or infinite would break the strict order
-   the queue rests on, so the sweep refuses it before the first visit. */
+   the queue rests on, so the sweep refuses it before the first visit.
+
+   Every line here runs on the corpus of tests/test_sanitizers.py but the
+   exit when memory runs out; a gcov build there checks it, so no branch
+   stays that no input reaches. */
 
 #include <math.h>
 #include <stdint.h>
@@ -176,11 +183,10 @@ static void set_score(Queue *q, int64_t site, double score)
     }
 }
 
+/* Remove `site`, which must be in the heap. */
 static void drop(Queue *q, int64_t site)
 {
     int64_t i = q->slot[site];
-    if (i < 0)
-        return;
     q->slot[site] = -1;
     Entry last = q->heap[--q->size];
     if (i < q->size) {
@@ -375,11 +381,11 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
    offsets   8 (drow, dcol) pairs, the neighbour order of hcf_python
    weights   8 clique weights, lambda2 / squared distance, in that order
    labels    out: height * width labels in {1, 2, 3}
-   counts    out, 11 values: visits, commits, relabels, the sites the
-             frontier moved from a full lowest bucket to its heap; the
-             sites of each label 1..3; the disagreeing neighbour pairs
-             along each of energy.PAIR_DIRECTIONS, (0, 1), (1, 0), (1, 1)
-             and (1, -1)
+   counts    out, 9 values: relabels, the sites the frontier moved from
+             a full lowest bucket to its heap; the sites of each label
+             1..3; the disagreeing neighbour pairs along each of
+             energy.PAIR_DIRECTIONS, (0, 1), (1, 0), (1, 1) and (1, -1).
+             Each site commits once, so the visits are n + relabels.
    terms     out: (3, height, width) rows, each site's u1, u2 and bias of
              its label, which energy.energy_of_terms sums; until the
              final labels pass the sweep keeps its site potentials here
@@ -392,7 +398,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                   int64_t *labels, int64_t *counts, double *terms)
 {
     int64_t n = height * width, n_blocks = (n + BLOCK - 1) / BLOCK;
-    int64_t visits = 0, commits = 0, relabels = 0, fresh = n, result = -1;
+    int64_t relabels = 0, fresh = n, result = -1;
     double weighted[3] = {lambda1 * bias[0], lambda1 * bias[1], lambda1 * bias[2]};
 
     /* each site's potential of each label, site-major, in the caller's
@@ -481,7 +487,6 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         } else {
             break;
         }
-        visits++;
         double *fy = f + 3 * y;
         uint8_t best = 1;
         double best_f = fy[0];
@@ -493,14 +498,12 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
             best = 3;
             best_f = fy[2];
         }
+        /* a committed site is queued only while another label is
+           strictly cheaper (alt - cur < 0 below), and every change to its
+           potentials re-keys or drops it, so each visit commits an
+           uncommitted site or relabels a committed one */
         uint8_t old = state[y];
-        if (old == 0) {
-            commits++;
-        } else {
-            if (best_f >= fy[old - 1])
-                continue;
-            relabels++;
-        }
+        relabels += old != 0;
         state[y] = best;
 
         int64_t r = y / width, c = y - r * width;
@@ -589,12 +592,10 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                 pairs[3] += lab != below[c - 1];
         }
     }
-    counts[0] = visits;
-    counts[1] = commits;
-    counts[2] = relabels;
-    counts[3] = fr.spilled;
-    memcpy(counts + 4, sites, sizeof sites);
-    memcpy(counts + 7, pairs, sizeof pairs);
+    counts[0] = relabels;
+    counts[1] = fr.spilled;
+    memcpy(counts + 2, sites, sizeof sites);
+    memcpy(counts + 5, pairs, sizeof pairs);
     result = 0;
 
 done:

@@ -18,6 +18,10 @@ site's potentials and bias of its label; numpy's sums of those
 `total_energy` of ``tests/oracles.py`` gathers for the labels. Its
 labels, energy and counts are bit-identical to `hcf_python` there, the
 reference loop that spells out the visit order and can trace it.
+
+A committed site is queued only while another label is strictly
+cheaper, so no visit is wasted: each site commits exactly once, and
+`HcfResult.visits` is the number of sites plus the relabels.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ _OFFSETS_ADDRESS = _native.address(_OFFSETS)
 class HcfResult:
     labels: np.ndarray          # (H, W) ints in {1, 2, 3}
     energy: float               # total posterior energy of the labeling
-    visits: int                 # sites taken from the queue (stale entries not counted)
-    commits: int
+    visits: int                 # sites taken from the queue: H * W commits plus the relabels
     relabels: int
     spilled: int                # sites the kernel's frontier moved from a full bucket to its heap
     label_counts: tuple[int, int, int]          # sites labeled 1, 2 and 3
@@ -83,7 +86,7 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     scalars = np.array(bias + [lambda2 / d2 for _, _, d2 in NEIGHBORS_8])
     terms = np.empty((3, height, width))       # also the kernel's work rows
     labels = np.empty(n, dtype=np.int64)
-    counts = np.empty(11, dtype=np.int64)
+    counts = np.empty(9, dtype=np.int64)
     address = _native.address
     bias_at = address(scalars)
     weights_at = bias_at + 3 * scalars.itemsize
@@ -95,12 +98,12 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     if status == -2:
         raise ValueError(_non_finite(t1, t2))
     counts = counts.tolist()
-    visits, commits, relabels, spilled = counts[:4]
-    pairs = tuple(counts[7:])
+    relabels, spilled = counts[:2]
+    pairs = tuple(counts[5:])
     return HcfResult(labels=labels.reshape(height, width),
                      energy=energy_of_terms(terms, pairs, prior),
-                     visits=visits, commits=commits, relabels=relabels, spilled=spilled,
-                     label_counts=tuple(counts[4:7]), pair_counts=pairs)
+                     visits=n + relabels, relabels=relabels, spilled=spilled,
+                     label_counts=tuple(counts[2:5]), pair_counts=pairs)
 
 
 def _non_finite(t1: np.ndarray, t2: np.ndarray) -> str:

@@ -25,8 +25,10 @@ references the kernels match bit for bit:
 - the HCF stability score of one site (`stability`), the HCF sweep as a
   plain Python loop (`hcf_python`), whose visit order, labels, energy and
   counts the compiled sweep reproduces bit for bit and whose result
-  (`TracedResult`) can also list every commit and relabel, and an
-  exhaustive MAP search for tiny grids (`brute_force_map`);
+  (`TracedResult`) can also list every commit and relabel, an
+  exhaustive MAP search for tiny grids (`brute_force_map`), and expansion
+  moves on scipy's minimum cut for frame-sized ones (`alpha_expansion`,
+  `expansion_move`);
 - the band around label boundaries that the acceptance test leaves out
   of its scores (`label_boundary_mask`);
 - the bytes of a binary PGM file of any maxval (`pgm_bytes`), since the
@@ -36,6 +38,8 @@ The parity tests draw their frame-sized instances from one generator,
 `engine_frames`: each labeled frame of a seeded scene with the engine
 state that labels it. `QVGA_SCENE` is the 320x240 scene among them, and
 `BENCHMARK_WORKLOADS` the three scenes of the benchmark.
+`detection_arguments` spells out the arguments that label a frame
+against a state, so that a change to detection edits one helper.
 """
 
 from __future__ import annotations
@@ -45,14 +49,17 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from shadowseg import EngineConfig, EngineState, process_frame
+from shadowseg import EngineConfig, EngineState, edge, process_frame
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
 from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
                               PAIR_DIRECTIONS, SHADOW, PriorParams)
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI
 from shadowseg.optimizer import HcfResult
+from shadowseg.pipeline import pooled_variance
 from shadowseg.shadow import ShadowParams
 from shadowseg.synth import SynthScene, render_scene, scene_preset
 
@@ -329,15 +336,16 @@ def stability(row: int, col: int, labels: np.ndarray, u1: np.ndarray,
 
 @dataclass
 class TracedResult(HcfResult):
+    commits: int            # visits that labeled an uncommitted site
     # with trace=True: ("commit"|"relabel", running energy after), else None
     trace: list[tuple[str, float]] | None = None
 
 
 def sweep_outcome(result: HcfResult) -> tuple:
     """What the compiled sweep reproduces of `hcf_python`'s: the labels,
-    the bits of the energy, and the visits, commits and relabels."""
+    the bits of the energy, and the visits and relabels."""
     return (result.labels.tobytes(), np.float64(result.energy).tobytes(),
-            result.visits, result.commits, result.relabels)
+            result.visits, result.relabels)
 
 
 def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
@@ -435,9 +443,9 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     grid = np.array(labels, dtype=np.int64).reshape(height, width)
     # one heap of every site: nothing spills
     return TracedResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
-                        visits=visits, commits=commits, relabels=relabels, spilled=0,
+                        visits=visits, relabels=relabels, spilled=0,
                         label_counts=label_counts(grid), pair_counts=pair_counts(grid),
-                        trace=events)
+                        commits=commits, trace=events)
 
 
 def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
@@ -468,6 +476,73 @@ def brute_force_map(u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
     best = int(np.argmin(energies))
     grid = (assign[best] + 1).reshape(height, width).astype(np.int64)
     return grid, float(energies[best])
+
+
+EXPANSION_SCALE = 1000      # the cuts' capacities: energy terms times this, rounded to int32
+
+
+def alpha_expansion(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: PriorParams):
+    """Expansion moves (Boykov, Veksler & Zabih, PAMI 2001) from the
+    committed `labels`: the cheapest move to each label in turn, kept when
+    it lowers `total_energy`, until no label's move does. Returns (labels,
+    energy)."""
+    energy = total_energy(labels, u1, u2, prior)
+    improved = True
+    while improved:
+        improved = False
+        for alpha in LABELS:
+            moved = expansion_move(labels, alpha, u1, u2, prior)
+            moved_energy = total_energy(moved, u1, u2, prior)
+            if moved_energy < energy:
+                labels, energy, improved = moved, moved_energy, True
+    return labels, energy
+
+
+def expansion_move(labels: np.ndarray, alpha: int, u1: np.ndarray, u2: np.ndarray,
+                   prior: PriorParams) -> np.ndarray:
+    """`labels` after the cheapest move that switches any set of sites to
+    `alpha`: the minimum s-t cut of the move's binary energy, built as in
+    Kolmogorov & Zabih (PAMI 2004) on capacities scaled by
+    EXPANSION_SCALE. A site on the source side keeps its label (x = 0),
+    one on the sink side takes alpha (x = 1)."""
+    height, width = labels.shape
+    n = labels.size
+    site = np.arange(n)
+    grid = site.reshape(height, width)
+    pairs = [(grid[:height - dr, max(0, -dc):width - max(0, dc)].ravel(),
+              grid[dr:, max(0, dc):width - max(0, -dc)].ravel(), prior.lambda2 / d2)
+             for dr, dc, d2 in PAIR_DIRECTIONS]
+    i = np.concatenate([first for first, _, _ in pairs])
+    j = np.concatenate([second for _, second, _ in pairs])
+    w = np.concatenate([np.full(first.size, weight) for first, _, weight in pairs])
+    labels = labels.ravel()
+    unary = unary_costs(u1, u2, prior).reshape(3, n)
+    keep = unary[labels - 1, site]
+    switch = unary[alpha - 1].copy()
+    at_i, at_j = labels[i] == alpha, labels[j] == alpha
+    # a pair with one site at alpha costs w while the other keeps its label
+    keep += np.bincount(i[at_j & ~at_i], w[at_j & ~at_i], n)
+    keep += np.bincount(j[at_i & ~at_j], w[at_i & ~at_j], n)
+    # a pair with neither: E00 = w [l_i != l_j], E01 = E10 = w, E11 = 0, or
+    # E00 + (E10 - E00) x_i + (E11 - E10) x_j + (E01 + E10 - E00 - E11) (1 - x_i) x_j
+    free = ~at_i & ~at_j
+    i, j, w = i[free], j[free], w[free]
+    e00 = w * (labels[i] != labels[j])
+    switch += np.bincount(i, w - e00, n) - np.bincount(j, w, n)
+    source, sink = n, n + 1
+    rows = np.concatenate([np.full(n, source), site, i])
+    cols = np.concatenate([site, np.full(n, sink), j])
+    capacity = np.rint(EXPANSION_SCALE * np.concatenate(
+        [np.maximum(switch - keep, 0.0), np.maximum(keep - switch, 0.0), 2.0 * w - e00]))
+    assert capacity.max(initial=0.0) < 2**31
+    graph = csr_array((capacity.astype(np.int32), (rows, cols)), shape=(n + 2, n + 2))
+    residual = graph - maximum_flow(graph, source, sink, method="dinic").flow
+    residual.eliminate_zeros()
+    kept = breadth_first_order(residual, source, return_predecessors=False)
+    kept = kept[kept < n]
+    moved = np.full(n, alpha)
+    moved[kept] = labels[kept]
+    return moved.reshape(height, width)
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -518,6 +593,17 @@ def engine_frames(scene, config, n_labeled=None, *, seed=0, adaptive=False):
     for frame in frames[:n_labeled]:
         yield state, frame
         process_frame(state, frame)
+
+
+def detection_arguments(state: EngineState, frame) -> tuple:
+    """The eight arguments of `build_potential_tables` that label `frame`
+    against `state`, as `detection_potentials` builds them: the frame as
+    float64 and its edges, the background means and their edges, the
+    pooled variance and the shadow transform."""
+    frame = np.asarray(frame, dtype=np.float64)
+    return (frame, *edge.frame_edges(frame), state.background.mean,
+            *edge.background_edge_model(state.background), pooled_variance(state.background),
+            state.shadow)
 
 
 # The scenes, settings and starts of the benchmark's three workloads

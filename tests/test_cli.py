@@ -8,12 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from oracles import detection_arguments
 from shadowseg import EngineState, _native, cli
 from shadowseg.cli import DIAG_HEADER, _read_config_file, _setting_types, build_parser, main
-from shadowseg.edge import frame_edges
 from shadowseg.likelihood import build_potential_tables, dump_potentials
 from shadowseg.pgmio import read_frame, read_labels, write_labels, write_pgm
-from shadowseg.pipeline import EngineConfig, pooled_variance
+from shadowseg.pipeline import EngineConfig
 from shadowseg.synth import SynthScene, generate_synthetic
 
 
@@ -183,6 +183,15 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert main(["segment", "--out", str(tmp_path / "o")]) == 1
     assert main(["eval", "--pred", str(tmp_path / "none"),
                  "--truth", str(tmp_path / "none")]) == 1
+    capsys.readouterr()
+
+    assert main(["segment", "--input", frame_dir]) == 1
+    assert capsys.readouterr().err == ("error: no output directory given "
+                                       "(flag --out or config key out)\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"input = {frame_dir}\nalpha 0.1\n")
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'alpha 0.1'\n"
 
 
 def test_synth_rejects_scenes_it_cannot_render(tmp_path, capsys):
@@ -241,12 +250,8 @@ def test_dump_potentials_match_detection_state(tmp_path):
     paths = sorted(os.listdir(frame_dir))
     boot = [read_frame(os.path.join(frame_dir, p)) for p in paths[:3]]
     state = EngineState.from_static(boot, EngineConfig())
-    frame = read_frame(os.path.join(frame_dir, paths[3])).astype(float)
-    eh, ev = frame_edges(frame)
-    pooled = pooled_variance(state.background)
-    mean_h, mean_v = frame_edges(state.background.mean)
-    u1, u2 = build_potential_tables(frame, eh, ev, state.background.mean, mean_h, mean_v,
-                                    pooled, state.shadow)
+    frame = read_frame(os.path.join(frame_dir, paths[3]))
+    u1, u2 = build_potential_tables(*detection_arguments(state, frame))
     expected = tmp_path / "expected.f64"
     dump_potentials(u1, u2, expected)
     assert expected.read_bytes() == (dump_dir / dumps[0]).read_bytes()

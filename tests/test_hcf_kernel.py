@@ -37,7 +37,7 @@ def assert_same_as_python(u1, u2, prior):
     assert np.float64(fast.energy).tobytes() == np.float64(ref.energy).tobytes()
     assert (fast.label_counts, fast.pair_counts) == (ref.label_counts, ref.pair_counts)
     assert_terms_of_its_labels(fast, u1, u2, prior)
-    assert (fast.visits, fast.commits, fast.relabels) == (ref.visits, ref.commits, ref.relabels)
+    assert (fast.visits, fast.relabels) == (ref.visits, ref.relabels)
     # the oracle has no spill heap, so the kernel's count is checked against a rerun
     assert hcf_minimize(u1, u2, prior).spilled == fast.spilled
     return fast

@@ -10,11 +10,11 @@ import pytest
 from scipy import stats
 
 import oracles
-from oracles import QVGA_SCENE, edge_potential, engine_frames, intensity_potential
+from oracles import (QVGA_SCENE, detection_arguments, edge_potential, engine_frames,
+                     intensity_potential)
 from shadowseg import BACKGROUND, FOREGROUND, SHADOW, EngineConfig
-from shadowseg.edge import background_edge_model, frame_edges
+from shadowseg.edge import frame_edges
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, build_potential_tables, dump_potentials
-from shadowseg.pipeline import pooled_variance
 from shadowseg.shadow import Y_MAX, ShadowParams
 from shadowseg.synth import scene_preset
 
@@ -225,9 +225,7 @@ def assert_same_tables_as_oracle_on_engine_frames(scene, config, n_labeled=None)
     # each labeled frame's tables, with the arguments detection_potentials
     # builds for them
     for state, frame in engine_frames(scene, config, n_labeled):
-        assert_same_tables_as_oracle(frame, *frame_edges(frame), state.background.mean,
-                                     *background_edge_model(state.background),
-                                     pooled_variance(state.background), state.shadow)
+        assert_same_tables_as_oracle(*detection_arguments(state, frame))
 
 
 @pytest.mark.parametrize("preset, config", [

@@ -1,13 +1,20 @@
 """Highest-confidence-first labeling: stability scores, the commit and
-relabel loop, and agreement with exhaustive enumeration."""
+relabel loop, agreement with exhaustive enumeration, and its energy
+against expansion moves on the engine's frames."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from oracles import (brute_force_map, hcf_python, local_potential, stability, sweep_outcome,
+from oracles import (BENCHMARK_WORKLOADS, alpha_expansion, brute_force_map, engine_frames,
+                     expansion_move, hcf_python, local_potential, stability, sweep_outcome,
                      total_energy, unary_costs)
+from shadowseg import detection_potentials
 from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.optimizer import hcf_minimize
+
+HCF_GAP = 1e-3      # largest share by which HCF's energy may exceed alpha-expansion's
 
 
 def site_tables(f_values):
@@ -62,7 +69,7 @@ def test_single_site_minimization():
     res = hcf_minimize(u1, u2, prior)
     assert res.labels[0, 0] == 2
     assert res.energy == 3.0
-    assert res.commits == 1
+    assert res.visits == 1
     assert res.relabels == 0
 
 
@@ -91,9 +98,12 @@ def test_every_site_commits_exactly_once():
     rng = np.random.default_rng(27)
     u1 = rng.normal(size=(3, 5, 5))
     u2 = rng.normal(size=(3, 5, 5))
-    res = hcf_minimize(u1, u2, initial_prior(lambda1=1.0, lambda2=1.0))
-    assert res.commits == 25
-    assert res.visits >= res.commits
+    prior = initial_prior(lambda1=1.0, lambda2=1.0)
+    res = hcf_minimize(u1, u2, prior)
+    ref = hcf_python(u1, u2, prior)
+    assert ref.commits == 25
+    assert sweep_outcome(res) == sweep_outcome(ref)
+    assert res.visits == 25 + res.relabels
     assert np.all((res.labels >= 1) & (res.labels <= 3))
 
 
@@ -201,3 +211,38 @@ def test_brute_force_never_beaten_by_hcf():
         bl, be = brute_force_map(u1, u2, prior)
         assert res.energy >= be - 1e-9
         assert np.isclose(be, total_energy(bl, u1, u2, prior), atol=1e-9)
+
+
+def expansion_moves(labels, alpha):
+    """Every labeling that one expansion move to `alpha` reaches from `labels`."""
+    free = np.flatnonzero(labels != alpha)
+    for switched in itertools.product([False, True], repeat=free.size):
+        moved = labels.ravel().copy()
+        moved[free[list(switched)]] = alpha
+        yield moved.reshape(labels.shape)
+
+
+def test_expansion_move_is_the_cheapest_move_to_its_label():
+    # integer potentials and clique weights, so the scaled cut is exact
+    rng = np.random.default_rng(34)
+    for shape in [(1, 1), (1, 5), (2, 2), (2, 3), (3, 3), (2, 4)] * 4:
+        u1 = np.round(rng.normal(0, 3, size=(3, *shape)))
+        u2 = np.zeros_like(u1)
+        prior = initial_prior(lambda1=0.0, lambda2=float(rng.choice([1.0, 2.0, 4.0])))
+        labels = rng.integers(1, 4, size=shape)
+        for alpha in (1, 2, 3):
+            moved = expansion_move(labels, alpha, u1, u2, prior)
+            assert (np.where(moved == alpha, labels, moved) == labels).all()
+            assert total_energy(moved, u1, u2, prior) == min(
+                total_energy(m, u1, u2, prior) for m in expansion_moves(labels, alpha))
+
+
+@pytest.mark.parametrize("workload", ["cli_adaptive_64", "recovery_flicker_64"])
+def test_hcf_energy_is_near_alpha_expansion_on_engine_frames(workload):
+    # expansion from HCF's labels and from each site's cheapest label
+    for state, frame in engine_frames(**BENCHMARK_WORKLOADS[workload], seed=1):
+        u1, u2 = detection_potentials(state, frame)
+        hcf = hcf_minimize(u1, u2, state.prior)
+        argmin = unary_costs(u1, u2, state.prior).argmin(axis=0) + 1
+        best = min(alpha_expansion(start, u1, u2, state.prior)[1] for start in (hcf.labels, argmin))
+        assert hcf.energy - best <= HCF_GAP * abs(best), (hcf.energy, best)

@@ -84,6 +84,21 @@ def test_bad_headers_are_rejected(tmp_path):
             read_pgm(path)
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"P5\nx 2\n255\n", "bad width field: b'x'"),
+    (b"P5\n2 2.0\n255\n", "bad height field: b'2.0'"),
+    (b"P5\n2 2\n25a\n", "bad maxval field: b'25a'"),
+    (b"P5\n2 2\n255", "missing whitespace after maxval"),
+    (b"P5\n2 2\n255#\n" + b"\x00" * 4, "missing whitespace after maxval"),
+], ids=["width", "height", "maxval", "end-after-maxval", "comment-after-maxval"])
+def test_malformed_header_fields_are_named(tmp_path, blob, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(PgmError) as error:
+        read_pgm(path)
+    assert str(error.value) == message
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pgm(tmp_path / "absent.pgm")

@@ -6,10 +6,9 @@ import copy
 import numpy as np
 import pytest
 
-from oracles import total_energy
+from oracles import detection_arguments, total_energy
 from shadowseg import EngineConfig, EngineState, process_frame
 from shadowseg.background import VARIANCE_FLOOR, BackgroundModel
-from shadowseg.edge import frame_edges
 from shadowseg.energy import BACKGROUND, SHADOW
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.pipeline import pooled_variance
@@ -38,16 +37,12 @@ def test_reported_energy_matches_detection_tables():
     frame = pattern + np.random.default_rng(41).normal(0, 2, size=(12, 12))
     frame[4:8, 4:8] = 230.0
 
-    bg_mean = state.background.mean.copy()
-    pooled = pooled_variance(state.background)
-    mean_h, mean_v = frame_edges(bg_mean)
-    shadow = state.shadow
+    arguments = detection_arguments(state, frame)
     prior = copy.deepcopy(state.prior)
 
     labels, diag = process_frame(state, frame)
 
-    eh, ev = frame_edges(frame)
-    u1, u2 = build_potential_tables(frame, eh, ev, bg_mean, mean_h, mean_v, pooled, shadow)
+    u1, u2 = build_potential_tables(*arguments)
     assert np.isclose(diag.energy, total_energy(labels, u1, u2, prior),
                       rtol=1e-9, atol=1e-9)
 

@@ -11,6 +11,10 @@ xfails that name their ROADMAP item; a fix turns each into a pass.
 - Item 6, ghosts after adaptive start: when the seed frame holds the
   object, its intensities become the background there, and a ghost stays
   long after the object has left.
+- Item 8, the shadow's outline labelled foreground: at an outline pixel
+  the edge spans one lit and one shadowed neighbour, which neither the
+  background nor the shadow edge model explains, so even at the planted
+  gain 0.5 the one-pixel outline of the shadow is lost.
 """
 
 import numpy as np
@@ -25,6 +29,7 @@ FLOOD_MARGIN = 0.1      # foreground fraction allowed above the truth's largest
 GHOST_FRAMES = 60       # object-free frames by which a ghost must be gone
 SHADOW_FRAMES = 8       # last frames over which the shadow is scored
 SHADOW_RECALL = 0.6     # shadow recall required over them
+OUTLINE_RECALL = 0.95   # shadow recall required over them, the outline included
 GAIN_TOLERANCE = 0.05   # largest |learned gain - planted gain|
 
 GAIN_NOT_LEARNED = pytest.mark.xfail(
@@ -32,16 +37,29 @@ GAIN_NOT_LEARNED = pytest.mark.xfail(
     reason="ROADMAP item 2: the shadow transform stays near gain 0.5")
 
 
-@pytest.mark.parametrize("gain", [0.5] + [pytest.param(g, marks=GAIN_NOT_LEARNED)
-                                          for g in (0.3, 0.4, 0.6, 0.7)])
-def test_shadow_transform_learns_the_planted_gain(gain):
+def shadow_scene_run(gain):
+    """The unmasked shadow recall over the last SHADOW_FRAMES frames of a
+    scene with a shadow of planted `gain`, and the learned gain."""
     scene = SynthScene(n_frames=20, lead_in=5, gain=gain, offset=0.0, noise_sigma=2.0)
     frames, truths = render_scene(scene, seed=0)
     state = EngineState.from_static(frames[:scene.lead_in])
     labels = [process_frame(state, frame)[0] for frame in frames[scene.lead_in:]]
     recall = evaluate(labels[-SHADOW_FRAMES:], truths[-SHADOW_FRAMES:]).recall["shadow"]
-    assert recall >= SHADOW_RECALL and abs(state.shadow.gain - gain) <= GAIN_TOLERANCE, \
-        (recall, state.shadow.gain)
+    return recall, state.shadow.gain
+
+
+@pytest.mark.parametrize("gain", [0.5] + [pytest.param(g, marks=GAIN_NOT_LEARNED)
+                                          for g in (0.3, 0.4, 0.6, 0.7)])
+def test_shadow_transform_learns_the_planted_gain(gain):
+    recall, learned = shadow_scene_run(gain)
+    assert recall >= SHADOW_RECALL and abs(learned - gain) <= GAIN_TOLERANCE, (recall, learned)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8: the shadow's one-pixel outline is labelled foreground")
+def test_shadow_outline_is_labelled_shadow():
+    recall, _ = shadow_scene_run(0.5)
+    assert recall >= OUTLINE_RECALL, recall
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

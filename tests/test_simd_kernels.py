@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import BENCHMARK_WORKLOADS, engine_frames, pixel, select_background
+from oracles import (BENCHMARK_WORKLOADS, detection_arguments, engine_frames, pixel,
+                     select_background)
 from shadowseg import _native
 from shadowseg.background import MixtureGrid
-from shadowseg.edge import background_edge_model, frame_edges
 from shadowseg.likelihood import build_potential_tables
-from shadowseg.pipeline import pooled_variance
 from shadowseg.shadow import Y_MAX, ShadowParams
 
 ODD_COUNTS = (1, 3, 63, 65)
@@ -184,9 +183,7 @@ def test_tables_keep_the_scalar_loops_nan_and_infinity(scalar, monkeypatch):
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
 def test_every_engine_instance_of_the_benchmark_scenes(workload, scalar, monkeypatch):
     for state, frame in engine_frames(**BENCHMARK_WORKLOADS[workload], seed=1):
-        args = (frame, *frame_edges(frame), state.background.mean,
-                *background_edge_model(state.background),
-                pooled_variance(state.background), state.shadow)
+        args = detection_arguments(state, frame)
         tables = build_potential_tables(*args)
         assert same_bytes(tables, oracles.potential_tables(*args, Y_MAX))
         assert same_bytes(tables, on(scalar, monkeypatch, build_potential_tables, *args))

@@ -250,7 +250,7 @@ def test_hcf_checks_its_prior_on_every_call():
     good = initial_prior()
     overflowing = PriorParams(bias=np.array([-1e10, -0.5, 0.0]), lambda1=1e300)
     for _ in range(2):
-        assert hcf_minimize(u1, u2, good).commits == 30
+        assert hcf_minimize(u1, u2, good).visits >= 30
         with pytest.raises(ValueError, match="clique weight lambda2 must be finite, got nan"):
             hcf_minimize(u1, u2, PriorParams(bias=good.bias, lambda2=np.nan))
         with pytest.raises(ValueError, match=r"lambda1 \* bias must be finite, "
