@@ -28,8 +28,10 @@
    both. mixture_update stays scalar: a two-pixel version was
    byte-identical but slower.
 
-   Each visit of hcf_sweep commits or relabels its site, so it counts
-   only the relabels; every site commits exactly once.
+   hcf_sweep keys an uncommitted site by one formula, gap, at the start
+   and after every neighbour update: its lowest potential minus its
+   middle one, exactly. Each visit commits or relabels its site, so it
+   counts only the relabels; every site commits exactly once.
 
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
@@ -93,9 +95,12 @@ _Static_assert(BUCKET_BITS <= 12, "one word of top covers the words of low");
 
 /* The queue holds every uncommitted site and every committed site that
    can strictly improve, keyed (score, site), and yields them in that
-   order: the order in which hcf_python's lazy-deletion heap pops its
-   live entries, one per site. (score, site) is a strict total order, so
-   any exact queue yields the same sequence.
+   order. An uncommitted site's score is the gap of its potentials, the
+   lowest minus the middle one; a committed site's is its lowest potential
+   minus its own, queued only while that is negative. It is the order
+   in which hcf_python's lazy-deletion heap pops its live entries, one
+   per site. (score, site) is a strict total order, so any exact queue
+   yields the same sequence.
 
    The static tier's key of a block is the smallest (score, site) of its
    fresh sites when it was last computed. Sites only ever leave the fresh
@@ -373,6 +378,19 @@ static Entry block_key(const double *score, const uint8_t *state, int64_t first,
     return key;
 }
 
+/* The stability score of an uncommitted site with potentials a, b and
+   c: the lowest minus the middle one, as np.partition gives them, so
+   never positive. Selects, not branches: the sweep calls it at every
+   neighbour update, where a branch on the data mispredicts. */
+static inline double gap(double a, double b, double c)
+{
+    double lo = a < b ? a : b, hi = a < b ? b : a;
+    double mid = c < hi ? c : hi;
+    mid = mid > lo ? mid : lo;
+    lo = c < lo ? c : lo;
+    return lo - mid;
+}
+
 /* Label a height x width grid of fewer than 2^31 sites.
 
    u1, u2    (3, height, width) data potential tables, label-major
@@ -429,19 +447,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         f[3 * y + 1] = b;
         f[3 * y + 2] = c;
         state[y] = FRESH;
-        /* smallest minus second smallest, as np.partition gives them */
-        double lo = a, hi = b, mid;
-        if (b < a) {
-            lo = b;
-            hi = a;
-        }
-        if (c < lo) {
-            mid = lo;
-            lo = c;
-        } else {
-            mid = c < hi ? c : hi;
-        }
-        score[y] = lo - mid;
+        score[y] = gap(a, b, c);
     }
     if (!finite) {
         result = -2;
@@ -499,7 +505,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
             best_f = fy[2];
         }
         /* a committed site is queued only while another label is
-           strictly cheaper (alt - cur < 0 below), and every change to its
+           strictly cheaper (lo < cur below), and every change to its
            potentials re-keys or drops it, so each visit commits an
            uncommitted site or relabels a committed one */
         uint8_t old = state[y];
@@ -539,28 +545,13 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                 fr.where[z] = NO_BUCKET;
             }
             if (zl == 0) {
-                /* Python's min and max: the first of equal values wins */
-                double lo = g0, hi = g0;
-                if (g1 < lo)
-                    lo = g1;
-                if (g2 < lo)
-                    lo = g2;
-                if (g1 > hi)
-                    hi = g1;
-                if (g2 > hi)
-                    hi = g2;
-                double second = g0 + g1 + g2 - lo - hi;
-                frontier_set(&fr, score, (uint32_t)z, lo - second);
+                frontier_set(&fr, score, (uint32_t)z, gap(g0, g1, g2));
             } else {
-                double cur = g[zl - 1], alt;
-                if (zl == 1)
-                    alt = g2 < g1 ? g2 : g1;
-                else if (zl == 2)
-                    alt = g2 < g0 ? g2 : g0;
-                else
-                    alt = g1 < g0 ? g1 : g0;
-                if (alt - cur < 0.0)
-                    frontier_set(&fr, score, (uint32_t)z, alt - cur);
+                /* below its own potential, the lowest is another label's */
+                double cur = g[zl - 1], lo = g0 < g1 ? g0 : g1;
+                lo = g2 < lo ? g2 : lo;
+                if (lo < cur)
+                    frontier_set(&fr, score, (uint32_t)z, lo - cur);
                 else
                     frontier_drop(&fr, (uint32_t)z);
             }

@@ -86,8 +86,9 @@ def _cmd_segment(args) -> int:
     config = EngineConfig(**{key: value for key, value in settings.items() if key in fields})
     paths = _frame_paths(settings["input"])
     bg_init = settings["bg_init"]
-    if bg_init < 0:
-        raise ValueError(f"bg-init must be >= 0 (0: adaptive start), got {bg_init}")
+    # a static bootstrap pools the variance of at least two frames
+    if bg_init < 0 or bg_init == 1:
+        raise ValueError(f"bg-init must be 0 (adaptive start) or at least 2, got {bg_init}")
     if bg_init >= len(paths):
         raise ValueError(f"bg-init {bg_init} leaves no frames to process "
                          f"(sequence has {len(paths)})")
@@ -152,7 +153,8 @@ def _segment_arguments(seg: argparse.ArgumentParser) -> None:
     seg.add_argument("--input", help="frame directory or glob")
     seg.add_argument("--out", help="directory for label maps")
     seg.add_argument("--bg-init", dest="bg_init", type=int,
-                     help="bootstrap from this many leading frames (default 0: adaptive)")
+                     help="bootstrap from this many leading frames, at least 2 "
+                          "(default 0: adaptive start)")
     seg.add_argument("--alpha", type=float, help="model learning rate")
     seg.add_argument("--lambda1", type=float, help="label-bias weight")
     seg.add_argument("--lambda2", type=float, help="smoothness weight")

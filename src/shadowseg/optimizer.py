@@ -1,7 +1,9 @@
 """Deterministic MAP labeling by highest-confidence-first commitment.
 
 Every site starts uncommitted. Sites are visited in order of a stability
-score (least stable first); each visit commits or relabels the site to
+score (least stable first): for an uncommitted site, its lowest local
+potential minus its middle one, exactly; for a committed site, its
+lowest minus its own. Each visit commits or relabels the site to
 the label with the lowest local potential, then refreshes the scores of
 its eight neighbors. The local potential of a candidate label counts
 clique terms against committed neighbors only, so uncommitted sites never
@@ -19,9 +21,10 @@ site's potentials and bias of its label; numpy's sums of those
 labels, energy and counts are bit-identical to `hcf_python` there, the
 reference loop that spells out the visit order and can trace it.
 
-A committed site is queued only while another label is strictly
-cheaper, so no visit is wasted: each site commits exactly once, and
-`HcfResult.visits` is the number of sites plus the relabels.
+A committed site is queued only while its score is negative, that is
+while another label is strictly cheaper, so no visit is wasted: each
+site commits exactly once, and `HcfResult.visits` is the number of sites
+plus the relabels.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Binary PGM (P5) reading and writing, plus the label-map encoding.
 
-Only 8-bit binary PGM is read (maxval up to 255), and only maxval 255,
-which sequence frames must use, is written. Label maps are stored as
-ordinary PGM files with background = 0, shadow = 128 and foreground = 255.
+Only 8-bit binary PGM is read (maxval up to 255, no sample above it),
+and only maxval 255, which sequence frames must use, is written. Label
+maps are stored as ordinary PGM files with background = 0, shadow = 128
+and foreground = 255.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if len(raster) < width * height:
         raise PgmError(f"truncated payload: {len(raster)} of {width * height} bytes")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    # no byte is above maxval 255, so frames pay for no check
+    if maxval < 255 and pixels.max() > maxval:
+        raise PgmError(f"sample {pixels.max()} above maxval {maxval}")
     return pixels.copy(), maxval
 
 

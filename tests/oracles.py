@@ -351,7 +351,12 @@ def sweep_outcome(result: HcfResult) -> tuple:
 def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                trace: bool = False, rekeyed: list | None = None) -> TracedResult:
     """The reference sweep, with a lazy-deletion heap: each site carries a
-    version counter, and stale heap entries are dropped on pop. With
+    version counter, and stale heap entries are dropped on pop. Every
+    uncommitted site is keyed by the exact gap of its potentials, its
+    lowest minus its middle one, as `stability` scores it: at the start
+    from `np.partition`, after a neighbour update from `sorted`. A
+    committed site is keyed by its lowest other potential minus its own,
+    and queued only while that is negative. With
     `trace`, the result lists every commit and relabel in order. With a
     list `rekeyed`, every push after the first heap, a neighbour update
     that queues a site under a new score, appends its (site, score)."""
@@ -422,8 +427,7 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
             g0, g1, g2 = f[zb], f[zb + 1], f[zb + 2]
             zl = labels[z]
             if zl == UNCOMMITTED:
-                lo = min(g0, g1, g2)
-                second = g0 + g1 + g2 - lo - max(g0, g1, g2)
+                lo, second, _ = sorted((g0, g1, g2))
                 heapq.heappush(heap, (lo - second, z, version[z]))
                 if rekeyed is not None:
                     rekeyed.append((z, lo - second))

@@ -27,7 +27,7 @@ from shadowseg.evaluate import evaluate
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.shadow import fit_shadow
 from shadowseg.cli import main
-from shadowseg.energy import FOREGROUND, PriorParams, SHADOW
+from shadowseg.energy import FOREGROUND, PriorParams
 from shadowseg.shadow import ShadowParams
 from shadowseg.synth import render_scene, scene_preset
 

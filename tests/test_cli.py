@@ -12,7 +12,7 @@ from oracles import detection_arguments
 from shadowseg import EngineState, _native, cli
 from shadowseg.cli import DIAG_HEADER, _read_config_file, _setting_types, build_parser, main
 from shadowseg.likelihood import build_potential_tables, dump_potentials
-from shadowseg.pgmio import read_frame, read_labels, write_labels, write_pgm
+from shadowseg.pgmio import read_frame, read_labels, write_labels
 from shadowseg.pipeline import EngineConfig
 from shadowseg.synth import SynthScene, generate_synthetic
 
@@ -184,6 +184,16 @@ def test_error_paths_exit_nonzero(tmp_path, capsys):
     assert main(["eval", "--pred", str(tmp_path / "none"),
                  "--truth", str(tmp_path / "none")]) == 1
     capsys.readouterr()
+
+    # a static bootstrap needs two frames, so one is refused where the flag is read
+    assert main(["segment", "--input", frame_dir, "--out", str(tmp_path / "o"),
+                 "--bg-init", "1"]) == 1
+    assert capsys.readouterr().err == ("error: bg-init must be 0 (adaptive start) "
+                                       "or at least 2, got 1\n")
+    assert main(["segment", "--input", frame_dir, "--out", str(tmp_path / "o"),
+                 "--bg-init", "-1"]) == 1
+    assert capsys.readouterr().err == ("error: bg-init must be 0 (adaptive start) "
+                                       "or at least 2, got -1\n")
 
     assert main(["segment", "--input", frame_dir]) == 1
     assert capsys.readouterr().err == ("error: no output directory given "

@@ -287,9 +287,35 @@ def test_scores_at_the_bitmap_word_boundaries(b):
             assert max(score for _, score in rekeyed) > -2.0**-32
 
 
+def spread_instances():
+    """Potentials of widely different size: at half of the sites one label
+    costs 1e17, so a middle value summed as g0 + g1 + g2 - lo - hi would
+    lose the two small ones to rounding, and the key could come out
+    positive."""
+    rng = np.random.default_rng(69)
+    for lambda2 in (0.5, 1.0, 4.0):
+        for _ in range(10):
+            u1 = rng.uniform(0.0, 3.0, size=(3, 5, 6))
+            u2 = rng.uniform(0.0, 3.0, size=(3, 5, 6))
+            rows, cols = np.nonzero(rng.random((5, 6)) < 0.5)
+            u1[rng.integers(0, 3, size=rows.size), rows, cols] = 1e17
+            yield u1, u2, initial_prior(lambda1=1.0, lambda2=lambda2)
+
+
+def test_every_queued_key_is_at_most_zero():
+    # an uncommitted site's key is its lowest potential minus its middle
+    # one; a committed site's is its lowest minus its own, queued only
+    # while that is negative
+    for u1, u2, prior in spread_instances():
+        rekeyed = []
+        hcf_python(u1, u2, prior, rekeyed=rekeyed)
+        assert rekeyed and max(score for _, score in rekeyed) <= 0.0
+        assert_same_as_python(u1, u2, prior)
+
+
 def hcf_corpora():
-    """The tie, checkerboard, clamp-end, bitmap-boundary and signed-zero
-    instances, as (u1, u2, prior)."""
+    """The tie, checkerboard, clamp-end, bitmap-boundary, signed-zero and
+    spread-magnitude instances, as (u1, u2, prior)."""
     yield from tied_instances()
     for lambda2 in (0.5, 4.0):
         u1, u2 = checkerboard(30, 40, lambda2)
@@ -298,6 +324,7 @@ def hcf_corpora():
     for b in BITMAP_BOUNDARIES:
         yield from boundary_instances(b)
     yield from signed_zero_instances()
+    yield from spread_instances()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (1, 65), (2, 1), (7, 1), (65, 1),

@@ -1,7 +1,7 @@
-"""The parity checks against `hcf_python` catch order bugs in the HCF
-kernel. Each test builds `_native.c` with one bug planted by exact source
-substitution, and the tie, checkerboard, clamp-end, bitmap-boundary and
-signed-zero corpora must find it. A planted pattern must occur exactly
+"""The parity checks against `hcf_python` catch order and key bugs in the
+HCF kernel. Each test builds `_native.c` with one bug planted by exact
+source substitution, and the tie, checkerboard, clamp-end,
+bitmap-boundary, signed-zero and spread-magnitude corpora must find it. A planted pattern must occur exactly
 once in the source, so an edit to the kernel that moves it fails here
 instead of leaving a mutant that no longer differs from the kernel."""
 
@@ -26,6 +26,12 @@ MUTANTS = {
     # the bit of top cleared with its bucket's, while the word of low is still non-empty
     "top-bit-cleared-early": ("fr->top &= ~((uint64_t)(*low == 0) << (b >> 6));",
                               "fr->top &= ~((uint64_t)1 << (b >> 6));"),
+    # a touched uncommitted site's middle potential summed as g0 + g1 + g2 - lo - hi
+    "middle-by-sum": ("frontier_set(&fr, score, (uint32_t)z, gap(g0, g1, g2));",
+                      "double lo = g0 < g1 ? g0 : g1, hi = g0 < g1 ? g1 : g0;\n"
+                      "lo = g2 < lo ? g2 : lo;\n"
+                      "hi = g2 > hi ? g2 : hi;\n"
+                      "frontier_set(&fr, score, (uint32_t)z, lo - (g0 + g1 + g2 - lo - hi));"),
 }
 
 

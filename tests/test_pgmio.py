@@ -26,6 +26,17 @@ def test_round_trip_small_maxval(tmp_path):
     assert np.array_equal(back, pixels)
 
 
+@pytest.mark.parametrize("maxval, sample", [(15, 16), (100, 255), (128, 255)])
+def test_a_sample_above_maxval_is_rejected(tmp_path, maxval, sample):
+    # a label map's bytes under maxval 128 would otherwise read as foreground
+    path = tmp_path / "over.pgm"
+    path.write_bytes(pgm_bytes(np.array([[0, maxval], [sample, 0]]), maxval))
+    for read in (read_pgm, read_labels):
+        with pytest.raises(PgmError) as error:
+            read(path)
+        assert str(error.value) == f"sample {sample} above maxval {maxval}"
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "h.pgm"
     write_pgm(path, np.zeros((2, 3), dtype=np.uint8))

@@ -1,11 +1,11 @@
 """The compiled kernels built with AddressSanitizer and
-UndefinedBehaviorSanitizer: on the HCF tie, clamp-end, signed-zero and
-bitmap-boundary corpora, a table the sweep refuses as non-finite, mixtures
-whose best-ranked component is often not their first, one 64x64 engine
-frame and one 63x65 engine frame, whose odd pixel count ends the
-vectorized loops on their scalar epilogue, all four kernels run, and the
-sanitized build must report nothing and return exactly what the normal
-build returns.
+UndefinedBehaviorSanitizer: on the HCF tie, clamp-end, signed-zero,
+bitmap-boundary and spread-magnitude corpora, a table the sweep refuses
+as non-finite, mixtures whose best-ranked component is often not their
+first, one 64x64 engine frame and one 63x65 engine frame, whose odd
+pixel count ends the vectorized loops on their scalar epilogue, all four
+kernels run, and the sanitized build must report nothing and return
+exactly what the normal build returns.
 
 The same corpus must also run every line of `_native.c` but the exit
 when memory runs out: built for gcov coverage, the kernels must return
