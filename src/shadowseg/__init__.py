@@ -11,7 +11,6 @@ This namespace holds the engine API; each layer lives in its own module.
 
 from shadowseg.energy import BACKGROUND, FOREGROUND, SHADOW
 from shadowseg.pgmio import PgmError, read_frame, read_labels, write_labels
-from shadowseg.pipeline import (EngineConfig, EngineState, FrameDiagnostics,
-                                detection_potentials, process_frame)
+from shadowseg.pipeline import EngineConfig, EngineState, FrameDiagnostics, process_frame
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import sys
 from shadowseg.evaluate import evaluate
 from shadowseg.likelihood import dump_potentials
 from shadowseg.pgmio import PgmError, read_frame, read_labels, write_labels
-from shadowseg.pipeline import EngineConfig, EngineState, detection_potentials, process_frame
+from shadowseg.pipeline import EngineConfig, EngineState, process_frame
 from shadowseg.synth import generate_synthetic, scene_preset
 
 # Not called here; bound so that bench/spans.py can trace them on this module.
@@ -107,11 +107,11 @@ def _cmd_segment(args) -> int:
     rows = []
     for path in remaining:
         frame = read_frame(path)
+        dump = None
         if dump_dir:
-            u1, u2 = detection_potentials(state, frame)
-            dump_potentials(u1, u2, os.path.join(dump_dir,
-                                                 f"potentials_{state.k + 1:04d}.f64"))
-        labels, diag = process_frame(state, frame)
+            dump = functools.partial(dump_potentials, path=os.path.join(
+                dump_dir, f"potentials_{state.k + 1:04d}.f64"))
+        labels, diag = process_frame(state, frame, dump)
         write_labels(labels, os.path.join(settings["out"], f"labels_{diag.k:04d}.pgm"))
         rows.append(f"{diag.k},{diag.energy:.6f},{diag.n_background},{diag.n_shadow},"
                     f"{diag.n_foreground},{diag.gain:.6f},{diag.offset:.6f},{diag.visits}")

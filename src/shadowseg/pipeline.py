@@ -11,7 +11,8 @@ it: its means are the central differences of the background means
 (`background_edge_model`), and the per-pixel background variances are
 replaced by their scene-wide mean (one pooled value for intensities,
 twice that for each edge component); the per-pixel values are kept for
-the mixture updates.
+the mixture updates. The tables are built in `process_frame` alone, which
+hands them to an optional `dump` hook before labeling them.
 """
 
 from __future__ import annotations
@@ -117,36 +118,24 @@ def pooled_variance(bg: BackgroundModel) -> float:
     return float(bg.variance.sum()) / bg.variance.size
 
 
-def detection_potentials(state: EngineState, frame) -> tuple[np.ndarray, np.ndarray]:
-    """Intensity and edge potential tables, (3, H, W) each, that label
-    `frame` against the models as they stand.
-
-    The background edge means are built here from the background means.
-    The per-pixel background variances are pooled into one scene-wide
-    value, and each edge component gets twice that value.
-    """
-    return _detection_tables(state, _checked_frame(frame, state.background.mean.shape))
-
-
-def _detection_tables(state: EngineState, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`detection_potentials` of a frame `_checked_frame` has passed."""
-    edge_h, edge_v = frame_edges(frame)
-    mean_h, mean_v = background_edge_model(state.background)
-    return build_potential_tables(frame, edge_h, edge_v, state.background.mean,
-                                  mean_h, mean_v, pooled_variance(state.background),
-                                  state.shadow)
-
-
-def process_frame(state: EngineState, frame) -> tuple[np.ndarray, FrameDiagnostics]:
+def process_frame(state: EngineState, frame, dump=None) -> tuple[np.ndarray, FrameDiagnostics]:
     """Label one frame and fold it into every model. Mutates `state`.
 
     Returns the committed label field and the per-frame diagnostics; the
     reported gain/offset are the values carried into the next frame.
+    `dump`, when given, is called as `dump(u1, u2)` with the intensity and
+    edge potential tables, (3, H, W) each, before they are labeled.
     """
     frame = _checked_frame(frame, state.background.mean.shape)
     cfg = state.config
 
-    u1, u2 = _detection_tables(state, frame)
+    # the edge grids are call arguments, not locals, so that they are
+    # freed before the sweep allocates its work arrays
+    u1, u2 = build_potential_tables(frame, *frame_edges(frame), state.background.mean,
+                                    *background_edge_model(state.background),
+                                    pooled_variance(state.background), state.shadow)
+    if dump is not None:
+        dump(u1, u2)
     result = hcf_minimize(u1, u2, state.prior)
     labels = result.labels
 

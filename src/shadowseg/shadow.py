@@ -17,7 +17,7 @@ import numpy as np
 GAIN_MIN = 0.1          # shadows darken; unclamped sparse fits destabilize the likelihood
 GAIN_MAX = 1.0
 MIN_SHADOW_PIXELS = 20  # below this, keep previous parameters instead of refitting
-DEGENERATE_EPS = 1e-9
+DEGENERATE_EPS = 1e-9   # of n * sum(b * b): below it, the background values are equal
 # top of the intensity scale, fixed because frames must use maxval 255; a
 # float, so that the offset stays a float where the clamp applies
 Y_MAX = 255.0
@@ -37,7 +37,8 @@ def fit_shadow(observed, background) -> tuple[float, float] | None:
     """Closed-form least-squares gain/offset for observed = gain*background + offset.
 
     Returns None for fewer than MIN_SHADOW_PIXELS pairs or for a
-    degenerate design (all background values equal).
+    degenerate design (all background values equal, up to the rounding
+    residue their sums leave in the determinant).
     """
     g = np.asarray(observed, dtype=np.float64).ravel()
     b = np.asarray(background, dtype=np.float64).ravel()
@@ -51,7 +52,7 @@ def fit_shadow(observed, background) -> tuple[float, float] | None:
     sum_gb = float((g * b).sum())
     sum_bb = float((b * b).sum())
     denom = sum_b * sum_b - n * sum_bb
-    if abs(denom) < DEGENERATE_EPS:
+    if abs(denom) <= DEGENERATE_EPS * n * sum_bb:
         return None
     gain = (sum_g * sum_b - n * sum_gb) / denom
     offset = (sum_g - gain * sum_b) / n

@@ -39,7 +39,8 @@ The parity tests draw their frame-sized instances from one generator,
 state that labels it. `QVGA_SCENE` is the 320x240 scene among them, and
 `BENCHMARK_WORKLOADS` the three scenes of the benchmark.
 `detection_arguments` spells out the arguments that label a frame
-against a state, so that a change to detection edits one helper.
+against a state, and `detection_tables` the tables they build, so that a
+change to detection edits one helper.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
 from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
                               PAIR_DIRECTIONS, SHADOW, PriorParams)
-from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI
+from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI, build_potential_tables
 from shadowseg.optimizer import HcfResult
 from shadowseg.pipeline import pooled_variance
 from shadowseg.shadow import ShadowParams
@@ -601,13 +602,19 @@ def engine_frames(scene, config, n_labeled=None, *, seed=0, adaptive=False):
 
 def detection_arguments(state: EngineState, frame) -> tuple:
     """The eight arguments of `build_potential_tables` that label `frame`
-    against `state`, as `detection_potentials` builds them: the frame as
-    float64 and its edges, the background means and their edges, the
-    pooled variance and the shadow transform."""
+    against `state`, as `process_frame` builds them: the frame as float64
+    and its edges, the background means and their edges, the pooled
+    variance and the shadow transform."""
     frame = np.asarray(frame, dtype=np.float64)
     return (frame, *edge.frame_edges(frame), state.background.mean,
             *edge.background_edge_model(state.background), pooled_variance(state.background),
             state.shadow)
+
+
+def detection_tables(state: EngineState, frame) -> tuple:
+    """The `(u1, u2)` potential tables that label `frame` against `state`:
+    the tables `process_frame` builds, and hands to its `dump` hook."""
+    return build_potential_tables(*detection_arguments(state, frame))
 
 
 # The scenes, settings and starts of the benchmark's three workloads

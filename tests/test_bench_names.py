@@ -68,6 +68,11 @@ def test_tracer_spans_every_frame_of_a_dumping_segment_run(tmp_path):
         # one update and one selection per frame, each its own call
         assert children.count("background.mixture_update") == 1
         assert children.count("background.select") == 1
+    # the tables are built, and dumped, inside the frame's call and nowhere
+    # else: one span of each per frame, each the child of that frame's span
+    for name in ("likelihood.potentials", "edge.frame_edges", "edge.model", "likelihood.dump"):
+        parents = [span[3] for span in tracer.spans if span[0] == name]
+        assert sorted(parents) == frame_spans, name
     tracer.check_called(["cli.main", "pgmio.read", "pgmio.write", "background.bootstrap",
                          "edge.frame_edges", "optimizer.hcf", "likelihood.dump",
                          "background.mixture_update", "background.select"])

@@ -8,10 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from oracles import detection_arguments
+from oracles import detection_tables
 from shadowseg import EngineState, _native, cli
 from shadowseg.cli import DIAG_HEADER, _read_config_file, _setting_types, build_parser, main
-from shadowseg.likelihood import build_potential_tables, dump_potentials
+from shadowseg.likelihood import dump_potentials
 from shadowseg.pgmio import read_frame, read_labels, write_labels
 from shadowseg.pipeline import EngineConfig
 from shadowseg.synth import SynthScene, generate_synthetic
@@ -261,7 +261,7 @@ def test_dump_potentials_match_detection_state(tmp_path):
     boot = [read_frame(os.path.join(frame_dir, p)) for p in paths[:3]]
     state = EngineState.from_static(boot, EngineConfig())
     frame = read_frame(os.path.join(frame_dir, paths[3]))
-    u1, u2 = build_potential_tables(*detection_arguments(state, frame))
+    u1, u2 = detection_tables(state, frame)
     expected = tmp_path / "expected.f64"
     dump_potentials(u1, u2, expected)
     assert expected.read_bytes() == (dump_dir / dumps[0]).read_bytes()

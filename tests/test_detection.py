@@ -1,12 +1,16 @@
-"""The one detection path: `detection_potentials` gives the tables that
-`process_frame` labels and that `segment --dump-potentials` writes."""
+"""The one detection path: `process_frame` builds the tables it labels,
+once per frame, and hands them to its `dump` hook, through which
+`segment --dump-potentials` writes them; `oracles.detection_tables`
+rebuilds them from the state."""
 
 import copy
 import os
 
-from oracles import total_energy
+import numpy as np
+
+from oracles import detection_tables, total_energy
 import shadowseg.pipeline as pipeline
-from shadowseg import EngineConfig, EngineState, detection_potentials, process_frame, read_frame
+from shadowseg import EngineConfig, EngineState, process_frame, read_frame
 from shadowseg.cli import main
 from shadowseg.likelihood import dump_potentials
 from shadowseg.synth import SynthScene, generate_synthetic
@@ -24,10 +28,21 @@ def test_process_frame_labels_the_detection_potentials(tmp_path):
     frames = [read_frame(p) for p in scene_frames(tmp_path)]
     state = EngineState.from_static(frames[:3], EngineConfig(alpha=0.1))
     for frame in frames[3:]:
-        u1, u2 = detection_potentials(state, frame)
+        u1, u2 = detection_tables(state, frame)
         prior = copy.deepcopy(state.prior)
         labels, diag = process_frame(state, frame)
         assert diag.energy == total_energy(labels, u1, u2, prior)
+
+
+def test_dump_hook_gets_the_tables_the_frame_is_labeled_with(tmp_path):
+    frames = [read_frame(p) for p in scene_frames(tmp_path)]
+    state = EngineState.from_static(frames[:3], EngineConfig(alpha=0.1))
+    for frame in frames[3:]:
+        u1, u2 = detection_tables(state, frame)
+        dumped = []
+        process_frame(state, frame, lambda *tables: dumped.append(tables))
+        assert len(dumped) == 1
+        assert np.array_equal(dumped[0][0], u1) and np.array_equal(dumped[0][1], u2)
 
 
 def test_process_frame_checks_its_frame_once(tmp_path, monkeypatch):
@@ -52,7 +67,7 @@ def test_dump_is_exactly_the_detection_potentials(tmp_path):
     frames = [read_frame(p) for p in frame_paths]
     state = EngineState.from_static(frames[:3], EngineConfig(lambda2=2.0))
     for k, frame in enumerate(frames[3:], start=1):
-        u1, u2 = detection_potentials(state, frame)
+        u1, u2 = detection_tables(state, frame)
         expected = tmp_path / f"expected_{k}.f64"
         dump_potentials(u1, u2, expected)
         assert expected.read_bytes() == (dump_dir / f"potentials_{k:04d}.f64").read_bytes()

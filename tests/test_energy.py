@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import engine_frames, local_potential, pair_potential, total_energy, unary_costs
-from shadowseg import EngineConfig, detection_potentials
+from oracles import (detection_tables, engine_frames, local_potential, pair_potential,
+                     total_energy, unary_costs)
+from shadowseg import EngineConfig
 from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, PriorParams, energy_of_terms,
                               initial_prior, update_label_bias)
 from shadowseg.optimizer import hcf_minimize
@@ -186,7 +187,7 @@ def test_total_is_byte_identical_to_the_oracle_on_engine_instances(preset, confi
     # tables, summed in the oracle's order
     rng = np.random.default_rng(26)
     for state, frame in engine_frames(scene_preset(preset), config):
-        u1, u2 = detection_potentials(state, frame)
+        u1, u2 = detection_tables(state, frame)
         assert_same_energy_as_oracle(hcf_minimize(u1, u2, state.prior).labels, u1, u2,
                                      state.prior)
         assert_same_energy_as_oracle(rng.integers(1, 4, size=frame.shape), u1, u2, state.prior)

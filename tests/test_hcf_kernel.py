@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (QVGA_SCENE, engine_frames, hcf_python, label_counts, pair_counts,
-                     total_energy)
-from shadowseg import EngineConfig, _native, detection_potentials
+from oracles import (QVGA_SCENE, detection_tables, engine_frames, hcf_python, label_counts,
+                     pair_counts, total_energy)
+from shadowseg import EngineConfig, _native
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import scene_preset
@@ -399,14 +399,14 @@ def test_tied_sweep_time_grows_linearly(lambda2):
 ])
 def test_engine_instances_of_the_presets(preset, config):
     for state, frame in engine_frames(scene_preset(preset), config):
-        assert_same_as_python(*detection_potentials(state, frame), state.prior)
+        assert_same_as_python(*detection_tables(state, frame), state.prior)
 
 
 def test_engine_instances_at_320x240():
     # ties on real frames fill a bucket past its cap too: 2,978 and 2,856
     # sites of the two sweeps move to the heap
     for state, frame in engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2):
-        result = assert_same_as_python(*detection_potentials(state, frame), state.prior)
+        result = assert_same_as_python(*detection_tables(state, frame), state.prior)
         assert result.spilled > 32
 
 

@@ -4,7 +4,9 @@ Each top-level function, class, module constant and method of
 `src/shadowseg` must be referenced somewhere in the library outside its
 own definition, or in `bench/`, and each optional parameter must be
 passed by some call there. Code that only the tests call belongs in the
-tests (`tests/oracles.py` holds the scalar references).
+tests (`tests/oracles.py` holds the scalar references). A re-export from
+the package's `__init__.py` is not a use: it would keep alive a name
+that nothing calls.
 """
 
 import ast
@@ -20,15 +22,16 @@ def _parse(directory: Path) -> dict:
     return {path: ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))}
 
 
-def _references(tree) -> Counter:
-    """Identifiers a tree reads: names, attributes and imported names."""
+def _references(tree, imports=True) -> Counter:
+    """Identifiers a tree reads: names, attributes and, when `imports`,
+    imported names."""
     refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs[node.attr] += 1
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and imports:
             refs.update(alias.name for alias in node.names)
     return refs
 
@@ -64,9 +67,12 @@ def _bench_names() -> set:
     return names
 
 
-def unused_library_names() -> list:
-    trees = _parse(LIBRARY)
-    library_refs = sum((_references(tree) for tree in trees.values()), Counter())
+def unused_library_names(trees=None) -> list:
+    """Qualified names of the definitions in `trees` (by default the
+    library's modules by path) that nothing outside them references."""
+    trees = _parse(LIBRARY) if trees is None else trees
+    library_refs = sum((_references(tree, imports=path.name != "__init__.py")
+                        for path, tree in trees.items()), Counter())
     bench = _bench_names()
     unused = []
     for path, tree in trees.items():
@@ -119,6 +125,15 @@ def unpassed_options() -> set:
 
 def test_every_library_name_is_used_outside_the_tests():
     assert unused_library_names() == []
+
+
+def test_a_name_only_the_package_re_exports_is_unused():
+    trees = {LIBRARY / name: ast.parse(source) for name, source in (
+        ("pipeline.py", "def process_frame(): pass\ndef detection_potentials(): pass\n"),
+        ("__init__.py", "from shadowseg.pipeline import detection_potentials, process_frame\n"),
+        ("cli.py", "from shadowseg.pipeline import process_frame\nprocess_frame()\n"),
+    )}
+    assert unused_library_names(trees) == ["pipeline.detection_potentials"]
 
 
 def test_every_optional_parameter_is_passed_outside_the_tests():

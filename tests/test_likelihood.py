@@ -222,8 +222,8 @@ def test_tables_of_integer_frames_and_transposed_views():
 
 
 def assert_same_tables_as_oracle_on_engine_frames(scene, config, n_labeled=None):
-    # each labeled frame's tables, with the arguments detection_potentials
-    # builds for them
+    # each labeled frame's tables, with the arguments process_frame builds
+    # for them
     for state, frame in engine_frames(scene, config, n_labeled):
         assert_same_tables_as_oracle(*detection_arguments(state, frame))
 

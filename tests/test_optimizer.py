@@ -7,10 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import (BENCHMARK_WORKLOADS, alpha_expansion, brute_force_map, engine_frames,
-                     expansion_move, hcf_python, local_potential, stability, sweep_outcome,
-                     total_energy, unary_costs)
-from shadowseg import detection_potentials
+from oracles import (BENCHMARK_WORKLOADS, alpha_expansion, brute_force_map, detection_tables,
+                     engine_frames, expansion_move, hcf_python, local_potential, stability,
+                     sweep_outcome, total_energy, unary_costs)
 from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.optimizer import hcf_minimize
 
@@ -241,7 +240,7 @@ def test_expansion_move_is_the_cheapest_move_to_its_label():
 def test_hcf_energy_is_near_alpha_expansion_on_engine_frames(workload):
     # expansion from HCF's labels and from each site's cheapest label
     for state, frame in engine_frames(**BENCHMARK_WORKLOADS[workload], seed=1):
-        u1, u2 = detection_potentials(state, frame)
+        u1, u2 = detection_tables(state, frame)
         hcf = hcf_minimize(u1, u2, state.prior)
         argmin = unary_costs(u1, u2, state.prior).argmin(axis=0) + 1
         best = min(alpha_expansion(start, u1, u2, state.prior)[1] for start in (hcf.labels, argmin))
