@@ -1,16 +1,18 @@
 /* The compiled kernels of shadowseg, loaded with ctypes by
    shadowseg._native: the highest-confidence-first sweep (hcf_sweep), the
    per-pixel mixture update and background selection (mixture_update,
-   mixture_select), and the six rows of potential tables
-   (potential_tables).
+   mixture_select), the six rows of potential tables (potential_tables),
+   and the two edge grids of a frame or of the background means
+   (central_differences).
 
    They are the engine's only path. Each replays the float64 arithmetic
    of its reference oracle in tests/oracles.py, operation by operation and
    in the same order, so results come out bit-identical: hcf_sweep follows
    hcf_python, the mixture kernels follow update_mixture and
-   select_background, one pixel at a time, and potential_tables the numpy
-   stacks of potential_tables. Built with -ffp-contract=off so that no
-   multiply-add is fused, and without -ffast-math.
+   select_background, one pixel at a time, potential_tables the numpy
+   stacks of potential_tables, and central_differences the numpy slicing
+   of frame_edges. Built with -ffp-contract=off so that no multiply-add is
+   fused, and without -ffast-math.
 
    No kernel calls log: libm's log and numpy's (SIMD on x86-64) round
    differently in the last bit on some inputs. So potential_tables takes
@@ -18,20 +20,24 @@
    triangular factors of the foreground edge potential for numpy to take
    the per-pixel logs of.
 
-   mixture_select and potential_tables are one plain loop each, which
-   the compiler vectorizes under #pragma omp simd (-fopenmp-simd: no
-   OpenMP runtime, no threads). Vector sqrt, divide, multiply, add and
-   subtract round exactly as their scalar forms do, and each lane runs
-   the loop's operations in its order, so the bytes are those of the
-   scalar loop; a compiler that ignores the pragma runs that loop as it
-   stands. tests/test_simd_kernels.py checks that GCC still vectorizes
-   both. mixture_update stays scalar: a two-pixel version was
-   byte-identical but slower.
+   mixture_select and potential_tables are one plain loop each, and
+   central_differences two per row, which the compiler vectorizes under
+   #pragma omp simd (-fopenmp-simd: no OpenMP runtime, no threads).
+   Vector sqrt, divide, multiply, add and subtract round exactly as their
+   scalar forms do, and each lane runs the loop's operations in its order,
+   so the bytes are those of the scalar loop; a compiler that ignores the
+   pragma runs that loop as it stands. tests/test_simd_kernels.py checks
+   that GCC still vectorizes all four. mixture_update stays scalar: a
+   two-pixel version was byte-identical but slower, and GCC would not
+   vectorize a branch-free one.
 
    hcf_sweep keys an uncommitted site by one formula, gap, at the start
    and after every neighbour update: its lowest potential minus its
    middle one, exactly. Each visit commits or relabels its site, so it
-   counts only the relabels; every site commits exactly once.
+   counts only the relabels; every site commits exactly once. A site's
+   three potentials and its key share one 32-byte record, aligned in the
+   caller's buffer, so that a neighbour update, which reads and writes
+   all four, touches one cache line.
 
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
@@ -46,7 +52,10 @@
    queued site sits in the frontier, a bucket queue (Dial, CACM 1969):
    a site's bucket comes from the top bits of its score mapped to an
    unsigned integer in the same order, and a bitmap of non-empty buckets
-   finds the lowest one with two count-trailing-zeros. Nearly all visits
+   finds the lowest one with two count-trailing-zeros. There are 128
+   buckets per power of two over the magnitudes 2^-16 to 2^16, where all
+   but a few millionths of the benchmark scenes' initial keys lie (0.0013
+   to 8,016 on seeds 1-3). Nearly all visits
    come from the frontier, which held at most about 1,500 sites on 320x240
    frames, so a neighbour update relinks a site between two lists instead
    of sifting it through a heap. Nearly every update moves its site to
@@ -76,15 +85,17 @@
    and untouched, so keyed by its initial score in the static tier. */
 #define FRESH 4
 /* Frontier buckets: 2^SPLIT_BITS per power of two, over scores from
-   -2^32 to -2^-32; smaller and larger ones share the two end buckets.
-   That is 2^BUCKET_BITS buckets, under a bitmap of two levels that
-   branch 64 ways. */
-#define SPLIT_BITS 6
+   -2^WINDOW_EXP to -2^-WINDOW_EXP; smaller and larger ones share the two
+   end buckets. That is 2^BUCKET_BITS buckets, under a bitmap of two
+   levels that branch 64 ways. */
+#define SPLIT_BITS 7
 #define BUCKET_BITS 12
-/* score_key(-0x1p32): the exponent bits of 2^32 inverted, then the top
-   SPLIT_BITS bits of its zero mantissa inverted */
-#define LOWEST_KEY ((uint32_t)(2047 - (1023 + 32)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1))
-_Static_assert(BUCKET_BITS - SPLIT_BITS == 6, "the buckets span 64 powers of two");
+#define WINDOW_EXP 16
+/* score_key(-2^WINDOW_EXP): the exponent bits of 2^WINDOW_EXP inverted,
+   then the top SPLIT_BITS bits of its zero mantissa inverted */
+#define LOWEST_KEY ((uint32_t)(2047 - (1023 + WINDOW_EXP)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1))
+_Static_assert(1 << (BUCKET_BITS - SPLIT_BITS) == 2 * WINDOW_EXP,
+               "the buckets span the 2 * WINDOW_EXP powers of two of the window");
 _Static_assert(BUCKET_BITS <= 12, "one word of top covers the words of low");
 /* The most sites the lowest bucket may hold before they move to the heap. */
 #define BUCKET_CAP 32
@@ -122,6 +133,15 @@ typedef struct {
     double score;
     int64_t site;
 } Entry;
+
+/* One site of the sweep: its potential of each label, then its key, the
+   initial score while it is fresh and its frontier score once it is
+   bucketed. 32 bytes, from a 32-byte boundary, so that a neighbour update
+   touches one cache line. */
+typedef struct {
+    double g[3];
+    double key;
+} Site;
 
 typedef struct {
     Entry *heap;
@@ -202,7 +222,7 @@ static void drop(Queue *q, int64_t site)
 }
 
 /* The frontier. A site is in at most one of its buckets and its heap; a
-   bucketed site's score is kept in the sweep's score array, and the heap's
+   bucketed site's score is the key of its record, and the heap's
    slot index is valid only for the heap's own sites. Bucket b is a
    circular list through its head node, link[n + b], which links to itself
    while the bucket is empty; so no insert or unlink tests for an end of a
@@ -289,21 +309,21 @@ static int64_t lowest_bucket(const Frontier *fr)
     return l * 64 + __builtin_ctzll(fr->low[l]);
 }
 
-/* Key the touched site `site` by `s`, inserting it when absent. */
-static inline void frontier_set(Frontier *fr, double *score, uint32_t site, double s)
+/* Key the touched site z by s, inserting it when absent. */
+static inline void frontier_set(Frontier *fr, Site *site, uint32_t z, double s)
 {
-    uint32_t old = fr->where[site];
+    uint32_t old = fr->where[z];
     if (old == IN_HEAP) {
-        set_score(&fr->heap, site, s);
+        set_score(&fr->heap, z, s);
         return;
     }
     uint32_t b = bucket_of(s);
     if (old != b) {
         if (old != NO_BUCKET)
-            bucket_remove(fr, site);
-        bucket_insert(fr, site, b);
+            bucket_remove(fr, z);
+        bucket_insert(fr, z, b);
     }
-    score[site] = s;
+    site[z].key = s;
 }
 
 static inline void frontier_drop(Frontier *fr, uint32_t site)
@@ -319,7 +339,7 @@ static inline void frontier_drop(Frontier *fr, uint32_t site)
 
 /* The smallest (score, site) of the frontier; its site is -1 when the
    frontier is empty. */
-static Entry frontier_top(Frontier *fr, const double *score)
+static Entry frontier_top(Frontier *fr, const Site *site)
 {
     for (;;) {
         Entry top = fr->heap.size > 0 ? fr->heap.heap[0] : (Entry){0.0, -1};
@@ -327,10 +347,10 @@ static Entry frontier_top(Frontier *fr, const double *score)
         if (b < 0)
             return top;
         uint32_t head = fr->heads + (uint32_t)b, z = fr->link[head].next;
-        Entry best = {score[z], z};
+        Entry best = {site[z].key, z};
         int held = 1;
         for (z = fr->link[z].next; z != head && held <= BUCKET_CAP; z = fr->link[z].next, held++) {
-            Entry e = {score[z], z};
+            Entry e = {site[z].key, z};
             if (before(e, best))
                 best = e;
         }
@@ -340,7 +360,7 @@ static Entry frontier_top(Frontier *fr, const double *score)
         for (z = fr->link[head].next; z != head; z = fr->link[z].next, fr->spilled++) {
             fr->where[z] = IN_HEAP;
             fr->heap.slot[z] = -1;
-            set_score(&fr->heap, z, score[z]);
+            set_score(&fr->heap, z, site[z].key);
         }
         fr->link[head] = (Link){head, head};
         bucket_mark(fr, (uint32_t)b, 1);
@@ -367,14 +387,16 @@ static void block_sift_down(Entry *heap, int64_t size, int64_t i)
 }
 
 /* The smallest (score, site) key of the fresh sites of the block starting
-   at `first`; its site is -1 when none is left. */
-static Entry block_key(const double *score, const uint8_t *state, int64_t first, int64_t n)
+   at `first`; its site is -1 when none is left. A fresh site's score is
+   never positive, so every one is below the start of 1; the strict <
+   keeps the first site on equal scores. */
+static Entry block_key(const Site *site, const uint8_t *state, int64_t first, int64_t n)
 {
-    Entry key = {0.0, -1};
+    Entry key = {1.0, -1};
     int64_t end = first + BLOCK < n ? first + BLOCK : n;
     for (int64_t y = first; y < end; y++)
-        if (state[y] == FRESH && (key.site < 0 || score[y] < key.score))
-            key = (Entry){score[y], y};
+        if (state[y] == FRESH && site[y].key < key.score)
+            key = (Entry){site[y].key, y};
     return key;
 }
 
@@ -404,9 +426,11 @@ static inline double gap(double a, double b, double c)
              1..3; the disagreeing neighbour pairs along each of
              energy.PAIR_DIRECTIONS, (0, 1), (1, 0), (1, 1) and (1, -1).
              Each site commits once, so the visits are n + relabels.
-   terms     out: (3, height, width) rows, each site's u1, u2 and bias of
-             its label, which energy.energy_of_terms sums; until the
-             final labels pass the sweep keeps its site potentials here
+   terms     4 * height * width + 3 doubles. Out: the first 3 * height *
+             width are (3, height, width) rows, each site's u1, u2 and
+             bias of its label, which energy.energy_of_terms sums. Until
+             the final labels pass the sweep keeps its site records here,
+             from the first 32-byte boundary
 
    Returns 0; -1 when memory runs out, -2 when a site potential is NaN or
    infinite. */
@@ -419,19 +443,17 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     int64_t relabels = 0, fresh = n, result = -1;
     double weighted[3] = {lambda1 * bias[0], lambda1 * bias[1], lambda1 * bias[2]};
 
-    /* each site's potential of each label, site-major, in the caller's
-       terms array: the same 3n doubles, so the sweep holds no extra
-       frame-sized buffer. + 1: malloc(0) may return NULL on an empty
-       grid. score holds a site's initial score while it is fresh, its
-       frontier score once it is bucketed. */
-    double *f = terms;
-    double *score = malloc((n + 1) * sizeof(double));
+    /* each site's record in the caller's terms array, so the sweep holds
+       no extra frame-sized buffer of its own; the first record starts on
+       the 32-byte boundary among the array's first four doubles. + 1:
+       malloc(0) may return NULL on an empty grid. */
+    Site *site = (Site *)(terms + ((-(uintptr_t)terms >> 3) & 3));
     uint8_t *state = malloc(n + 1);
     Entry *blocks = malloc((n_blocks + 1) * sizeof(Entry));
     Frontier fr = {malloc((n + (1 << BUCKET_BITS)) * sizeof(Link)),
                    malloc((n + 1) * sizeof(uint16_t)), (uint32_t)n, 0, {0},
                    {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}, 0};
-    if (score == NULL || state == NULL || blocks == NULL || fr.link == NULL || fr.where == NULL
+    if (state == NULL || blocks == NULL || fr.link == NULL || fr.where == NULL
         || fr.heap.heap == NULL || fr.heap.slot == NULL)
         goto done;
     for (uint32_t head = fr.heads; head < fr.heads + (1 << BUCKET_BITS); head++)
@@ -443,19 +465,17 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         double b = (u1[n + y] + u2[n + y]) + weighted[1];
         double c = (u1[2 * n + y] + u2[2 * n + y]) + weighted[2];
         finite &= isfinite(a) & isfinite(b) & isfinite(c);
-        f[3 * y] = a;
-        f[3 * y + 1] = b;
-        f[3 * y + 2] = c;
+        site[y] = (Site){{a, b, c}, gap(a, b, c)};
         state[y] = FRESH;
-        score[y] = gap(a, b, c);
+        /* each block's key while its records are still in cache */
+        if (y % BLOCK == BLOCK - 1 || y == n - 1)
+            blocks[y / BLOCK] = block_key(site, state, y - y % BLOCK, n);
     }
     if (!finite) {
         result = -2;
         goto done;
     }
     int64_t n_keyed = n_blocks;
-    for (int64_t b = 0; b < n_blocks; b++)
-        blocks[b] = block_key(score, state, b * BLOCK, n);
     for (int64_t i = n_blocks / 2 - 1; i >= 0; i--)
         block_sift_down(blocks, n_keyed, i);
 
@@ -465,7 +485,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         step[k] = offsets[2 * k] * width + offsets[2 * k + 1];
 
     for (;;) {
-        Entry top = frontier_top(&fr, score);
+        Entry top = frontier_top(&fr, site);
         int64_t y = -1;
         /* the static tier's top when it comes first, after rekeying the
            blocks whose key names a touched site or dropping those with no
@@ -476,7 +496,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                 y = blocks[0].site;
                 break;
             }
-            Entry key = block_key(score, state, blocks[0].site - blocks[0].site % BLOCK, n);
+            Entry key = block_key(site, state, blocks[0].site - blocks[0].site % BLOCK, n);
             if (key.site < 0)
                 key = blocks[--n_keyed];
             blocks[0] = key;
@@ -493,7 +513,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         } else {
             break;
         }
-        double *fy = f + 3 * y;
+        const double *fy = site[y].g;
         uint8_t best = 1;
         double best_f = fy[0];
         if (fy[1] < best_f) {
@@ -524,7 +544,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                     continue;
                 z = rr * width + cc;
             }
-            double *g = f + 3 * z;
+            double *g = site[z].g;
             double w = weights[k];
             if (old == 0) {
                 g[0] += w;
@@ -545,13 +565,13 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                 fr.where[z] = NO_BUCKET;
             }
             if (zl == 0) {
-                frontier_set(&fr, score, (uint32_t)z, gap(g0, g1, g2));
+                frontier_set(&fr, site, (uint32_t)z, gap(g0, g1, g2));
             } else {
                 /* below its own potential, the lowest is another label's */
                 double cur = g[zl - 1], lo = g0 < g1 ? g0 : g1;
                 lo = g2 < lo ? g2 : lo;
                 if (lo < cur)
-                    frontier_set(&fr, score, (uint32_t)z, lo - cur);
+                    frontier_set(&fr, site, (uint32_t)z, lo - cur);
                 else
                     frontier_drop(&fr, (uint32_t)z);
             }
@@ -559,7 +579,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     }
 
     /* The final labels and what the energy sums of them. The site
-       potentials are spent, so their rows are overwritten by the terms. */
+       records are spent, so the terms overwrite them. */
     int64_t sites[3] = {0, 0, 0}, pairs[4] = {0, 0, 0, 0};
     for (int64_t r = 0; r < height; r++) {
         const uint8_t *row = state + r * width, *below = row + width;
@@ -590,7 +610,6 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     result = 0;
 
 done:
-    free(score);
     free(state);
     free(blocks);
     free(fr.link);
@@ -744,5 +763,35 @@ void potential_tables(const double *frame, const double *edge_h, const double *e
         double tv = inv_y_max - fabs(ev) / y_max_sq;
         u2[2 * n + i] = th < floor ? floor : th;
         fv[i] = tv < floor ? floor : tv;
+    }
+}
+
+/* The horizontal and vertical central differences of a height x width
+   grid of at least 3 x 3, with replicate padding: the oracle frame_edges
+   of tests/oracles.py. A border pixel differs from its one neighbour and
+   itself. Row by row, one loop takes the vertical differences between
+   the rows above and below, clamped to the grid, and one the horizontal
+   differences of the interior columns.
+
+   grid      height * width values
+   h, v      out: height * width differences each */
+void central_differences(const double *grid, int64_t height, int64_t width,
+                         double *h, double *v)
+{
+    for (int64_t r = 0; r < height; r++) {
+        const double *row = grid + r * width;
+        const double *up = grid + (r > 0 ? r - 1 : r) * width;
+        const double *down = grid + (r < height - 1 ? r + 1 : r) * width;
+        double *hr = h + r * width, *vr = v + r * width;
+#pragma omp simd
+        for (int64_t c = 0; c < width; c++) {
+            vr[c] = down[c] - up[c];
+        }
+        hr[0] = row[1] - row[0];
+#pragma omp simd
+        for (int64_t c = 1; c < width - 1; c++) {
+            hr[c] = row[c + 1] - row[c - 1];
+        }
+        hr[width - 1] = row[width - 1] - row[width - 2];
     }
 }

@@ -1,5 +1,6 @@
 """The compiled kernels: the HCF sweep, the per-pixel mixture update and
-background selection, and the potential tables, all in `_native.c`.
+background selection, the potential tables and the edge grids, all in
+`_native.c`.
 
 The source is compiled with the system `cc` on first use and loaded with
 ctypes. They are the engine's only path: when the build or the load
@@ -30,6 +31,7 @@ _SIGNATURES = {
     "mixture_select": ([_P, _P, _P, _I, _P, _P], None),
     "potential_tables": ([_P, _P, _P, _P, _P, _P, _I, _P, _D, _D, _D, _D, _D, _P, _P, _P],
                          None),
+    "central_differences": ([_P, _I, _I, _P, _P], None),
 }
 
 

@@ -13,35 +13,35 @@ engine keeps of it: detection gives each component twice the pooled
 intensity variance (see `shadowseg.pipeline`).  The per-pixel variance,
 the sum of the two neighbours' variances, is spelled out only by the
 reference `background_edge_model` in ``tests/oracles.py``.
+
+Both grids come from one pass of the compiled kernel
+`central_differences` (``_native.c``); the numpy slicing it replays is
+the reference `frame_edges` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from shadowseg import _native
 from shadowseg.background import BackgroundModel
 
 
 def frame_edges(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal and vertical central differences for every pixel.
+    """Horizontal and vertical central differences for every pixel, as
+    float64 (H, W) grids.
 
-    Integer frames are widened to int64 first so differences at intensity
-    extremes cannot wrap.  The interior comes from slicing; the border
-    columns and rows differ from their one neighbour and themselves.
-    Returns (horizontal, vertical) grids.
+    The differences are taken in float64: an integer frame is converted
+    first, which is exact below 2**53 and cannot wrap.  The border columns
+    and rows differ from their one neighbour and themselves.
     """
     if frame.ndim != 2 or frame.shape[0] < 3 or frame.shape[1] < 3:
         raise ValueError("frame must be at least 3x3")
-    wide = np.int64 if frame.dtype.kind in "iu" else np.float64
-    grid = np.asarray(frame, dtype=wide)
-    h = np.empty(grid.shape, wide)
-    v = np.empty(grid.shape, wide)
-    np.subtract(grid[:, 2:], grid[:, :-2], out=h[:, 1:-1])
-    np.subtract(grid[:, 1], grid[:, 0], out=h[:, 0])
-    np.subtract(grid[:, -1], grid[:, -2], out=h[:, -1])
-    np.subtract(grid[2:], grid[:-2], out=v[1:-1])
-    np.subtract(grid[1], grid[0], out=v[0])
-    np.subtract(grid[-1], grid[-2], out=v[-1])
+    grid = np.ascontiguousarray(frame, dtype=np.float64)
+    h = np.empty(grid.shape)
+    v = np.empty(grid.shape)
+    address = _native.address
+    _native.library().central_differences(address(grid), *grid.shape, address(h), address(v))
     return h, v
 
 

@@ -13,7 +13,10 @@ when no committed site can strictly improve.
 The sweep runs in a C kernel (`hcf_sweep` in `_native.c`, see
 `shadowseg._native`). It reads the two potential tables and the label
 biases and sums the site potentials itself, as `unary_costs` in
-``tests/oracles.py`` does. On its final pass over the labels it also
+``tests/oracles.py`` does. It keeps each site's three potentials and its
+queue key in one 32-byte record, inside the one work buffer this module
+allocates per call, and queues touched sites in 128 buckets per power of
+two of their keys. On its final pass over the labels it also
 counts each label and the disagreeing neighbor pairs, and gathers each
 site's potentials and bias of its label; numpy's sums of those
 (`energy.energy_of_terms`) give the energy, to the bit what the oracle
@@ -87,7 +90,9 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
         raise ValueError(f"the clique weight lambda2 must be finite, got {prior.lambda2}")
     # the kernel's bias, then its 8 clique weights lambda2 / d2
     scalars = np.array(bias + [lambda2 / d2 for _, _, d2 in NEIGHBORS_8])
-    terms = np.empty((3, height, width))       # also the kernel's work rows
+    # the kernel's site records, 32 bytes each from the first 32-byte
+    # boundary, which its final pass overwrites with the term rows
+    work = np.empty(4 * n + 3)
     labels = np.empty(n, dtype=np.int64)
     counts = np.empty(9, dtype=np.int64)
     address = _native.address
@@ -95,7 +100,7 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     weights_at = bias_at + 3 * scalars.itemsize
     status = lib.hcf_sweep(address(t1), address(t2), bias_at, lambda1, height, width,
                            _OFFSETS_ADDRESS, weights_at,
-                           address(labels), address(counts), address(terms))
+                           address(labels), address(counts), address(work))
     if status == -1:
         raise MemoryError("HCF kernel could not allocate its work arrays")
     if status == -2:
@@ -103,6 +108,7 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     counts = counts.tolist()
     relabels, spilled = counts[:2]
     pairs = tuple(counts[5:])
+    terms = work[:3 * n].reshape(3, height, width)
     return HcfResult(labels=labels.reshape(height, width),
                      energy=energy_of_terms(terms, pairs, prior),
                      visits=n + relabels, relabels=relabels, spilled=spilled,

@@ -9,7 +9,9 @@ references the kernels match bit for bit:
   `update_mixture`, `select_background`), which the kernels behind
   `MixtureGrid` follow bit for bit, and `pixel` to read one pixel's
   mixture out of a grid;
-- the edge-difference distribution of the background with its
+- the central differences of a grid by numpy slicing (`frame_edges`),
+  which the kernel behind `shadowseg.edge.frame_edges` matches byte for
+  byte, and the edge-difference distribution of the background with its
   per-pixel variances (`background_edge_model`), whose means the engine
   builds in `shadowseg.edge`;
 - the potentials of one label (`intensity_potential`, `edge_potential`),
@@ -172,6 +174,22 @@ class EdgeModel:
     mean_v: np.ndarray
     var_h: np.ndarray
     var_v: np.ndarray
+
+
+def frame_edges(frame) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal and vertical central differences of a grid of at least
+    3 x 3, taken in float64: the interior by slicing, each border column
+    and row against its one neighbour and itself."""
+    grid = np.asarray(frame, dtype=np.float64)
+    h = np.empty(grid.shape)
+    v = np.empty(grid.shape)
+    np.subtract(grid[:, 2:], grid[:, :-2], out=h[:, 1:-1])
+    np.subtract(grid[:, 1], grid[:, 0], out=h[:, 0])
+    np.subtract(grid[:, -1], grid[:, -2], out=h[:, -1])
+    np.subtract(grid[2:], grid[:-2], out=v[1:-1])
+    np.subtract(grid[1], grid[0], out=v[0])
+    np.subtract(grid[-1], grid[-2], out=v[-1])
+    return h, v
 
 
 def background_edge_model(bg: BackgroundModel) -> EdgeModel:

@@ -108,19 +108,22 @@ def padded_pairs(grid):
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 11), (17, 4), (240, 320)])
 def test_edges_and_model_match_replicate_padding_byte_for_byte(shape):
+    # every frame is differenced in float64, an integer or bool one after
+    # its conversion
     rng = np.random.default_rng(8)
     for frame in (rng.uniform(-300, 300, size=shape),
                   rng.integers(0, 256, size=shape).astype(np.uint8),
                   rng.uniform(0, 255, size=shape).astype(np.float32),
-                  # differences of +-2**62 wrap in int64, the same way in both
+                  # differences of +-2**62 are +-2**63, exact in float64
                   rng.choice([-2**62, -1, 0, 2**62], size=shape),
                   rng.random(shape) < 0.5,
                   np.asfortranarray(rng.uniform(0, 255, size=shape)),
                   rng.uniform(0, 255, size=shape[::-1]).T,
                   rng.integers(0, 256, size=(2 * shape[0], 3 * shape[1]))[1::2, ::3]):
-        wide = np.int64 if frame.dtype.kind in "iu" else np.float64
-        for got, want in zip(frame_edges(frame), padded_pairs(frame.astype(wide))):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = frame_edges(frame)
+        for want in (padded_pairs(frame.astype(np.float64)), oracles.frame_edges(frame)):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.float64 and g.tobytes() == w.tobytes()
     bg = BackgroundModel(mean=rng.uniform(0, 255, size=shape),
                          variance=rng.uniform(4, 100, size=shape))
     model = oracles.background_edge_model(bg)

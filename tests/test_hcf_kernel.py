@@ -188,8 +188,9 @@ def test_signed_zeros_tie():
 
 
 def clamp_end_instances():
-    """The frontier's buckets resolve scores from -2**32 to -2**-32; larger
-    and smaller magnitudes share the two end buckets."""
+    """The frontier's buckets resolve scores from -2**WINDOW_EXP to
+    -2**-WINDOW_EXP; larger and smaller magnitudes share the two end
+    buckets."""
     rng = np.random.default_rng(66)
     for lambda2 in (1e-12, 1.0, 1e12):
         scale = 10.0 ** rng.uniform(-15.0, 15.0, size=(3, 20, 30))
@@ -212,10 +213,12 @@ def kernel_constant(name):
 
 # A mirror of the kernel's score_key and bucket_of: a score's key is the
 # top 12 + SPLIT_BITS bits of its IEEE 754 pattern, reordered as the scores
-# are, and there are 2**SPLIT_BITS buckets per power of two from -2**32 up.
+# are, and there are 2**SPLIT_BITS buckets per power of two from
+# -2**WINDOW_EXP up.
 SPLIT_BITS, BUCKET_BITS = kernel_constant("SPLIT_BITS"), kernel_constant("BUCKET_BITS")
+WINDOW_EXP = kernel_constant("WINDOW_EXP")
 LAST_BUCKET = 2**BUCKET_BITS - 1
-LOWEST_KEY = (2047 - (1023 + 32)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1)
+LOWEST_KEY = (2047 - (1023 + WINDOW_EXP)) << SPLIT_BITS | ((1 << SPLIT_BITS) - 1)
 
 
 def score_key(score):
@@ -282,9 +285,9 @@ def test_scores_at_the_bitmap_word_boundaries(b):
         assert any(min(move) < b <= max(move) for move in moves)
         assert {b - 1, b} <= {bucket_of(score) for _, score in rekeyed}
         if b == 1:
-            assert min(score for _, score in rekeyed) < -2.0**32
+            assert min(score for _, score in rekeyed) < -2.0**WINDOW_EXP
         if b == LAST_BUCKET:
-            assert max(score for _, score in rekeyed) > -2.0**-32
+            assert max(score for _, score in rekeyed) > -2.0**-WINDOW_EXP
 
 
 def spread_instances():
@@ -403,7 +406,7 @@ def test_engine_instances_of_the_presets(preset, config):
 
 
 def test_engine_instances_at_320x240():
-    # ties on real frames fill a bucket past its cap too: 2,978 and 2,856
+    # ties on real frames fill a bucket past its cap too: 1,600 and 1,860
     # sites of the two sweeps move to the heap
     for state, frame in engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2):
         result = assert_same_as_python(*detection_tables(state, frame), state.prior)

@@ -27,11 +27,16 @@ MUTANTS = {
     "top-bit-cleared-early": ("fr->top &= ~((uint64_t)(*low == 0) << (b >> 6));",
                               "fr->top &= ~((uint64_t)1 << (b >> 6));"),
     # a touched uncommitted site's middle potential summed as g0 + g1 + g2 - lo - hi
-    "middle-by-sum": ("frontier_set(&fr, score, (uint32_t)z, gap(g0, g1, g2));",
+    "middle-by-sum": ("frontier_set(&fr, site, (uint32_t)z, gap(g0, g1, g2));",
                       "double lo = g0 < g1 ? g0 : g1, hi = g0 < g1 ? g1 : g0;\n"
                       "lo = g2 < lo ? g2 : lo;\n"
                       "hi = g2 > hi ? g2 : hi;\n"
-                      "frontier_set(&fr, score, (uint32_t)z, lo - (g0 + g1 + g2 - lo - hi));"),
+                      "frontier_set(&fr, site, (uint32_t)z, lo - (g0 + g1 + g2 - lo - hi));"),
+    # the rescan of a block keeps its last fresh site of the lowest score, not its first
+    "block-rescan-last-tie": ("if (state[y] == FRESH && site[y].key < key.score)",
+                              "if (state[y] == FRESH && site[y].key <= key.score)"),
+    # a bucket's scan reads a site's third potential for its key
+    "record-key-slot": ("Entry e = {site[z].key, z};", "Entry e = {site[z].g[2], z};"),
 }
 
 

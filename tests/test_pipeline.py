@@ -2,6 +2,10 @@
 previous models, and the update order."""
 
 import copy
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,3 +163,46 @@ def test_prior_bias_tracks_label_frequencies():
     # an all-background frame pulls the background bias down
     assert state.prior.bias[0] < -1.0 / 3.0
     assert abs(state.prior.bias.sum() + 1.0) <= 1e-9
+
+
+# Four episodes of a static bootstrap and 8 frames on the seed-1 scene of
+# the benchmark's qvga_static workload, each episode's bootstrap while the
+# previous state is still alive, as the benchmark runs them; prints the
+# mean minor page faults per frame of each episode.
+FAULT_LOOP = """
+import resource
+from oracles import BENCHMARK_WORKLOADS
+from shadowseg import EngineState, process_frame
+from shadowseg.synth import render_scene
+
+workload = BENCHMARK_WORKLOADS["qvga_static"]
+scene = workload["scene"]
+frames, _ = render_scene(scene, seed=1)
+lead_in, labeled = frames[:scene.lead_in], frames[scene.lead_in:scene.lead_in + 8]
+state = None
+for episode in range(4):
+    state = EngineState.from_static(lead_in, workload["config"])
+    faults = 0
+    for frame in labeled:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        labels, diag = process_frame(state, frame)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(faults / len(labeled))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the fault count rests on glibc's malloc")
+def test_frames_after_the_first_episode_take_few_page_faults():
+    # glibc raises its mmap threshold only when a large mmapped chunk is
+    # freed. The static bootstrap frees one, its stack of frames, so later
+    # frames reuse the heap's pages; a bootstrap that freed none would
+    # leave every frame's arrays to fresh mmaps, about 470 to 1,270 faults
+    # a frame
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", FAULT_LOOP], capture_output=True, text=True,
+                          env=env, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    per_frame = [float(value) for value in proc.stdout.split()]
+    assert len(per_frame) == 4
+    assert sum(per_frame[1:]) / 3 <= 100, per_frame

@@ -2,10 +2,11 @@
 UndefinedBehaviorSanitizer: on the HCF tie, clamp-end, signed-zero,
 bitmap-boundary and spread-magnitude corpora, a table the sweep refuses
 as non-finite, mixtures whose best-ranked component is often not their
-first, one 64x64 engine frame and one 63x65 engine frame, whose odd
-pixel count ends the vectorized loops on their scalar epilogue, all four
-kernels run, and the sanitized build must report nothing and return
-exactly what the normal build returns.
+first, the edges of 3x3, 3xW, Hx3 and odd-width grids, one 64x64 engine
+frame and one 63x65 engine frame, whose odd pixel count ends the
+vectorized loops on their scalar epilogue, all five kernels run, and the
+sanitized build must report nothing and return exactly what the normal
+build returns.
 
 The same corpus must also run every line of `_native.c` but the exit
 when memory runs out: built for gcov coverage, the kernels must return
@@ -31,6 +32,7 @@ import pytest
 from oracles import engine_frames
 from shadowseg import EngineConfig, _native, process_frame
 from shadowseg.background import MixtureGrid
+from shadowseg.edge import frame_edges
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import SynthScene, scene_preset
@@ -39,6 +41,7 @@ from test_simd_kernels import tied_mixtures
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 ODD_SCENE = SynthScene(height=63, width=65, n_frames=6, lead_in=5)
+EDGE_SHAPES = ((3, 3), (3, 10), (9, 3), (5, 7))
 
 
 def kernel_digest() -> str:
@@ -56,6 +59,10 @@ def kernel_digest() -> str:
     background = MixtureGrid(*tied_mixtures(np.random.default_rng(240), 65)).select_background()
     digest.update(background.mean.tobytes())
     digest.update(background.variance.tobytes())
+    rng = np.random.default_rng(241)
+    for shape in EDGE_SHAPES:
+        for edges in frame_edges(rng.uniform(0.0, 255.0, size=shape)):
+            digest.update(edges.tobytes())
     config = EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)
     for state, frame in itertools.chain(
             engine_frames(scene_preset("recovery"), config, n_labeled=1),

@@ -1,8 +1,9 @@
-"""The vectorized pixel loops of `mixture_select` and `potential_tables`
-against the scalar oracles of `tests/oracles.py` and against the same
-source built without -fopenmp-simd, where the compiler leaves those loops
-scalar. Odd pixel counts end on the vectorized loop's scalar epilogue.
-With GCC, a compile report must also show both loops vectorized."""
+"""The vectorized pixel loops of `mixture_select`, `potential_tables` and
+`central_differences` against the scalar oracles of `tests/oracles.py`
+and against the same source built without -fopenmp-simd, where the
+compiler leaves those loops scalar. Odd pixel counts and widths end on
+the vectorized loop's scalar epilogue. With GCC, a compile report must
+also show all four loops vectorized."""
 
 import ctypes
 import re
@@ -16,6 +17,7 @@ from oracles import (BENCHMARK_WORKLOADS, detection_arguments, engine_frames, pi
                      select_background)
 from shadowseg import _native
 from shadowseg.background import MixtureGrid
+from shadowseg.edge import frame_edges
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.shadow import Y_MAX, ShadowParams
 
@@ -41,12 +43,17 @@ def scalar(tmp_path_factory):
 
 def simd_loops(source: str) -> list[tuple[int, int]]:
     """The first and last line of each loop under `#pragma omp simd`: from
-    the pragma to the closing brace of its function."""
+    the pragma to the brace that closes its `for`, at the `for`'s indent."""
     with open(source) as fh:
         lines = fh.read().splitlines()
-    starts = [i for i, line in enumerate(lines, 1) if line.strip() == "#pragma omp simd"]
-    return [(start, next(i for i in range(start, len(lines) + 1) if lines[i - 1] == "}"))
-            for start in starts]
+    loops = []
+    for start, line in enumerate(lines, 1):
+        if line.strip() == "#pragma omp simd":
+            loop = lines[start]
+            close = loop[:len(loop) - len(loop.lstrip())] + "}"
+            loops.append((start, next(i for i in range(start + 1, len(lines) + 1)
+                                      if lines[i - 1] == close)))
+    return loops
 
 
 def test_gcc_vectorizes_every_omp_simd_loop(tmp_path):
@@ -62,7 +69,7 @@ def test_gcc_vectorizes_every_omp_simd_loop(tmp_path):
     vectorized = [int(line) for line in
                   re.findall(r"_native\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)]
     loops = simd_loops(_native._SOURCE)
-    assert len(loops) == 2
+    assert len(loops) == 4
     for first, last in loops:
         assert any(first <= line <= last for line in vectorized), (first, proc.stderr)
 
@@ -180,10 +187,23 @@ def test_tables_keep_the_scalar_loops_nan_and_infinity(scalar, monkeypatch):
         assert same_bytes(tables, oracles.potential_tables(*args, Y_MAX))
 
 
+@pytest.mark.parametrize("width", (3, 4, 5, 65))
+def test_edges_of_odd_and_even_widths(width, scalar, monkeypatch):
+    rng = np.random.default_rng(250 + width)
+    for height in (3, 4, 7):
+        frame = rng.uniform(0, Y_MAX, size=(height, width))
+        frame[rng.random(frame.shape) < 0.1] = np.nan
+        edges = frame_edges(frame)
+        assert same_bytes(edges, oracles.frame_edges(frame))
+        assert same_bytes(edges, on(scalar, monkeypatch, frame_edges, frame))
+
+
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
 def test_every_engine_instance_of_the_benchmark_scenes(workload, scalar, monkeypatch):
     for state, frame in engine_frames(**BENCHMARK_WORKLOADS[workload], seed=1):
         args = detection_arguments(state, frame)
+        assert same_bytes(args[1:3], oracles.frame_edges(frame))
+        assert same_bytes(args[4:6], oracles.frame_edges(state.background.mean))
         tables = build_potential_tables(*args)
         assert same_bytes(tables, oracles.potential_tables(*args, Y_MAX))
         assert same_bytes(tables, on(scalar, monkeypatch, build_potential_tables, *args))
