@@ -33,11 +33,14 @@
 
    hcf_sweep keys an uncommitted site by one formula, gap, at the start
    and after every neighbour update: its lowest potential minus its
-   middle one, exactly. Each visit commits or relabels its site, so it
-   counts only the relabels; every site commits exactly once. A site's
-   three potentials and its key share one 32-byte record, aligned in the
-   caller's buffer, so that a neighbour update, which reads and writes
-   all four, touches one cache line.
+   middle one, exactly. GCC compiles gap with no jump and unrolls the
+   loop over the 8 neighbours completely (#pragma GCC unroll 8);
+   tests/test_simd_kernels.py checks both in GCC's output. Each visit
+   commits or relabels its site, so it counts only the relabels; every
+   site commits exactly once. A site's three potentials and its key
+   share one 32-byte record, aligned in the caller's buffer, so that a
+   neighbour update, which reads and writes all four, touches one cache
+   line.
 
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
@@ -402,13 +405,17 @@ static Entry block_key(const Site *site, const uint8_t *state, int64_t first, in
 
 /* The stability score of an uncommitted site with potentials a, b and
    c: the lowest minus the middle one, as np.partition gives them, so
-   never positive. Selects, not branches: the sweep calls it at every
-   neighbour update, where a branch on the data mispredicts. */
+   never positive. The sweep calls it at every neighbour update, where a
+   jump on the data mispredicts, so each select has the form x < y ? x : y
+   or x < y ? y : x, which GCC maps to one minsd or maxsd: no jump
+   (tests/test_simd_kernels.py checks). On ties the select order can only
+   change the sign of a zero result, and score_key and before() take -0.0
+   as 0.0. */
 static inline double gap(double a, double b, double c)
 {
-    double lo = a < b ? a : b, hi = a < b ? b : a;
+    double lo = a < b ? a : b, hi = b < a ? a : b;
     double mid = c < hi ? c : hi;
-    mid = mid > lo ? mid : lo;
+    mid = lo < mid ? mid : lo;
     lo = c < lo ? c : lo;
     return lo - mid;
 }
@@ -534,6 +541,9 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
 
         int64_t r = y / width, c = y - r * width;
         int interior = r > 0 && r < height - 1 && c > 0 && c < width - 1;
+        /* unrolled into eight straight-line updates, each with its own
+           k; tests/test_simd_kernels.py checks that GCC does */
+#pragma GCC unroll 8
         for (int k = 0; k < 8; k++) {
             int64_t z;
             if (interior) {

@@ -3,9 +3,12 @@
 and against the same source built without -fopenmp-simd, where the
 compiler leaves those loops scalar. Odd pixel counts and widths end on
 the vectorized loop's scalar epilogue. With GCC, a compile report must
-also show all four loops vectorized."""
+also show all four loops vectorized, and two parts of the HCF sweep's
+neighbour update compiled as intended: `gap` with no conditional jump,
+and the 8-neighbour loop completely unrolled."""
 
 import ctypes
+import os
 import re
 import subprocess
 
@@ -41,37 +44,90 @@ def scalar(tmp_path_factory):
     return lib
 
 
+def closing_brace(lines: list[str], loop: int) -> int:
+    """The line of the brace that closes the `for` on line `loop`
+    (1-based), at the `for`'s indent."""
+    header = lines[loop - 1]
+    close = header[:len(header) - len(header.lstrip())] + "}"
+    return next(i for i in range(loop + 1, len(lines) + 1) if lines[i - 1] == close)
+
+
 def simd_loops(source: str) -> list[tuple[int, int]]:
     """The first and last line of each loop under `#pragma omp simd`: from
-    the pragma to the brace that closes its `for`, at the `for`'s indent."""
+    the pragma to the brace that closes its `for`."""
     with open(source) as fh:
         lines = fh.read().splitlines()
-    loops = []
-    for start, line in enumerate(lines, 1):
-        if line.strip() == "#pragma omp simd":
-            loop = lines[start]
-            close = loop[:len(loop) - len(loop.lstrip())] + "}"
-            loops.append((start, next(i for i in range(start + 1, len(lines) + 1)
-                                      if lines[i - 1] == close)))
-    return loops
+    return [(start, closing_brace(lines, start + 1)) for start, line in enumerate(lines, 1)
+            if line.strip() == "#pragma omp simd"]
+
+
+def require_gcc():
+    version = subprocess.run(["cc", "--version"], capture_output=True, text=True, check=False)
+    if "Free Software Foundation" not in version.stdout:
+        pytest.skip("cc is not GCC, whose output these tests read")
+
+
+def optimization_report(tmp_path, kind: str) -> list[tuple[int, str]]:
+    """(line, message) of each `-fopt-info-{kind}-optimized` report on
+    `_native.c`, built as the engine builds it."""
+    proc = subprocess.run(["cc", *_native._CFLAGS, f"-fopt-info-{kind}-optimized",
+                           "-o", str(tmp_path / "_native.so"), _native._SOURCE],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return [(int(line), message) for line, message in
+            re.findall(r"_native\.c:(\d+):\d+: optimized: (.*)", proc.stderr)]
 
 
 def test_gcc_vectorizes_every_omp_simd_loop(tmp_path):
     # the same bytes come out of a loop the compiler leaves scalar, so only
     # the compiler's report shows that a pixel loop still vectorizes
-    version = subprocess.run(["cc", "--version"], capture_output=True, text=True, check=False)
-    if "Free Software Foundation" not in version.stdout:
-        pytest.skip("cc is not GCC, whose -fopt-info reports this test reads")
-    proc = subprocess.run(["cc", *_native._CFLAGS, "-fopt-info-vec-optimized",
-                           "-o", str(tmp_path / "_native.so"), _native._SOURCE],
-                          capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
-    vectorized = [int(line) for line in
-                  re.findall(r"_native\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)]
+    require_gcc()
+    vectorized = [line for line, message in optimization_report(tmp_path, "vec")
+                  if message.startswith("loop vectorized")]
     loops = simd_loops(_native._SOURCE)
     assert len(loops) == 4
     for first, last in loops:
-        assert any(first <= line <= last for line in vectorized), (first, proc.stderr)
+        assert any(first <= line <= last for line in vectorized), (first, vectorized)
+
+
+def test_gcc_compiles_gap_without_a_conditional_jump(tmp_path):
+    # the sweep calls gap at every neighbour update, where a jump on the
+    # data mispredicts; its bytes are the same either way
+    require_gcc()
+    if os.uname().machine != "x86_64":
+        pytest.skip("the jump mnemonics read here are x86-64's")
+    with open(_native._SOURCE) as fh:
+        source = fh.read()
+    start = source.index("static inline double gap(")
+    text = source[start:source.index("\n}\n", start) + 3]
+    # an exported caller, so that the static function is compiled
+    (tmp_path / "gap.c").write_text(
+        text + "double gap_of(double a, double b, double c) { return gap(a, b, c); }\n")
+    proc = subprocess.run(["cc", *_native._CFLAGS, "-S", "-o", "-", str(tmp_path / "gap.c")],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    jumps = re.findall(r"^\s*(j(?!mp\b)[a-z]+)\s", proc.stdout, re.MULTILINE)
+    assert jumps == [], proc.stdout
+
+
+def neighbour_loop(source: str) -> tuple[int, int]:
+    """The first and last line of hcf_sweep's loop over the 8 neighbours:
+    the `for` before the update's call of gap, to the brace that closes it."""
+    with open(source) as fh:
+        lines = fh.read().splitlines()
+    update = next(i for i, line in enumerate(lines, 1)
+                  if "frontier_set(&fr, site, (uint32_t)z, gap(g0, g1, g2));" in line)
+    start = max(i for i, line in enumerate(lines[:update], 1)
+                if line.strip() == "for (int k = 0; k < 8; k++) {")
+    return start, closing_brace(lines, start)
+
+
+def test_gcc_completely_unrolls_the_neighbour_loop(tmp_path):
+    require_gcc()
+    first, last = neighbour_loop(_native._SOURCE)
+    unrolled = [line for line, message in optimization_report(tmp_path, "loop")
+                if "completely unrolled" in message]
+    assert any(first <= line <= last for line in unrolled), (first, last, unrolled)
 
 
 def on(lib, monkeypatch, fn, *args):
