@@ -40,7 +40,10 @@
    site commits exactly once. A site's three potentials and its key
    share one 32-byte record, aligned in the caller's buffer, so that a
    neighbour update, which reads and writes all four, touches one cache
-   line.
+   line. The sweep owns the MRF's 8-neighbourhood, NEIGHBOUR with its
+   squared distances D2, and forms each clique weight lambda2 / d2, the
+   quotient hcf_python forms. It keeps each site's state in the caller's
+   uint8 labels, which hold the final labels when it returns.
 
    hcf_sweep also returns what the energy of its labels is summed from:
    on its last pass over the labels it counts each label and the
@@ -87,6 +90,12 @@
 /* Site state besides the labels 0 (uncommitted) and 1..3: uncommitted
    and untouched, so keyed by its initial score in the static tier. */
 #define FRESH 4
+/* The 8-neighbourhood of the MRF's two-site cliques, in the order
+   hcf_python visits it: each neighbour's (drow, dcol), and its squared
+   distance, whose clique weight is lambda2 / d2. */
+static const int64_t NEIGHBOUR[8][2] = {{-1, -1}, {-1, 0}, {-1, 1}, {0, -1},
+                                        {0, 1}, {1, -1}, {1, 0}, {1, 1}};
+static const double D2[8] = {2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0};
 /* Frontier buckets: 2^SPLIT_BITS per power of two, over scores from
    -2^WINDOW_EXP to -2^-WINDOW_EXP; smaller and larger ones share the two
    end buckets. That is 2^BUCKET_BITS buckets, under a bitmap of two
@@ -393,12 +402,12 @@ static void block_sift_down(Entry *heap, int64_t size, int64_t i)
    at `first`; its site is -1 when none is left. A fresh site's score is
    never positive, so every one is below the start of 1; the strict <
    keeps the first site on equal scores. */
-static Entry block_key(const Site *site, const uint8_t *state, int64_t first, int64_t n)
+static Entry block_key(const Site *site, const uint8_t *labels, int64_t first, int64_t n)
 {
     Entry key = {1.0, -1};
     int64_t end = first + BLOCK < n ? first + BLOCK : n;
     for (int64_t y = first; y < end; y++)
-        if (state[y] == FRESH && site[y].key < key.score)
+        if (labels[y] == FRESH && site[y].key < key.score)
             key = (Entry){site[y].key, y};
     return key;
 }
@@ -425,9 +434,11 @@ static inline double gap(double a, double b, double c)
    u1, u2    (3, height, width) data potential tables, label-major
    bias      the 3 label biases, unweighted; a site's potential with no
              committed neighbour is (u1 + u2) + lambda1 * bias
-   offsets   8 (drow, dcol) pairs, the neighbour order of hcf_python
-   weights   8 clique weights, lambda2 / squared distance, in that order
-   labels    out: height * width labels in {1, 2, 3}
+   lambda2   the weight of a disagreeing pair of NEIGHBOUR at squared
+             distance d2 is lambda2 / d2
+   labels    height * width bytes, overlapping no other argument: the
+             sweep's state of each site, FRESH, 0 while uncommitted, then
+             its label. Out: labels in {1, 2, 3}
    counts    out, 9 values: relabels, the sites the frontier moved from
              a full lowest bucket to its heap; the sites of each label
              1..3; the disagreeing neighbour pairs along each of
@@ -442,25 +453,23 @@ static inline double gap(double a, double b, double c)
    Returns 0; -1 when memory runs out, -2 when a site potential is NaN or
    infinite. */
 int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double lambda1,
-                  int64_t height, int64_t width,
-                  const int64_t *offsets, const double *weights,
-                  int64_t *labels, int64_t *counts, double *terms)
+                  double lambda2, int64_t height, int64_t width,
+                  uint8_t *restrict labels, int64_t *counts, double *terms)
 {
     int64_t n = height * width, n_blocks = (n + BLOCK - 1) / BLOCK;
     int64_t relabels = 0, fresh = n, result = -1;
     double weighted[3] = {lambda1 * bias[0], lambda1 * bias[1], lambda1 * bias[2]};
 
-    /* each site's record in the caller's terms array, so the sweep holds
-       no extra frame-sized buffer of its own; the first record starts on
-       the 32-byte boundary among the array's first four doubles. + 1:
-       malloc(0) may return NULL on an empty grid. */
+    /* each site's record in the caller's terms array, and its state in
+       the caller's labels, so neither is a buffer of the sweep's own; the
+       first record starts on the 32-byte boundary among the array's first
+       four doubles. + 1: malloc(0) may return NULL on an empty grid. */
     Site *site = (Site *)(terms + ((-(uintptr_t)terms >> 3) & 3));
-    uint8_t *state = malloc(n + 1);
     Entry *blocks = malloc((n_blocks + 1) * sizeof(Entry));
     Frontier fr = {malloc((n + (1 << BUCKET_BITS)) * sizeof(Link)),
                    malloc((n + 1) * sizeof(uint16_t)), (uint32_t)n, 0, {0},
                    {malloc((n + 1) * sizeof(Entry)), malloc((n + 1) * sizeof(int64_t)), 0}, 0};
-    if (state == NULL || blocks == NULL || fr.link == NULL || fr.where == NULL
+    if (blocks == NULL || fr.link == NULL || fr.where == NULL
         || fr.heap.heap == NULL || fr.heap.slot == NULL)
         goto done;
     for (uint32_t head = fr.heads; head < fr.heads + (1 << BUCKET_BITS); head++)
@@ -473,10 +482,10 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         double c = (u1[2 * n + y] + u2[2 * n + y]) + weighted[2];
         finite &= isfinite(a) & isfinite(b) & isfinite(c);
         site[y] = (Site){{a, b, c}, gap(a, b, c)};
-        state[y] = FRESH;
+        labels[y] = FRESH;
         /* each block's key while its records are still in cache */
         if (y % BLOCK == BLOCK - 1 || y == n - 1)
-            blocks[y / BLOCK] = block_key(site, state, y - y % BLOCK, n);
+            blocks[y / BLOCK] = block_key(site, labels, y - y % BLOCK, n);
     }
     if (!finite) {
         result = -2;
@@ -486,11 +495,6 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     for (int64_t i = n_blocks / 2 - 1; i >= 0; i--)
         block_sift_down(blocks, n_keyed, i);
 
-    /* a site's neighbours as offsets in the flat grid, for interior sites */
-    int64_t step[8];
-    for (int k = 0; k < 8; k++)
-        step[k] = offsets[2 * k] * width + offsets[2 * k + 1];
-
     for (;;) {
         Entry top = frontier_top(&fr, site);
         int64_t y = -1;
@@ -499,11 +503,11 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
            fresh site left; once every site has been touched, the stale
            block keys left are never rescanned */
         while (fresh > 0 && (top.site < 0 || !before(top, blocks[0]))) {
-            if (state[blocks[0].site] == FRESH) {
+            if (labels[blocks[0].site] == FRESH) {
                 y = blocks[0].site;
                 break;
             }
-            Entry key = block_key(site, state, blocks[0].site - blocks[0].site % BLOCK, n);
+            Entry key = block_key(site, labels, blocks[0].site - blocks[0].site % BLOCK, n);
             if (key.site < 0)
                 key = blocks[--n_keyed];
             blocks[0] = key;
@@ -511,7 +515,7 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
         }
         if (y >= 0) {
             /* it leaves the static tier, in neither part of the frontier */
-            state[y] = 0;
+            labels[y] = 0;
             fresh--;
             fr.where[y] = NO_BUCKET;
         } else if (top.site >= 0) {
@@ -535,27 +539,28 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
            strictly cheaper (lo < cur below), and every change to its
            potentials re-keys or drops it, so each visit commits an
            uncommitted site or relabels a committed one */
-        uint8_t old = state[y];
+        uint8_t old = labels[y];
         relabels += old != 0;
-        state[y] = best;
+        labels[y] = best;
 
         int64_t r = y / width, c = y - r * width;
         int interior = r > 0 && r < height - 1 && c > 0 && c < width - 1;
         /* unrolled into eight straight-line updates, each with its own
-           k; tests/test_simd_kernels.py checks that GCC does */
+           k, so that its offset and d2 are constants;
+           tests/test_simd_kernels.py checks that GCC does */
 #pragma GCC unroll 8
         for (int k = 0; k < 8; k++) {
             int64_t z;
             if (interior) {
-                z = y + step[k];
+                z = y + NEIGHBOUR[k][0] * width + NEIGHBOUR[k][1];
             } else {
-                int64_t rr = r + offsets[2 * k], cc = c + offsets[2 * k + 1];
+                int64_t rr = r + NEIGHBOUR[k][0], cc = c + NEIGHBOUR[k][1];
                 if (rr < 0 || rr >= height || cc < 0 || cc >= width)
                     continue;
                 z = rr * width + cc;
             }
             double *g = site[z].g;
-            double w = weights[k];
+            double w = lambda2 / D2[k];
             if (old == 0) {
                 g[0] += w;
                 g[1] += w;
@@ -566,11 +571,11 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                 g[old - 1] += w;
             }
             double g0 = g[0], g1 = g[1], g2 = g[2];
-            uint8_t zl = state[z];
+            uint8_t zl = labels[z];
             if (zl == FRESH) {
                 /* it leaves the static tier, so a block key naming it goes
                    stale, and enters the frontier below */
-                state[z] = zl = 0;
+                labels[z] = zl = 0;
                 fresh--;
                 fr.where[z] = NO_BUCKET;
             }
@@ -592,12 +597,11 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
        records are spent, so the terms overwrite them. */
     int64_t sites[3] = {0, 0, 0}, pairs[4] = {0, 0, 0, 0};
     for (int64_t r = 0; r < height; r++) {
-        const uint8_t *row = state + r * width, *below = row + width;
+        const uint8_t *row = labels + r * width, *below = row + width;
         int last_row = r == height - 1;
         for (int64_t c = 0; c < width; c++) {
             int64_t y = r * width + c;
             uint8_t lab = row[c];
-            labels[y] = lab;
             sites[lab - 1]++;
             terms[y] = u1[(lab - 1) * n + y];
             terms[n + y] = u2[(lab - 1) * n + y];
@@ -620,7 +624,6 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
     result = 0;
 
 done:
-    free(state);
     free(blocks);
     free(fr.link);
     free(fr.where);

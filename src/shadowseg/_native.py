@@ -26,7 +26,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fopenmp-simd", "-sha
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # name -> (argtypes, restype), as declared in _native.c
 _SIGNATURES = {
-    "hcf_sweep": ([_P, _P, _P, _D, _I, _I, _P, _P, _P, _P, _P], _I),
+    "hcf_sweep": ([_P, _P, _P, _D, _D, _I, _I, _P, _P, _P], _I),
     "mixture_update": ([_P, _P, _P, _P, _I, _D, _D, _D, _D, _D], None),
     "mixture_select": ([_P, _P, _P, _I, _P, _P], None),
     "potential_tables": ([_P, _P, _P, _P, _P, _P, _I, _P, _D, _D, _D, _D, _D, _P, _P, _P],

@@ -104,21 +104,20 @@ def _cmd_segment(args) -> int:
     dump_dir = settings.get("dump_potentials")
     if dump_dir:
         os.makedirs(dump_dir, exist_ok=True)
-    rows = []
-    for path in remaining:
-        frame = read_frame(path)
-        dump = None
-        if dump_dir:
-            dump = functools.partial(dump_potentials, path=os.path.join(
-                dump_dir, f"potentials_{state.k + 1:04d}.f64"))
-        labels, diag = process_frame(state, frame, dump)
-        write_labels(labels, os.path.join(settings["out"], f"labels_{diag.k:04d}.pgm"))
-        rows.append(f"{diag.k},{diag.energy:.6f},{diag.n_background},{diag.n_shadow},"
-                    f"{diag.n_foreground},{diag.gain:.6f},{diag.offset:.6f},{diag.visits}")
-    if settings.get("diag"):
-        with open(settings["diag"], "w") as fh:
-            fh.write(DIAG_HEADER + "\n")
-            fh.write("\n".join(rows) + "\n")
+    # opened before the first frame, so that a bad path fails before any
+    # work; without --diag the rows go to the null device
+    with open(settings.get("diag") or os.devnull, "w") as rows:
+        rows.write(DIAG_HEADER + "\n")
+        for path in remaining:
+            frame = read_frame(path)
+            dump = None
+            if dump_dir:
+                dump = functools.partial(dump_potentials, path=os.path.join(
+                    dump_dir, f"potentials_{state.k + 1:04d}.f64"))
+            labels, diag = process_frame(state, frame, dump)
+            write_labels(labels, os.path.join(settings["out"], f"labels_{diag.k:04d}.pgm"))
+            rows.write(f"{diag.k},{diag.energy:.6f},{diag.n_background},{diag.n_shadow},"
+                       f"{diag.n_foreground},{diag.gain:.6f},{diag.offset:.6f},{diag.visits}\n")
     print(f"segmented {len(remaining)} frames into {settings['out']} "
           f"(a={state.shadow.gain:.4f}, c={state.shadow.offset:.4f})")
     return 0

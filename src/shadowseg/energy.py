@@ -22,13 +22,8 @@ SHADOW = 2
 FOREGROUND = 3
 LABELS = (BACKGROUND, SHADOW, FOREGROUND)
 
-# (drow, dcol, squared distance) over the 8-neighborhood
-NEIGHBORS_8 = (
-    (-1, -1, 2.0), (-1, 0, 1.0), (-1, 1, 2.0),
-    (0, -1, 1.0), (0, 1, 1.0),
-    (1, -1, 2.0), (1, 0, 1.0), (1, 1, 2.0),
-)
-# Each unordered neighbor pair exactly once
+# (drow, dcol, squared distance) of each unordered neighbor pair of the
+# 8-neighborhood exactly once
 PAIR_DIRECTIONS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0), (1, -1, 2.0))
 
 LAMBDA1_DEFAULT = 10.0

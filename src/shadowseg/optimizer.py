@@ -13,13 +13,16 @@ when no committed site can strictly improve.
 The sweep runs in a C kernel (`hcf_sweep` in `_native.c`, see
 `shadowseg._native`). It reads the two potential tables and the label
 biases and sums the site potentials itself, as `unary_costs` in
-``tests/oracles.py`` does. It keeps each site's three potentials and its
-queue key in one 32-byte record, inside the one work buffer this module
-allocates per call, and queues touched sites in 128 buckets per power of
-two of their keys. On its final pass over the labels it also
-counts each label and the disagreeing neighbor pairs, and gathers each
-site's potentials and bias of its label; numpy's sums of those
-(`energy.energy_of_terms`) give the energy, to the bit what the oracle
+``tests/oracles.py`` does. The kernel owns the 8-neighborhood: its
+offsets and squared distances d2 are tables of its own, and it weighs
+each clique lambda2 / d2 itself. It keeps each site's three potentials
+and its queue key in one 32-byte record, inside the one work buffer this
+module allocates per call, and each site's state in the (H, W) uint8
+array that it returns as the labels; it queues touched sites in 128
+buckets per power of two of their keys. On its final pass over the
+labels it also counts each label and the disagreeing neighbor pairs,
+and gathers each site's potentials and bias of its label; numpy's sums
+of those (`energy.energy_of_terms`) give the energy, to the bit what the oracle
 `total_energy` of ``tests/oracles.py`` gathers for the labels. Its
 labels, energy and counts are bit-identical to `hcf_python` there, the
 reference loop that spells out the visit order and can trace it.
@@ -38,15 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from shadowseg import _native
-from shadowseg.energy import NEIGHBORS_8, PriorParams, energy_of_terms
-
-_OFFSETS = np.array([(dr, dc) for dr, dc, _ in NEIGHBORS_8], dtype=np.int64)
-_OFFSETS_ADDRESS = _native.address(_OFFSETS)
+from shadowseg.energy import PriorParams, energy_of_terms
 
 
 @dataclass
 class HcfResult:
-    labels: np.ndarray          # (H, W) ints in {1, 2, 3}
+    labels: np.ndarray          # (H, W) uint8 in {1, 2, 3}
     energy: float               # total posterior energy of the labeling
     visits: int                 # sites taken from the queue: H * W commits plus the relabels
     relabels: int
@@ -78,29 +78,25 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     lib = _native.library()
     t1 = np.ascontiguousarray(u1, dtype=np.float64)
     t2 = np.ascontiguousarray(u2, dtype=np.float64)
-    # the same IEEE products and quotients numpy would form, on Python floats
     lambda1, lambda2 = float(prior.lambda1), float(prior.lambda2)
-    bias = [float(b) for b in prior.bias]
-    weighted = [lambda1 * b for b in bias]
+    bias = np.array(prior.bias, dtype=np.float64)
+    # the IEEE products the kernel forms, on Python floats
+    weighted = [lambda1 * b for b in bias.tolist()]
     # the sweep's exactness rests on (score, site) being a strict total order
     if not all(map(math.isfinite, weighted)):
         raise ValueError("the weighted label bias lambda1 * bias must be finite, "
                          f"got {weighted}")
     if not math.isfinite(lambda2):
         raise ValueError(f"the clique weight lambda2 must be finite, got {prior.lambda2}")
-    # the kernel's bias, then its 8 clique weights lambda2 / d2
-    scalars = np.array(bias + [lambda2 / d2 for _, _, d2 in NEIGHBORS_8])
     # the kernel's site records, 32 bytes each from the first 32-byte
     # boundary, which its final pass overwrites with the term rows
     work = np.empty(4 * n + 3)
-    labels = np.empty(n, dtype=np.int64)
+    # the kernel's state of each site, and then its label
+    labels = np.empty((height, width), dtype=np.uint8)
     counts = np.empty(9, dtype=np.int64)
     address = _native.address
-    bias_at = address(scalars)
-    weights_at = bias_at + 3 * scalars.itemsize
-    status = lib.hcf_sweep(address(t1), address(t2), bias_at, lambda1, height, width,
-                           _OFFSETS_ADDRESS, weights_at,
-                           address(labels), address(counts), address(work))
+    status = lib.hcf_sweep(address(t1), address(t2), address(bias), lambda1, lambda2,
+                           height, width, address(labels), address(counts), address(work))
     if status == -1:
         raise MemoryError("HCF kernel could not allocate its work arrays")
     if status == -2:
@@ -109,7 +105,7 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     relabels, spilled = counts[:2]
     pairs = tuple(counts[5:])
     terms = work[:3 * n].reshape(3, height, width)
-    return HcfResult(labels=labels.reshape(height, width),
+    return HcfResult(labels=labels,
                      energy=energy_of_terms(terms, pairs, prior),
                      visits=n + relabels, relabels=relabels, spilled=spilled,
                      label_counts=tuple(counts[2:5]), pair_counts=pairs)

@@ -48,10 +48,13 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
-    try:
-        return int(token), pos
-    except ValueError:
-        raise PgmError(f"bad {what} field: {token!r}") from None
+    # ASCII digits only: int() would also take a sign or underscores
+    if token.isdigit():
+        try:
+            return int(token), pos
+        except ValueError:      # more digits than int() converts
+            pass
+    raise PgmError(f"bad {what} field: {token!r}")
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

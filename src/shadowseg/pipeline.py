@@ -121,8 +121,9 @@ def pooled_variance(bg: BackgroundModel) -> float:
 def process_frame(state: EngineState, frame, dump=None) -> tuple[np.ndarray, FrameDiagnostics]:
     """Label one frame and fold it into every model. Mutates `state`.
 
-    Returns the committed label field and the per-frame diagnostics; the
-    reported gain/offset are the values carried into the next frame.
+    Returns the committed labels, an (H, W) uint8 array of values 1, 2
+    and 3, and the per-frame diagnostics; the reported gain/offset are
+    the values carried into the next frame.
     `dump`, when given, is called as `dump(u1, u2)` with the intensity and
     edge potential tables, (3, H, W) each, before they are labeled.
     """

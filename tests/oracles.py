@@ -58,8 +58,8 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from shadowseg import EngineConfig, EngineState, edge, process_frame
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
-from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, NEIGHBORS_8,
-                              PAIR_DIRECTIONS, SHADOW, PriorParams)
+from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, PAIR_DIRECTIONS, SHADOW,
+                              PriorParams)
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI, build_potential_tables
 from shadowseg.optimizer import HcfResult
 from shadowseg.pipeline import pooled_variance
@@ -266,6 +266,15 @@ def potential_tables(frame, edge_h, edge_v, bg_mean, mean_h, mean_v, pooled, sha
 
 UNCOMMITTED = 0         # the label of a site the optimizer has not committed yet
 
+# (drow, dcol, squared distance) over the 8-neighborhood, in the order
+# hcf_python visits a site's neighbors; the HCF kernel holds the same
+# table, NEIGHBOUR and D2 in _native.c
+NEIGHBORS_8 = (
+    (-1, -1, 2.0), (-1, 0, 1.0), (-1, 1, 2.0),
+    (0, -1, 1.0), (0, 1, 1.0),
+    (1, -1, 2.0), (1, 0, 1.0), (1, 1, 2.0),
+)
+
 
 def pair_potential(label_x: int, label_y: int, dist_sq: float) -> float:
     """0 for agreeing labels, 1/dist_sq otherwise.  Labels must be committed."""
@@ -463,7 +472,8 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
                     if rekeyed is not None:
                         rekeyed.append((z, alt - cur))
 
-    grid = np.array(labels, dtype=np.int64).reshape(height, width)
+    # uint8, as the kernel returns them
+    grid = np.array(labels, dtype=np.uint8).reshape(height, width)
     # one heap of every site: nothing spills
     return TracedResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
                         visits=visits, relabels=relabels, spilled=0,

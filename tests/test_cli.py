@@ -228,6 +228,16 @@ def test_segment_fails_cleanly_when_the_kernels_cannot_build(tmp_path, monkeypat
     assert not out.exists() and not (tmp_path / "diag.csv").exists()
 
 
+def test_segment_refuses_a_diag_path_before_the_first_frame(tmp_path, capsys):
+    frame_dir, _ = tiny_sequence(tmp_path / "scene", n_frames=4)
+    out = tmp_path / "labels"
+    diag = tmp_path / "missing" / "diag.csv"
+    assert main(["segment", "--input", frame_dir, "--out", str(out), "--diag", str(diag)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(diag) in err
+    assert os.listdir(out) == []
+
+
 def test_eval_report_file_and_mixed_prediction(tmp_path):
     truth_dir = tmp_path / "truth"
     pred_dir = tmp_path / "pred"

@@ -1,5 +1,5 @@
-"""The parity checks against `hcf_python` catch order and key bugs in the
-HCF kernel. Each test builds `_native.c` with one bug planted by exact
+"""The parity checks against `hcf_python` catch order, key and
+neighbour-table bugs in the HCF kernel. Each test builds `_native.c` with one bug planted by exact
 source substitution, and the tie, checkerboard, clamp-end,
 bitmap-boundary, signed-zero and spread-magnitude corpora must find it. A planted pattern must occur exactly
 once in the source, so an edit to the kernel that moves it fails here
@@ -33,10 +33,13 @@ MUTANTS = {
                       "hi = g2 > hi ? g2 : hi;\n"
                       "frontier_set(&fr, site, (uint32_t)z, lo - (g0 + g1 + g2 - lo - hi));"),
     # the rescan of a block keeps its last fresh site of the lowest score, not its first
-    "block-rescan-last-tie": ("if (state[y] == FRESH && site[y].key < key.score)",
-                              "if (state[y] == FRESH && site[y].key <= key.score)"),
+    "block-rescan-last-tie": ("if (labels[y] == FRESH && site[y].key < key.score)",
+                              "if (labels[y] == FRESH && site[y].key <= key.score)"),
     # a bucket's scan reads a site's third potential for its key
     "record-key-slot": ("Entry e = {site[z].key, z};", "Entry e = {site[z].g[2], z};"),
+    # the kernel's own neighbour table: the last diagonal at squared distance 1
+    "diagonal-at-distance-1": ("{2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0};",
+                               "{2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0};"),
 }
 
 

@@ -101,7 +101,14 @@ def test_bad_headers_are_rejected(tmp_path):
     (b"P5\n2 2\n25a\n", "bad maxval field: b'25a'"),
     (b"P5\n2 2\n255", "missing whitespace after maxval"),
     (b"P5\n2 2\n255#\n" + b"\x00" * 4, "missing whitespace after maxval"),
-], ids=["width", "height", "maxval", "end-after-maxval", "comment-after-maxval"])
+    # int() would read these as 4, 10 and -1: a header field is ASCII digits only
+    (b"P5\n+4 2\n255\n" + b"\x00" * 8, "bad width field: b'+4'"),
+    (b"P5\n1 1_0\n255\n" + b"\x00" * 10, "bad height field: b'1_0'"),
+    (b"P5\n-1 2\n255\n", "bad width field: b'-1'"),
+    # more digits than int() converts
+    (b"P5\n2 2\n" + b"9" * 5000 + b"\n", "bad maxval field: " + repr(b"9" * 5000)),
+], ids=["width", "height", "maxval", "end-after-maxval", "comment-after-maxval",
+        "signed-width", "underscored-height", "negative-width", "maxval-beyond-int"])
 def test_malformed_header_fields_are_named(tmp_path, blob, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(blob)

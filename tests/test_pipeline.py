@@ -71,6 +71,20 @@ def test_adaptive_bootstrap_first_frame_is_background():
     assert np.all(labels == BACKGROUND)
 
 
+def test_labels_are_an_h_by_w_uint8_grid():
+    # one byte a site: the HCF kernel's own state array, returned as it is
+    scene = SynthScene(height=9, width=13, n_frames=7, lead_in=5, object_size=(3, 3),
+                       shadow_size=(3, 3), shadow_offset=(4, 0), start=(1, 2))
+    frames, _ = render_scene(scene, seed=3)
+    state = EngineState.from_static(frames[:5])
+    for frame in frames[5:]:
+        labels, diag = process_frame(state, frame)
+        assert labels.dtype == np.uint8 and labels.shape == (9, 13)
+        assert labels.flags.c_contiguous
+        assert np.bincount(labels.ravel(), minlength=4)[1:].tolist() == [
+            diag.n_background, diag.n_shadow, diag.n_foreground]
+
+
 def test_full_shadow_frame_goes_majority_shadow():
     # shadow cast at the transform's starting point covers the whole frame
     pattern = background_pattern(16, 16)

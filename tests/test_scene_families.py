@@ -11,6 +11,12 @@ xfails that name their ROADMAP item; a fix turns each into a pass.
 - Item 6, ghosts after adaptive start: when the seed frame holds the
   object, its intensities become the background there, and a ghost stays
   long after the object has left.
+- Item 6, repro 2, a moved object: under a static bootstrap whose frames
+  hold an object that is gone once labelling starts, its intensities
+  are the background there, and the same ghost stays.
+- Item 12, a light switch: after a sudden uniform change of brightness
+  the frame floods with foreground, and the label bias, driven to the
+  foreground, keeps it flooded after the background has caught up.
 - Item 8, the shadow's outline labelled foreground: at an outline pixel
   the edge spans one lit and one shadowed neighbour, which neither the
   background nor the shadow edge model explains, so even at the planted
@@ -27,6 +33,7 @@ from shadowseg.synth import SynthScene, render_scene
 
 FLOOD_MARGIN = 0.1      # foreground fraction allowed above the truth's largest
 GHOST_FRAMES = 60       # object-free frames by which a ghost must be gone
+SWITCH_FRAME = 10       # labelled frame from which the light is switched
 SHADOW_FRAMES = 8       # last frames over which the shadow is scored
 SHADOW_RECALL = 0.6     # shadow recall required over them
 OUTLINE_RECALL = 0.95   # shadow recall required over them, the outline included
@@ -88,3 +95,39 @@ def test_adaptive_start_ghost_clears():
     for frame in frames:
         labels, _ = process_frame(state, frame)
     assert np.count_nonzero(labels == FOREGROUND) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 6: an object in the bootstrap frames leaves a ghost")
+def test_moved_object_ghost_clears():
+    # labelled frames 0 to GHOST_FRAMES of the empty scene, after a static
+    # bootstrap from frames that also hold a 14 x 14 block
+    scene = SynthScene(n_frames=5 + GHOST_FRAMES + 1, lead_in=5,
+                       object_size=(0, 0), shadow_size=(0, 0))
+    frames, _ = render_scene(scene, seed=0)
+    boot = [frame.copy() for frame in frames[:scene.lead_in]]
+    for frame in boot:
+        frame[20:34, 20:34] = 230
+    state = EngineState.from_static(boot)
+    for frame in frames[scene.lead_in:]:
+        labels, _ = process_frame(state, frame)
+    assert np.count_nonzero(labels == FOREGROUND) == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: after a light switch the flood never ends")
+@pytest.mark.parametrize("step", [20, -30])
+def test_light_switch_flood_clears(step):
+    # `step` grey levels added to every labelled frame from SWITCH_FRAME on,
+    # static bootstrap from the lead-in; the last, labelled frame 209, is
+    # the 200th under the switched light
+    scene = SynthScene(n_frames=215, lead_in=5, object_size=(0, 0), shadow_size=(0, 0))
+    frames, truths = render_scene(scene, seed=0)
+    state = EngineState.from_static(frames[:scene.lead_in])
+    labelled = frames[scene.lead_in:]
+    labelled[SWITCH_FRAME:] = [np.clip(frame.astype(np.float64) + step, 0, 255)
+                               for frame in labelled[SWITCH_FRAME:]]
+    limit = max(np.mean(truth == FOREGROUND) for truth in truths[scene.lead_in:]) + FLOOD_MARGIN
+    for frame in labelled:
+        labels, _ = process_frame(state, frame)
+    assert np.mean(labels == FOREGROUND) <= limit, (np.mean(labels == FOREGROUND), limit)
