@@ -20,16 +20,16 @@
    triangular factors of the foreground edge potential for numpy to take
    the per-pixel logs of.
 
-   mixture_select and potential_tables are one plain loop each, and
-   central_differences two per row, which the compiler vectorizes under
-   #pragma omp simd (-fopenmp-simd: no OpenMP runtime, no threads).
-   Vector sqrt, divide, multiply, add and subtract round exactly as their
-   scalar forms do, and each lane runs the loop's operations in its order,
-   so the bytes are those of the scalar loop; a compiler that ignores the
-   pragma runs that loop as it stands. tests/test_simd_kernels.py checks
-   that GCC still vectorizes all four. mixture_update stays scalar: a
-   two-pixel version was byte-identical but slower, and GCC would not
-   vectorize a branch-free one.
+   mixture_update, mixture_select and potential_tables are one plain
+   loop each, and central_differences two per row, which the compiler
+   vectorizes under #pragma omp simd (-fopenmp-simd: no OpenMP runtime,
+   no threads). Vector sqrt, divide, multiply, add and subtract round
+   exactly as their scalar forms do, and each lane runs the loop's
+   operations in its order, so the bytes are those of the scalar loop; a
+   compiler that ignores the pragma runs that loop as it stands.
+   tests/test_simd_kernels.py checks that GCC still vectorizes all five.
+   mixture_update alone has an AVX2 clone, picked at load time, and
+   relaxes trapping math (see there).
 
    hcf_sweep keys an uncommitted site by one formula, gap, at the start
    and after every neighbour update: its lowest potential minus its
@@ -634,6 +634,30 @@ done:
 
 #define K 3     /* components per pixel mixture: shadowseg.background.K */
 
+/* mixture_update is compiled twice on x86-64 GCC, for AVX2 and for the
+   baseline, and an ifunc resolver picks one when the library loads: no
+   -march, so one build runs on any x86-64. Other compilers and machines
+   build the one plain function.
+
+   GCC turns a ?: whose arm computes into a branch, and under its default
+   -ftrapping-math it will not run that arm on both paths, where the
+   arithmetic might raise an exception the branch avoided; so it cannot
+   make the pixel loop branch-free, and leaves it scalar. no-trapping-math
+   lets it. It changes no result, since nothing here reads the exception
+   flags, but it is set for this one function: file-wide it changes
+   hcf_sweep's code and slowed the raw sweep 1.03-1.04x. */
+#if defined(__GNUC__) && !defined(__clang__)
+#if defined(__x86_64__)
+#define DISPATCHED __attribute__((target_clones("avx2", "default")))
+#else
+#define DISPATCHED
+#endif
+#define SPECULATED __attribute__((optimize("no-trapping-math")))
+#else
+#define DISPATCHED
+#define SPECULATED
+#endif
+
 /* One recursive update of every pixel's mixture, in place: the oracle
    update_mixture pixel by pixel.
 
@@ -647,50 +671,89 @@ done:
    index on ties, among those within match_sigmas standard deviations.
    A match pulls that component toward the observation; with none, the
    first component of lowest weight is replaced. The weights are then
-   renormalized by their sum taken from lane 0 upward. */
+   renormalized by their sum taken from lane 0 upward.
+
+   The loop has no branch: every lane's matched, replaced and kept values
+   are formed, and selects keep one. The match and the lowest lane are
+   held as doubles, -1 for none: GCC vectorizes those compares and not
+   int flags. Each select tests one compare: with && in a condition or
+   a nested ?:, GCC 12 built the loop out of masks at half the speed, or
+   failed with an internal error in the baseline clone. A lane out of range ranks -inf, so the first lane of
+   strictly highest rank is the oracle's match: an in-range rank, weight
+   over stddev with weights finite and >= 0 and variances > 0, is never
+   NaN or -inf. */
+DISPATCHED SPECULATED
 void mixture_update(double *weights, double *means, double *variances,
                     const double *frame, int64_t n, double alpha,
                     double match_sigmas, double init_weight, double init_variance,
                     double variance_floor)
 {
     double keep = 1.0 - alpha;
+    double *w0 = weights, *w1 = weights + n, *w2 = weights + 2 * n;
+    double *m0 = means, *m1 = means + n, *m2 = means + 2 * n;
+    double *v0 = variances, *v1 = variances + n, *v2 = variances + 2 * n;
+    _Static_assert(K == 3, "the pixel loop spells out three lanes");
+#pragma omp simd
     for (int64_t i = 0; i < n; i++) {
         double g = frame[i];
-        int64_t match = -1;
-        double match_rank = 0.0;
-        for (int64_t j = 0; j < K; j++) {
-            int64_t at = j * n + i;
-            double sigma = sqrt(variances[at]);
-            double rank = weights[at] / sigma;
-            if (fabs(g - means[at]) <= match_sigmas * sigma
-                && (match < 0 || rank > match_rank)) {
-                match = j;
-                match_rank = rank;
-            }
-        }
-        if (match >= 0) {
-            int64_t at = match * n + i;
-            double d = g - means[at];
-            double v = keep * variances[at] + alpha * d * d;
-            weights[at] = keep * weights[at] + alpha;
-            means[at] = keep * means[at] + alpha * g;
-            /* the oracle's max(v, floor), which keeps a NaN */
-            variances[at] = v < variance_floor ? variance_floor : v;
-        } else {
-            int64_t low = 0;
-            for (int64_t j = 1; j < K; j++)
-                if (weights[j * n + i] < weights[low * n + i])
-                    low = j;
-            int64_t at = low * n + i;
-            weights[at] = init_weight;
-            means[at] = g;
-            variances[at] = init_variance;
-        }
-        double total = weights[i];
-        for (int64_t j = 1; j < K; j++)
-            total += weights[j * n + i];
-        for (int64_t j = 0; j < K; j++)
-            weights[j * n + i] /= total;
+        double a0 = w0[i], a1 = w1[i], a2 = w2[i];
+        double u0 = m0[i], u1 = m1[i], u2 = m2[i];
+        double q0 = v0[i], q1 = v1[i], q2 = v2[i];
+        double s0 = sqrt(q0), s1 = sqrt(q1), s2 = sqrt(q2);
+        double r0 = a0 / s0, r1 = a1 / s1, r2 = a2 / s2;
+
+        /* each lane's rank where it is within match_sigmas, else -inf */
+        double c0 = fabs(g - u0) <= match_sigmas * s0 ? r0 : -INFINITY;
+        double c1 = fabs(g - u1) <= match_sigmas * s1 ? r1 : -INFINITY;
+        double c2 = fabs(g - u2) <= match_sigmas * s2 ? r2 : -INFINITY;
+        double match = c0 > -INFINITY ? 0.0 : -1.0;
+        double best = c0;
+        match = c1 > best ? 1.0 : match;
+        best = c1 > best ? c1 : best;
+        match = c2 > best ? 2.0 : match;
+        /* the first lane of lowest weight, replaced when nothing matches */
+        double low = a1 < a0 ? 1.0 : 0.0;
+        double lowest = a1 < a0 ? a1 : a0;
+        low = a2 < lowest ? 2.0 : low;
+        low = match < 0.0 ? low : -1.0;
+
+        double d0 = g - u0, d1 = g - u1, d2 = g - u2;
+        double x0 = keep * q0 + alpha * d0 * d0;
+        double x1 = keep * q1 + alpha * d1 * d1;
+        double x2 = keep * q2 + alpha * d2 * d2;
+        /* the oracle's max(v, floor), which keeps a NaN */
+        x0 = x0 < variance_floor ? variance_floor : x0;
+        x1 = x1 < variance_floor ? variance_floor : x1;
+        x2 = x2 < variance_floor ? variance_floor : x2;
+        a0 = match == 0.0 ? keep * a0 + alpha : a0;
+        a1 = match == 1.0 ? keep * a1 + alpha : a1;
+        a2 = match == 2.0 ? keep * a2 + alpha : a2;
+        u0 = match == 0.0 ? keep * u0 + alpha * g : u0;
+        u1 = match == 1.0 ? keep * u1 + alpha * g : u1;
+        u2 = match == 2.0 ? keep * u2 + alpha * g : u2;
+        q0 = match == 0.0 ? x0 : q0;
+        q1 = match == 1.0 ? x1 : q1;
+        q2 = match == 2.0 ? x2 : q2;
+        a0 = low == 0.0 ? init_weight : a0;
+        a1 = low == 1.0 ? init_weight : a1;
+        a2 = low == 2.0 ? init_weight : a2;
+        u0 = low == 0.0 ? g : u0;
+        u1 = low == 1.0 ? g : u1;
+        u2 = low == 2.0 ? g : u2;
+        q0 = low == 0.0 ? init_variance : q0;
+        q1 = low == 1.0 ? init_variance : q1;
+        q2 = low == 2.0 ? init_variance : q2;
+
+        double total = a0 + a1 + a2;
+        w0[i] = a0 / total;
+        w1[i] = a1 / total;
+        w2[i] = a2 / total;
+        m0[i] = u0;
+        m1[i] = u1;
+        m2[i] = u2;
+        v0[i] = q0;
+        v1[i] = q1;
+        v2[i] = q2;
     }
 }
 

@@ -19,8 +19,12 @@ import zlib
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 # -fno-math-errno lets sqrt compile to one instruction, with no libm call.
 # -fopenmp-simd honours the source's `omp simd` loops and nothing else of
-# OpenMP: no runtime, no threads. No -ffast-math, -march or
-# -ffp-contract=fast: each would break parity with the reference oracles.
+# OpenMP: no runtime, no threads. No -ffast-math or -ffp-contract=fast:
+# each would break parity with the reference oracles. No -march, which
+# would tie the build to the machine: the source's one AVX2 clone is
+# picked when the library loads. No -fno-trapping-math either: the source
+# relaxes it for the one loop that needs it, and file-wide it slows the
+# HCF sweep.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fopenmp-simd", "-shared", "-fPIC")
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double

@@ -17,7 +17,7 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 # the byte of each label 0..3 (0 is never written), and the label of each
 # byte, 0 for a byte that encodes no label
 _BYTE_OF_LABEL = np.array([0, 0, 128, 255], dtype=np.uint8)
-_LABEL_OF_BYTE = np.zeros(256, dtype=np.int64)
+_LABEL_OF_BYTE = np.zeros(256, dtype=np.uint8)
 _LABEL_OF_BYTE[_BYTE_OF_LABEL[list(LABELS)]] = LABELS
 
 
@@ -96,7 +96,7 @@ def write_pgm(path, pixels) -> None:
         raise ValueError("pixel values outside [0, 255]")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
-        fh.write(pixels.astype(np.uint8).tobytes())
+        fh.write(pixels.astype(np.uint8, copy=False).tobytes())
 
 
 def read_frame(path) -> np.ndarray:
@@ -118,11 +118,13 @@ def write_labels(labels, path) -> None:
     if not known:
         bad = np.unique(labels[~np.isin(labels, LABELS)])
         raise ValueError(f"uncommitted or unknown labels present: {bad.tolist()}")
-    write_pgm(path, _BYTE_OF_LABEL[labels.astype(np.intp, copy=False)])
+    # integer labels index the table as they are, with no copy
+    index = labels if labels.dtype.kind in "iu" else labels.astype(np.intp)
+    write_pgm(path, _BYTE_OF_LABEL[index])
 
 
 def read_labels(path) -> np.ndarray:
-    """Inverse of write_labels."""
+    """Inverse of write_labels: the (H, W) uint8 labels of the map."""
     pixels, _ = read_pgm(path)
     labels = _LABEL_OF_BYTE[pixels]
     if not labels.all():

@@ -157,6 +157,15 @@ def test_label_round_trip_random(tmp_path):
     assert np.array_equal(read_labels(path), labels)
 
 
+def test_labels_read_back_as_uint8(tmp_path):
+    # the engine's labels are uint8, and a map read back is too
+    path = tmp_path / "ones.pgm"
+    write_labels(np.ones((3, 3), np.uint8), path)
+    labels = read_labels(path)
+    assert labels.dtype == np.uint8
+    assert labels.tolist() == [[1] * 3] * 3
+
+
 def test_unknown_labels_are_rejected(tmp_path):
     path = tmp_path / "lab3.pgm"
     with pytest.raises(ValueError, match="4"):

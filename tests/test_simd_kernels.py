@@ -2,10 +2,19 @@
 `central_differences` against the scalar oracles of `tests/oracles.py`
 and against the same source built without -fopenmp-simd, where the
 compiler leaves those loops scalar. Odd pixel counts and widths end on
-the vectorized loop's scalar epilogue. With GCC, a compile report must
-also show all four loops vectorized, and two parts of the HCF sweep's
-neighbour update compiled as intended: `gap` with no conditional jump,
-and the 8-neighbour loop completely unrolled."""
+the vectorized loop's scalar epilogue.
+
+`mixture_update` is built twice on x86-64 GCC, for AVX2 and for the
+baseline, and the library runs the one the machine supports. The same
+source built without the clones is that baseline body, so it stands in
+for the one this machine does not run: it must match the library and
+the oracle `update_mixture`.
+
+With GCC, a compile report must also show all five loops vectorized,
+`mixture_update`'s with 16-byte vectors and, on x86-64, 32-byte AVX2
+ones, and two parts of the HCF sweep's neighbour update compiled as
+intended: `gap` with no conditional jump, and the 8-neighbour loop
+completely unrolled."""
 
 import ctypes
 import os
@@ -17,23 +26,27 @@ import pytest
 
 import oracles
 from oracles import (BENCHMARK_WORKLOADS, detection_arguments, engine_frames, pixel,
-                     select_background)
+                     select_background, update_mixture)
 from shadowseg import _native
-from shadowseg.background import MixtureGrid
+from shadowseg.background import K, MixtureGrid
 from shadowseg.edge import frame_edges
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.shadow import Y_MAX, ShadowParams
+from test_mixture_kernel import assert_same_as_oracles, frames_around, random_mixtures
 
 ODD_COUNTS = (1, 3, 63, 65)
+ALPHAS = (0.02, 0.3, 1.0)
 # variances whose square roots are exact, so that planted ranks tie exactly
 EXACT_VARIANCES = np.array([4.0, 9.0, 16.0, 25.0, 100.0, 900.0])
 
 
-@pytest.fixture(scope="module")
-def scalar(tmp_path_factory):
-    """The kernels built without -fopenmp-simd: scalar pixel loops."""
-    library = tmp_path_factory.mktemp("scalar") / "_native-scalar.so"
-    flags = [flag for flag in _native._CFLAGS if flag != "-fopenmp-simd"]
+# Renames the attribute target_clones(...) in the source to `unused`: the
+# kernels compiled once, for the baseline, with no resolver
+NO_CLONES = "-Dtarget_clones(...)=unused"
+
+
+def build(library, flags):
+    """The kernels built into `library` with `flags`, loaded."""
     proc = subprocess.run(["cc", *flags, "-o", str(library), _native._SOURCE],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -42,6 +55,21 @@ def scalar(tmp_path_factory):
         getattr(lib, name).argtypes = argtypes
         getattr(lib, name).restype = restype
     return lib
+
+
+@pytest.fixture(scope="module")
+def scalar(tmp_path_factory):
+    """The kernels built without -fopenmp-simd: scalar pixel loops."""
+    flags = [flag for flag in _native._CFLAGS if flag != "-fopenmp-simd"]
+    return build(tmp_path_factory.mktemp("scalar") / "_native-scalar.so", flags)
+
+
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """The kernels built without the clones of `mixture_update`: its
+    baseline body, whichever the library runs."""
+    return build(tmp_path_factory.mktemp("baseline") / "_native-baseline.so",
+                 [*_native._CFLAGS, NO_CLONES])
 
 
 def closing_brace(lines: list[str], loop: int) -> int:
@@ -67,10 +95,10 @@ def require_gcc():
         pytest.skip("cc is not GCC, whose output these tests read")
 
 
-def optimization_report(tmp_path, kind: str) -> list[tuple[int, str]]:
+def optimization_report(tmp_path, kind: str, *extra: str) -> list[tuple[int, str]]:
     """(line, message) of each `-fopt-info-{kind}-optimized` report on
-    `_native.c`, built as the engine builds it."""
-    proc = subprocess.run(["cc", *_native._CFLAGS, f"-fopt-info-{kind}-optimized",
+    `_native.c`, built as the engine builds it, with `extra` flags."""
+    proc = subprocess.run(["cc", *_native._CFLAGS, *extra, f"-fopt-info-{kind}-optimized",
                            "-o", str(tmp_path / "_native.so"), _native._SOURCE],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
@@ -78,16 +106,32 @@ def optimization_report(tmp_path, kind: str) -> list[tuple[int, str]]:
             re.findall(r"_native\.c:(\d+):\d+: optimized: (.*)", proc.stderr)]
 
 
+def vector_widths(report, first: int, last: int) -> set[int]:
+    """The vector bytes of each loop vectorized between lines `first` and
+    `last` of a `-fopt-info-vec-optimized` report."""
+    return {int(re.search(r"using (\d+) byte vectors", message)[1])
+            for line, message in report
+            if first <= line <= last and message.startswith("loop vectorized")}
+
+
 def test_gcc_vectorizes_every_omp_simd_loop(tmp_path):
     # the same bytes come out of a loop the compiler leaves scalar, so only
     # the compiler's report shows that a pixel loop still vectorizes
     require_gcc()
-    vectorized = [line for line, message in optimization_report(tmp_path, "vec")
-                  if message.startswith("loop vectorized")]
+    report = optimization_report(tmp_path, "vec")
     loops = simd_loops(_native._SOURCE)
-    assert len(loops) == 4
+    assert len(loops) == 5
     for first, last in loops:
-        assert any(first <= line <= last for line in vectorized), (first, vectorized)
+        assert vector_widths(report, first, last), (first, report)
+    # mixture_update's loop also in the baseline build, whose body is its
+    # baseline clone's, and with AVX2's 32-byte vectors in the other clone
+    with open(_native._SOURCE) as fh:
+        update = next(i for i, line in enumerate(fh, 1) if line.startswith("void mixture_update("))
+    first, last = next(loop for loop in loops if loop[0] > update)
+    baseline = vector_widths(optimization_report(tmp_path, "vec", NO_CLONES), first, last)
+    assert baseline, (first, last)
+    if os.uname().machine == "x86_64":
+        assert baseline == {16} and 32 in vector_widths(report, first, last), baseline
 
 
 def test_gcc_compiles_gap_without_a_conditional_jump(tmp_path):
@@ -205,6 +249,27 @@ def test_selection_keeps_the_scalar_loops_nan_and_infinity(scalar):
     assert same_bytes((mean, variance), kernel_selection(scalar, weights, means, variances))
 
 
+@pytest.mark.parametrize("n", ODD_COUNTS)
+def test_update_of_odd_pixel_counts_on_the_baseline_build(n, baseline, monkeypatch):
+    # mixtures with ties, zero-weight lanes and replacements: the library
+    # and the baseline build each give the oracle's bytes
+    rng = np.random.default_rng(260 + n)
+    for alpha in ALPHAS:
+        lanes = random_mixtures(rng, K, 1, n)
+        frames = frames_around(rng, *lanes, 4)
+        assert_same_as_oracles(*lanes, frames, alpha)
+        on(baseline, monkeypatch, assert_same_as_oracles, *lanes, frames, alpha)
+
+
+def oracle_update(grid: MixtureGrid, frame, alpha, pixels) -> tuple[np.ndarray, ...]:
+    """The oracle's weights, means and variances after `frame`, (K, m) at
+    the m (row, col) of `pixels`."""
+    updated = [update_mixture(pixel(grid, r, c), frame[r, c], alpha) for r, c in pixels]
+    return tuple(np.array([[getattr(mixture.components[k], field) for mixture in updated]
+                           for k in range(K)])
+                 for field in ("weight", "mean", "variance"))
+
+
 def clamp_edges(rng, n):
     """Edges around the foreground density's floor, |e| = Y_MAX - 0.1, and
     at and beyond +-Y_MAX, of both signs, among ordinary ones."""
@@ -255,7 +320,7 @@ def test_edges_of_odd_and_even_widths(width, scalar, monkeypatch):
 
 
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
-def test_every_engine_instance_of_the_benchmark_scenes(workload, scalar, monkeypatch):
+def test_every_engine_instance_of_the_benchmark_scenes(workload, scalar, baseline, monkeypatch):
     for state, frame in engine_frames(**BENCHMARK_WORKLOADS[workload], seed=1):
         args = detection_arguments(state, frame)
         assert same_bytes(args[1:3], oracles.frame_edges(frame))
@@ -272,3 +337,14 @@ def test_every_engine_instance_of_the_benchmark_scenes(workload, scalar, monkeyp
         pixels = [divmod(i, w) for i in range(0, h * w, 97)]
         rows, cols = np.array(pixels).T
         assert same_bytes((bg[0][rows, cols], bg[1][rows, cols]), oracle_selection(grid, pixels))
+
+        # the update of copies of the mixtures, by the library and by the
+        # baseline build, and by the oracle at the same pixels
+        for alpha in ALPHAS:
+            grids = [MixtureGrid(grid.weights, grid.means, grid.variances) for _ in range(2)]
+            grids[0].update(frame, alpha)
+            on(baseline, monkeypatch, grids[1].update, frame, alpha)
+            lanes = [(g.weights, g.means, g.variances) for g in grids]
+            assert same_bytes(*lanes)
+            assert same_bytes([lane[:, rows, cols] for lane in lanes[0]],
+                              oracle_update(grid, frame, alpha, pixels))
