@@ -46,11 +46,11 @@
    uint8 labels, which hold the final labels when it returns.
 
    hcf_sweep also returns what the energy of its labels is summed from:
-   on its last pass over the labels it counts each label and the
-   disagreeing neighbour pairs, and gathers each site's potentials and
-   bias of its label into rows that numpy sums (energy.energy_of_terms) as
-   the oracle total_energy of tests/oracles.py sums its gathers, so the
-   caller need not gather them again.
+   on its last pass over the labels it counts each label, forms the MRF
+   pair term, 1 / d2 summed over the disagreeing neighbour pairs in the
+   oracle's order, and gathers each site's potentials and bias of its
+   label into rows that numpy sums (energy.energy_of_terms) as the oracle
+   total_energy of tests/oracles.py sums its gathers.
 
    The HCF queue has two tiers. Sites that no neighbour update has touched
    keep their initial score; they sit in blocks of BLOCK consecutive sites,
@@ -439,16 +439,14 @@ static inline double gap(double a, double b, double c)
    labels    height * width bytes, overlapping no other argument: the
              sweep's state of each site, FRESH, 0 while uncommitted, then
              its label. Out: labels in {1, 2, 3}
-   counts    out, 9 values: relabels, the sites the frontier moved from
+   counts    out, 5 values: relabels, the sites the frontier moved from
              a full lowest bucket to its heap; the sites of each label
-             1..3; the disagreeing neighbour pairs along each of
-             energy.PAIR_DIRECTIONS, (0, 1), (1, 0), (1, 1) and (1, -1).
-             Each site commits once, so the visits are n + relabels.
+             1..3. Each site commits once, so the visits are n + relabels.
    terms     4 * height * width + 3 doubles. Out: the first 3 * height *
              width are (3, height, width) rows, each site's u1, u2 and
-             bias of its label, which energy.energy_of_terms sums. Until
-             the final labels pass the sweep keeps its site records here,
-             from the first 32-byte boundary
+             bias of its label, then the pair term; energy.energy_of_terms
+             sums them. Until the final labels pass the sweep keeps its
+             site records here, from the first 32-byte boundary
 
    Returns 0; -1 when memory runs out, -2 when a site potential is NaN or
    infinite. */
@@ -617,10 +615,12 @@ int64_t hcf_sweep(const double *u1, const double *u2, const double *bias, double
                 pairs[3] += lab != below[c - 1];
         }
     }
+    /* the oracle's order: pairs along (0, 1), (1, 0), (1, 1), (1, -1) */
+    terms[3 * n] = (double)pairs[0] / D2[4] + (double)pairs[1] / D2[6]
+                   + (double)pairs[2] / D2[7] + (double)pairs[3] / D2[5];
     counts[0] = relabels;
     counts[1] = fr.spilled;
     memcpy(counts + 2, sites, sizeof sites);
-    memcpy(counts + 5, pairs, sizeof pairs);
     result = 0;
 
 done:

@@ -76,6 +76,8 @@ class MixtureGrid:
 
     def update(self, frame: np.ndarray, alpha: float) -> None:
         """One recursive history update of every pixel's mixture, in place."""
+        if not 0 < alpha <= 1:      # NaN included: the weights could come back NaN
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         frame = np.ascontiguousarray(frame, dtype=np.float64)
         if frame.shape != self.weights.shape[1:]:
             raise ValueError(f"frame shape {frame.shape} does not match mixture shape "

@@ -7,8 +7,8 @@ penalties over the 8-neighborhood two-pixel cliques, each unordered pair
 counted once with weight 1/distance^2.
 
 The engine sums the objective from the terms the HCF kernel returns
-(`energy_of_terms`). The reference that gathers them from a labeling is
-`total_energy` in ``tests/oracles.py``.
+(`energy_of_terms`), the pair term included. The reference that gathers
+them from a labeling is `total_energy` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ BACKGROUND = 1
 SHADOW = 2
 FOREGROUND = 3
 LABELS = (BACKGROUND, SHADOW, FOREGROUND)
-
-# (drow, dcol, squared distance) of each unordered neighbor pair of the
-# 8-neighborhood exactly once
-PAIR_DIRECTIONS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0), (1, -1, 2.0))
 
 LAMBDA1_DEFAULT = 10.0
 LAMBDA2_DEFAULT = 4.0
@@ -43,18 +39,15 @@ def initial_prior(lambda1: float = LAMBDA1_DEFAULT, lambda2: float = LAMBDA2_DEF
     return PriorParams(bias=np.full(3, -1.0 / 3.0), lambda1=lambda1, lambda2=lambda2)
 
 
-def energy_of_terms(terms, pairs, prior: PriorParams) -> float:
+def energy_of_terms(terms, pair: float, prior: PriorParams) -> float:
     """Objective value of a labeling from its terms: `terms` holds each
     site's u1, u2 and unweighted bias of its label as three C-ordered
-    (H, W) grids, `pairs` the disagreeing neighbor pairs along each of
-    PAIR_DIRECTIONS. The HCF kernel returns both, so that the optimizer
-    gets the bits of the oracle `total_energy` (``tests/oracles.py``)
-    without its gathers."""
+    (H, W) grids, `pair` the unweighted pair term, 1 / d2 summed over the
+    disagreeing neighbor pairs. The HCF kernel returns both, so that the
+    optimizer gets the bits of the oracle `total_energy`
+    (``tests/oracles.py``) without its gathers."""
     energy = float(terms[0].sum() + terms[1].sum())
     energy += prior.lambda1 * float(terms[2].sum())
-    pair = 0.0
-    for count, (_, _, d2) in zip(pairs, PAIR_DIRECTIONS):
-        pair += count / d2
     return energy + prior.lambda2 * pair
 
 

@@ -20,12 +20,13 @@ and its queue key in one 32-byte record, inside the one work buffer this
 module allocates per call, and each site's state in the (H, W) uint8
 array that it returns as the labels; it queues touched sites in 128
 buckets per power of two of their keys. On its final pass over the
-labels it also counts each label and the disagreeing neighbor pairs,
-and gathers each site's potentials and bias of its label; numpy's sums
-of those (`energy.energy_of_terms`) give the energy, to the bit what the oracle
-`total_energy` of ``tests/oracles.py`` gathers for the labels. Its
-labels, energy and counts are bit-identical to `hcf_python` there, the
-reference loop that spells out the visit order and can trace it.
+labels it also counts each label, gathers each site's potentials and
+bias of its label, and sums the pair term, 1 / d2 over the disagreeing
+neighbor pairs; `energy.energy_of_terms` sums those to the energy, to
+the bit what the oracle `total_energy` of ``tests/oracles.py`` gathers.
+Its labels, energy, counts and pair term are bit-identical to
+`hcf_python` there, the reference loop that spells out and can trace
+the visit order.
 
 A committed site is queued only while its score is negative, that is
 while another label is strictly cheaper, so no visit is wasted: each
@@ -51,9 +52,8 @@ class HcfResult:
     visits: int                 # sites taken from the queue: H * W commits plus the relabels
     relabels: int
     spilled: int                # sites the kernel's frontier moved from a full bucket to its heap
-    label_counts: tuple[int, int, int]          # sites labeled 1, 2 and 3
-    pair_counts: tuple[int, int, int, int]      # disagreeing neighbor pairs along each of
-                                                # energy.PAIR_DIRECTIONS
+    label_counts: tuple[int, int, int]  # sites labeled 1, 2 and 3
+    pair: float                 # the MRF pair term: 1 / d2 summed over disagreeing neighbors
 
 
 def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResult:
@@ -89,11 +89,11 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
     if not math.isfinite(lambda2):
         raise ValueError(f"the clique weight lambda2 must be finite, got {prior.lambda2}")
     # the kernel's site records, 32 bytes each from the first 32-byte
-    # boundary, which its final pass overwrites with the term rows
+    # boundary, which its final pass overwrites with the terms
     work = np.empty(4 * n + 3)
     # the kernel's state of each site, and then its label
     labels = np.empty((height, width), dtype=np.uint8)
-    counts = np.empty(9, dtype=np.int64)
+    counts = np.empty(5, dtype=np.int64)
     address = _native.address
     status = lib.hcf_sweep(address(t1), address(t2), address(bias), lambda1, lambda2,
                            height, width, address(labels), address(counts), address(work))
@@ -101,14 +101,12 @@ def hcf_minimize(u1: np.ndarray, u2: np.ndarray, prior: PriorParams) -> HcfResul
         raise MemoryError("HCF kernel could not allocate its work arrays")
     if status == -2:
         raise ValueError(_non_finite(t1, t2))
-    counts = counts.tolist()
-    relabels, spilled = counts[:2]
-    pairs = tuple(counts[5:])
+    relabels, spilled, *sites = counts.tolist()
     terms = work[:3 * n].reshape(3, height, width)
-    return HcfResult(labels=labels,
-                     energy=energy_of_terms(terms, pairs, prior),
+    pair = float(work[3 * n])
+    return HcfResult(labels=labels, energy=energy_of_terms(terms, pair, prior),
                      visits=n + relabels, relabels=relabels, spilled=spilled,
-                     label_counts=tuple(counts[2:5]), pair_counts=pairs)
+                     label_counts=tuple(sites), pair=pair)
 
 
 def _non_finite(t1: np.ndarray, t2: np.ndarray) -> str:

@@ -96,10 +96,12 @@ class EngineState:
 
 
 def _checked_frame(frame, shape=None) -> np.ndarray:
-    """`frame` as float64; rejects a frame smaller than 3x3, pixels outside
-    the 0..Y_MAX scale (NaN and infinite ones included) and, when `shape`
-    is given, a frame of any other shape."""
+    """`frame` as float64; rejects a frame of other than real numbers or
+    smaller than 3x3, pixels outside the 0..Y_MAX scale (NaN and infinite
+    ones included) and, when `shape` is given, a frame of any other shape."""
     raw = np.asarray(frame)
+    if raw.dtype.kind not in "biuf":    # a complex frame would lose its imaginary part
+        raise ValueError(f"frame must hold real numbers, got dtype {raw.dtype}")
     frame = raw.astype(np.float64, copy=False)
     if frame.ndim != 2 or min(frame.shape) < 3:
         raise ValueError("frame must be at least 3x3")

@@ -22,8 +22,10 @@ references the kernels match bit for bit:
   `unary_costs`, `local_potential`), and the energy of a whole labeling
   by gathers along the label axis (`total_energy`), which the engine's
   sum of the HCF kernel's terms, `energy.energy_of_terms`, matches byte
-  for byte, with the label and pair counts it rests on (`label_counts`,
-  `pair_counts`); `UNCOMMITTED` marks a site not yet labeled;
+  for byte, with what it rests on: the label counts (`label_counts`), the
+  disagreeing pairs along each of `PAIR_DIRECTIONS` (`pair_counts`) and
+  the pair term summed from them (`pair_term`); `UNCOMMITTED` marks a
+  site not yet labeled;
 - the HCF stability score of one site (`stability`), the HCF sweep as a
   plain Python loop (`hcf_python`), whose visit order, labels, energy and
   counts the compiled sweep reproduces bit for bit and whose result
@@ -58,8 +60,7 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from shadowseg import EngineConfig, EngineState, edge, process_frame
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, MATCH_SIGMAS,
                                   VARIANCE_FLOOR, BackgroundModel, MixtureGrid)
-from shadowseg.energy import (BACKGROUND, FOREGROUND, LABELS, PAIR_DIRECTIONS, SHADOW,
-                              PriorParams)
+from shadowseg.energy import BACKGROUND, FOREGROUND, LABELS, SHADOW, PriorParams
 from shadowseg.likelihood import EDGE_DENSITY_FLOOR, LOG_2PI, build_potential_tables
 from shadowseg.optimizer import HcfResult
 from shadowseg.pipeline import pooled_variance
@@ -274,6 +275,9 @@ NEIGHBORS_8 = (
     (0, -1, 1.0), (0, 1, 1.0),
     (1, -1, 2.0), (1, 0, 1.0), (1, 1, 2.0),
 )
+# (drow, dcol, squared distance) of each unordered neighbor pair of the
+# 8-neighborhood exactly once
+PAIR_DIRECTIONS = ((0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0), (1, -1, 2.0))
 
 
 def pair_potential(label_x: int, label_y: int, dist_sq: float) -> float:
@@ -294,10 +298,7 @@ def total_energy(labels: np.ndarray, u1: np.ndarray, u2: np.ndarray, prior: Prio
     idx = (labels - 1)[None]
     energy = float(np.take_along_axis(u1, idx, 0).sum() + np.take_along_axis(u2, idx, 0).sum())
     energy += prior.lambda1 * float(prior.bias[labels - 1].sum())
-    pair = 0.0
-    for count, (_, _, d2) in zip(pair_counts(labels), PAIR_DIRECTIONS):
-        pair += count / d2
-    return energy + prior.lambda2 * pair
+    return energy + prior.lambda2 * pair_term(labels)
 
 
 def label_counts(labels: np.ndarray) -> tuple:
@@ -314,6 +315,15 @@ def pair_counts(labels: np.ndarray) -> tuple:
         b = labels[dr:, max(0, dc):labels.shape[1] - max(0, -dc)]
         counts.append(int(np.count_nonzero(a != b)))
     return tuple(counts)
+
+
+def pair_term(labels: np.ndarray) -> float:
+    """The unweighted pair term: 1 / d2 over the disagreeing neighbour
+    pairs, summed direction by direction in the order of PAIR_DIRECTIONS."""
+    pair = 0.0
+    for count, (_, _, d2) in zip(pair_counts(labels), PAIR_DIRECTIONS):
+        pair += count / d2
+    return pair
 
 
 def local_potential(row: int, col: int, label: int, labels: np.ndarray,
@@ -477,7 +487,7 @@ def hcf_python(u1: np.ndarray, u2: np.ndarray, prior: PriorParams, *,
     # one heap of every site: nothing spills
     return TracedResult(labels=grid, energy=total_energy(grid, u1, u2, prior),
                         visits=visits, relabels=relabels, spilled=0,
-                        label_counts=label_counts(grid), pair_counts=pair_counts(grid),
+                        label_counts=label_counts(grid), pair=pair_term(grid),
                         commits=commits, trace=events)
 
 

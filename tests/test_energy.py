@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (detection_tables, engine_frames, local_potential, pair_potential,
-                     total_energy, unary_costs)
+from oracles import (PAIR_DIRECTIONS, detection_tables, engine_frames, local_potential,
+                     pair_potential, total_energy, unary_costs)
 from shadowseg import EngineConfig
-from shadowseg.energy import (LABELS, PAIR_DIRECTIONS, PriorParams, energy_of_terms,
-                              initial_prior, update_label_bias)
+from shadowseg.energy import (LABELS, PriorParams, energy_of_terms, initial_prior,
+                              update_label_bias)
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import scene_preset
 
@@ -174,7 +174,7 @@ def assert_same_energy_as_oracle(labels, u1, u2, prior):
     idx = (labels - 1)[None]
     terms = (np.take_along_axis(u1, idx, 0)[0], np.take_along_axis(u2, idx, 0)[0],
              prior.bias[labels - 1])
-    fast = np.float64(energy_of_terms(terms, oracles.pair_counts(labels), prior))
+    fast = np.float64(energy_of_terms(terms, oracles.pair_term(labels), prior))
     assert fast.tobytes() == np.float64(total_energy(labels, u1, u2, prior)).tobytes()
 
 

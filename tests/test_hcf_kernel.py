@@ -12,21 +12,25 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (QVGA_SCENE, detection_tables, engine_frames, hcf_python, label_counts,
-                     pair_counts, total_energy)
+from oracles import (PAIR_DIRECTIONS, QVGA_SCENE, detection_tables, engine_frames, hcf_python,
+                     label_counts, pair_counts, pair_term, total_energy)
 from shadowseg import EngineConfig, _native
 from shadowseg.energy import initial_prior
 from shadowseg.optimizer import hcf_minimize
 from shadowseg.synth import scene_preset
 
 
+PRESETS = [("quality", EngineConfig()),
+           ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5))]
+
+
 def assert_terms_of_its_labels(result, u1, u2, prior):
     """The sweep's energy is the oracle `total_energy` of its labels, to the
-    bit, and its label and pair counts are numpy's."""
+    bit, its label counts are numpy's and its pair term the oracle's."""
     expected = total_energy(result.labels, u1, u2, prior)
     assert np.float64(result.energy).tobytes() == np.float64(expected).tobytes()
     assert result.label_counts == label_counts(result.labels)
-    assert result.pair_counts == pair_counts(result.labels)
+    assert result.pair == pair_term(result.labels)
 
 
 def assert_same_as_python(u1, u2, prior):
@@ -35,7 +39,7 @@ def assert_same_as_python(u1, u2, prior):
     ref = hcf_python(u1, u2, prior)
     assert np.array_equal(fast.labels, ref.labels)
     assert np.float64(fast.energy).tobytes() == np.float64(ref.energy).tobytes()
-    assert (fast.label_counts, fast.pair_counts) == (ref.label_counts, ref.pair_counts)
+    assert (fast.label_counts, fast.pair) == (ref.label_counts, ref.pair)
     assert_terms_of_its_labels(fast, u1, u2, prior)
     assert (fast.visits, fast.relabels) == (ref.visits, ref.relabels)
     # the oracle has no spill heap, so the kernel's count is checked against a rerun
@@ -354,7 +358,7 @@ def test_energy_terms_and_counts_of_single_label_grids(label):
         sites = [0, 0, 0]
         sites[label - 1] = u1[0].size
         assert result.label_counts == tuple(sites)
-        assert result.pair_counts == (0, 0, 0, 0)
+        assert result.pair == 0.0
 
 
 def test_energy_terms_and_counts_of_unit_checkerboards():
@@ -369,7 +373,46 @@ def test_energy_terms_and_counts_of_unit_checkerboards():
         result = assert_same_as_python(u1, np.zeros_like(u1), initial_prior(lambda2=0.0))
         assert np.array_equal(result.labels, np.where(black, 3, 1))
         assert result.label_counts == (int((~black).sum()), 0, int(black.sum()))
-        assert result.pair_counts == (h * (w - 1), (h - 1) * w, 0, 0)
+        assert result.pair == h * (w - 1) + (h - 1) * w
+
+
+def pair_term_instances(source):
+    """The instances of the pair term test: the engine's frames of a
+    preset or at 320x240, or random tables on grids where some directions
+    have no pairs (1 x N, N x 1) or only a few (3 x 3)."""
+    if source == "random":
+        rng = np.random.default_rng(69)
+        for shape in [(1, 2), (1, 9), (2, 1), (9, 1), (3, 3)]:
+            for lambda2 in (0.0, 0.5, 2.0):
+                u1 = rng.normal(0.0, 2.0, size=(3, *shape))
+                u2 = rng.normal(0.0, 2.0, size=(3, *shape))
+                yield u1, u2, initial_prior(lambda1=float(rng.uniform(0, 3)), lambda2=lambda2)
+        return
+    if source == "qvga":
+        frames = engine_frames(QVGA_SCENE, EngineConfig(), n_labeled=2)
+    else:
+        frames = engine_frames(scene_preset(source), dict(PRESETS)[source])
+    for state, frame in frames:
+        yield (*detection_tables(state, frame), state.prior)
+
+
+@pytest.mark.parametrize("source", ["quality", "recovery", "qvga", "random"])
+def test_pair_term_is_the_oracle_sum_over_its_pair_counts(source):
+    disagreeing = 0
+    for u1, u2, prior in pair_term_instances(source):
+        result = hcf_minimize(u1, u2, prior)
+        counts = pair_counts(result.labels)
+        expected = 0.0
+        for count, (_, _, d2) in zip(counts, PAIR_DIRECTIONS):
+            expected += count / d2
+        assert np.float64(result.pair).tobytes() == np.float64(expected).tobytes()
+        height, width = result.labels.shape
+        if height == 1:
+            assert counts[1:] == (0, 0, 0)
+        if width == 1:
+            assert counts[0] == counts[2] == counts[3] == 0
+        disagreeing += expected > 0
+    assert disagreeing > 0
 
 
 def test_hcf_rejects_a_grid_of_2_31_sites():
@@ -396,10 +439,7 @@ def test_tied_sweep_time_grows_linearly(lambda2):
     assert fastest[1] / fastest[0] < 6.5
 
 
-@pytest.mark.parametrize("preset, config", [
-    ("quality", EngineConfig()),
-    ("recovery", EngineConfig(alpha=0.3, lambda1=2.0, lambda2=0.5)),
-])
+@pytest.mark.parametrize("preset, config", PRESETS)
 def test_engine_instances_of_the_presets(preset, config):
     for state, frame in engine_frames(scene_preset(preset), config):
         assert_same_as_python(*detection_tables(state, frame), state.prior)

@@ -180,8 +180,7 @@ def test_deterministic_across_runs():
     a = hcf_minimize(u1, u2, prior)
     b = hcf_minimize(u1, u2, prior)
     assert sweep_outcome(a) == sweep_outcome(b) == sweep_outcome(hcf_python(u1, u2, prior))
-    assert (a.spilled, a.label_counts, a.pair_counts) == (b.spilled, b.label_counts,
-                                                          b.pair_counts)
+    assert (a.spilled, a.label_counts, a.pair) == (b.spilled, b.label_counts, b.pair)
 
 
 def test_brute_force_rejects_large_grids():

@@ -51,7 +51,7 @@ def kernel_digest() -> str:
         result = hcf_minimize(u1, u2, prior)
         digest.update(result.labels.tobytes())
         digest.update(repr((result.energy, result.visits, result.relabels, result.spilled,
-                            result.label_counts, result.pair_counts)).encode())
+                            result.label_counts, result.pair)).encode())
     u = np.zeros((3, 2, 3))
     u[2, 1, 1] = np.inf
     with pytest.raises(ValueError) as refused:

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import pgm_bytes
 from shadowseg import EngineConfig, EngineState, PgmError, process_frame, read_frame
-from shadowseg.background import VARIANCE_FLOOR
+from shadowseg.background import VARIANCE_FLOOR, MixtureGrid
 from shadowseg.cli import main
 from shadowseg.energy import PriorParams, initial_prior
 from shadowseg.likelihood import build_potential_tables
@@ -43,6 +43,36 @@ def test_engine_config_rejects_out_of_range_settings(setting, value, message):
 ])
 def test_engine_config_accepts_range_edges(settings):
     EngineConfig(**settings)
+
+
+def test_mixture_update_takes_alpha_in_0_1_only():
+    # the engine's rule for alpha holds for a direct caller too: at alpha 0
+    # a grid of zero weights renormalizes 0 / 0, and at NaN every weight
+    # and mean would come back NaN
+    frame = np.full((2, 2), 100.0)
+    means = np.stack([np.full((2, 2), m) for m in (100.0, 150.0, 200.0)])
+    for weight, alpha in [(0.0, 0.0), (1 / 3, float("nan")), (1 / 3, -0.5), (1 / 3, 1.5)]:
+        grid = MixtureGrid(np.full((3, 2, 2), weight), means, np.full((3, 2, 2), 25.0))
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            grid.update(frame, alpha)
+        assert (grid.weights == weight).all() and (grid.means == means).all()
+    # alpha 1 is in range: component 0 matches and takes the frame
+    grid.update(frame, 1.0)
+    assert np.allclose(grid.weights.sum(axis=0), 1.0) and (grid.means[0] == 100.0).all()
+
+
+def test_complex_frames_are_rejected():
+    # numpy would keep the real part only, labelling a frame of 100 + 5j as 100
+    frame = np.full((8, 8), 100 + 5j)
+    with pytest.raises(ValueError, match="real numbers"):
+        EngineState.from_first_frame(frame)
+    with pytest.raises(ValueError, match="real numbers"):
+        EngineState.from_static([frame.real, frame])
+    state = EngineState.from_static([frame.real, frame.real])
+    with pytest.raises(ValueError, match="real numbers"):
+        process_frame(state, frame)
+    assert state.k == 0
+    process_frame(state, frame.real)
 
 
 def tiny_frames(tmp_path, n=3):
