@@ -1,9 +1,10 @@
 /* The compiled kernels of shadowseg, loaded with ctypes by
    shadowseg._native: the highest-confidence-first sweep (hcf_sweep), the
    per-pixel mixture update and background selection (mixture_update,
-   mixture_select), the six rows of potential tables (potential_tables),
-   and the two edge grids of a frame or of the background means
-   (central_differences).
+   mixture_select) with the start and join of the helper thread that runs
+   them for a frame (mixture_start, mixture_join), the six rows of
+   potential tables (potential_tables), and the two edge grids of a frame
+   or of the background means (central_differences).
 
    They are the engine's only path. Each replays the float64 arithmetic
    of its reference oracle in tests/oracles.py, operation by operation and
@@ -22,11 +23,12 @@
 
    mixture_update, mixture_select and potential_tables are one plain
    loop each, and central_differences two per row, which the compiler
-   vectorizes under #pragma omp simd (-fopenmp-simd: no OpenMP runtime,
-   no threads). Vector sqrt, divide, multiply, add and subtract round
-   exactly as their scalar forms do, and each lane runs the loop's
-   operations in its order, so the bytes are those of the scalar loop; a
-   compiler that ignores the pragma runs that loop as it stands.
+   vectorizes under #pragma omp simd (-fopenmp-simd: no OpenMP runtime
+   and none of its threads). Vector sqrt, divide, multiply, add and
+   subtract round exactly as their scalar forms do, and each lane runs
+   the loop's operations in its order, so the bytes are those of the
+   scalar loop; a compiler that ignores the pragma runs that loop as it
+   stands.
    tests/test_simd_kernels.py checks that GCC still vectorizes all five.
    mixture_update alone has an AVX2 clone, picked at load time, and
    relaxes trapping math (see there).
@@ -76,11 +78,19 @@
    A site potential that is NaN or infinite would break the strict order
    the queue rests on, so the sweep refuses it before the first visit.
 
+   The library's one thread of its own is the helper that mixture_start
+   starts each frame: it runs mixture_update and then mixture_select,
+   which read the frame and not the labels, while the caller's thread
+   sweeps, and mixture_join waits for it. A start that fails returns
+   pthread_create's error number, with no branch here; the caller raises
+   it.
+
    Every line here runs on the corpus of tests/test_sanitizers.py but the
    exit when memory runs out; a gcov build there checks it, so no branch
    stays that no input reaches. */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -785,6 +795,56 @@ void mixture_select(const double *weights, const double *means, const double *va
         mean[i] = best_mean;
         variance[i] = best_var;
     }
+}
+
+/* One frame's mixture step, mixture_update then mixture_select, run on a
+   helper thread while the caller labels the frame. Its arguments are
+   those of the two kernels. */
+typedef struct {
+    double *weights, *means, *variances;
+    const double *frame;
+    int64_t n;
+    double alpha, match_sigmas, init_weight, init_variance, variance_floor;
+    double *mean, *variance;
+} MixtureArgs;
+
+typedef struct {
+    MixtureArgs args;
+    pthread_t thread;
+} MixtureStep;
+
+/* The bytes of the MixtureStep that the caller of mixture_start owns. */
+const int64_t mixture_step_bytes = sizeof(MixtureStep);
+
+static void *mixture_step(void *arg)
+{
+    const MixtureArgs *a = arg;
+    mixture_update(a->weights, a->means, a->variances, a->frame, a->n, a->alpha,
+                   a->match_sigmas, a->init_weight, a->init_variance, a->variance_floor);
+    mixture_select(a->weights, a->means, a->variances, a->n, a->mean, a->variance);
+    return NULL;
+}
+
+/* Start the step on a thread of its own, which reads and writes every
+   array named until mixture_join(step) returns; step is
+   mixture_step_bytes of the caller's memory, kept until then too.
+   Returns 0, or the error number of a thread that could not start, when
+   nothing runs and nothing needs joining. */
+int64_t mixture_start(MixtureStep *step, double *weights, double *means, double *variances,
+                      const double *frame, int64_t n, double alpha, double match_sigmas,
+                      double init_weight, double init_variance, double variance_floor,
+                      double *mean, double *variance)
+{
+    step->args = (MixtureArgs){weights, means, variances, frame, n, alpha, match_sigmas,
+                               init_weight, init_variance, variance_floor, mean, variance};
+    return pthread_create(&step->thread, NULL, mixture_step, &step->args);
+}
+
+/* Wait for a started step to end. Returns 0, or pthread_join's error
+   number. */
+int64_t mixture_join(MixtureStep *step)
+{
+    return pthread_join(step->thread, NULL);
 }
 
 /* The constants of one Gaussian label, background (gain 1, offset 0) or

@@ -1,6 +1,6 @@
 """The compiled kernels: the HCF sweep, the per-pixel mixture update and
-background selection, the potential tables and the edge grids, all in
-`_native.c`.
+background selection, with the start and join of the helper thread that
+runs them, the potential tables and the edge grids, all in `_native.c`.
 
 The source is compiled with the system `cc` on first use and loaded with
 ctypes. They are the engine's only path: when the build or the load
@@ -19,13 +19,16 @@ import zlib
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 # -fno-math-errno lets sqrt compile to one instruction, with no libm call.
 # -fopenmp-simd honours the source's `omp simd` loops and nothing else of
-# OpenMP: no runtime, no threads. No -ffast-math or -ffp-contract=fast:
-# each would break parity with the reference oracles. No -march, which
+# OpenMP: no runtime and none of its threads. -pthread is for the one
+# helper thread a frame's mixture step runs on (mixture_start and
+# mixture_join). No -ffast-math or -ffp-contract=fast: each would break
+# parity with the reference oracles. No -march, which
 # would tie the build to the machine: the source's one AVX2 clone is
 # picked when the library loads. No -fno-trapping-math either: the source
 # relaxes it for the one loop that needs it, and file-wide it slows the
 # HCF sweep.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fopenmp-simd", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-fopenmp-simd", "-pthread",
+           "-shared", "-fPIC")
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # name -> (argtypes, restype), as declared in _native.c
@@ -33,6 +36,8 @@ _SIGNATURES = {
     "hcf_sweep": ([_P, _P, _P, _D, _D, _I, _I, _P, _P, _P], _I),
     "mixture_update": ([_P, _P, _P, _P, _I, _D, _D, _D, _D, _D], None),
     "mixture_select": ([_P, _P, _P, _I, _P, _P], None),
+    "mixture_start": ([_P, _P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _P, _P], _I),
+    "mixture_join": ([_P], _I),
     "potential_tables": ([_P, _P, _P, _P, _P, _P, _I, _P, _D, _D, _D, _D, _D, _P, _P, _P],
                          None),
     "central_differences": ([_P, _I, _I, _P, _P], None),

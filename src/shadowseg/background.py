@@ -11,13 +11,18 @@ background hypothesis at that pixel.
 
 :class:`MixtureGrid` applies these rules to every pixel at once, in the
 C kernels `mixture_update` and `mixture_select` (`_native.c`, see
-`shadowseg._native`). The scalar single-pixel versions in
-``tests/oracles.py`` are the reference the kernels match bit for bit.
+`shadowseg._native`). `MixtureGrid.update` runs the two on one helper
+thread and returns before they end, so that the caller can label the
+frame meanwhile; every read of the grid waits for that thread first. The
+scalar single-pixel versions in ``tests/oracles.py`` are the reference
+the kernels match bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,26 +45,56 @@ class BackgroundModel:
 
 
 class MixtureGrid:
-    """All per-pixel mixtures of a frame, stored as (K, H, W) arrays."""
+    """All per-pixel mixtures of a frame, stored as (K, H, W) arrays.
+
+    `update` runs on a helper thread and returns before it ends; reading
+    `weights`, `means` or `variances`, `select_background`, the next
+    `update`, a copy and the grid's own end all wait for it first.
+    """
+
+    _step = None    # (library, step memory, frame, background) of a running update
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray):
         # owned C-ordered copies: `update` writes into them in place
-        self.weights, self.means, self.variances = (
+        weights, means, variances = self._arrays = tuple(
             np.array(a, dtype=np.float64, order="C") for a in (weights, means, variances))
-        if (self.weights.ndim != 3 or self.weights.shape[0] != K
-                or not self.weights.shape == self.means.shape == self.variances.shape):
+        if (weights.ndim != 3 or weights.shape[0] != K
+                or not weights.shape == means.shape == variances.shape):
             raise ValueError(f"weights, means and variances must be ({K}, H, W) arrays of "
-                             f"one shape, got {self.weights.shape}, {self.means.shape}, "
-                             f"{self.variances.shape}")
+                             f"one shape, got {weights.shape}, {means.shape}, "
+                             f"{variances.shape}")
         # written as `not (...)` so that NaN is rejected too: the kernel and
         # the scalar oracle order a NaN rank weight/stddev differently
-        if self.weights.size:
-            if not (self.weights.min() >= 0 and self.weights.max() < np.inf):
+        if weights.size:
+            if not (weights.min() >= 0 and weights.max() < np.inf):
                 raise ValueError("mixture weights must be finite and >= 0")
-            if not (self.means.min() > -np.inf and self.means.max() < np.inf):
+            if not (means.min() > -np.inf and means.max() < np.inf):
                 raise ValueError("mixture means must be finite")
-            if not (self.variances.min() > 0 and self.variances.max() < np.inf):
+            if not (variances.min() > 0 and variances.max() < np.inf):
                 raise ValueError("mixture variances must be finite and > 0")
+
+    def __del__(self):
+        # the helper thread writes into the arrays until it is joined
+        self._join()
+
+    def __getstate__(self):
+        self._join()
+        return vars(self)
+
+    @property
+    def weights(self) -> np.ndarray:
+        self._join()
+        return self._arrays[0]
+
+    @property
+    def means(self) -> np.ndarray:
+        self._join()
+        return self._arrays[1]
+
+    @property
+    def variances(self) -> np.ndarray:
+        self._join()
+        return self._arrays[2]
 
     @classmethod
     def seed(cls, frame: np.ndarray, variance) -> "MixtureGrid":
@@ -75,29 +110,68 @@ class MixtureGrid:
         return cls(weights, means, variances)
 
     def update(self, frame: np.ndarray, alpha: float) -> None:
-        """One recursive history update of every pixel's mixture, in place."""
+        """Start one recursive history update of every pixel's mixture, in
+        place, then the selection of the background from the updated
+        mixtures, on one helper thread, and return before they end;
+        `select_background` returns that selection. The thread reads
+        `frame` until it ends, so nothing may write to the frame before
+        the grid is read. OSError when the thread cannot start, with
+        nothing updated."""
         if not 0 < alpha <= 1:      # NaN included: the weights could come back NaN
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         frame = np.ascontiguousarray(frame, dtype=np.float64)
-        if frame.shape != self.weights.shape[1:]:
+        self._join()
+        weights, means, variances = self._arrays
+        if frame.shape != weights.shape[1:]:
             raise ValueError(f"frame shape {frame.shape} does not match mixture shape "
-                             f"{self.weights.shape[1:]}")
+                             f"{weights.shape[1:]}")
+        background = BackgroundModel(np.empty(frame.shape), np.empty(frame.shape))
+        library = _native.library()
+        step = ctypes.create_string_buffer(
+            ctypes.c_int64.in_dll(library, "mixture_step_bytes").value)
         address = _native.address
-        _native.library().mixture_update(
-            address(self.weights), address(self.means), address(self.variances),
+        _checked(library.mixture_start(
+            step, address(weights), address(means), address(variances),
             address(frame), frame.size,
-            alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR)
+            alpha, MATCH_SIGMAS, INIT_WEIGHT, INIT_VARIANCE, VARIANCE_FLOOR,
+            address(background.mean), address(background.variance)))
+        self._step = (library, step, frame, background)
 
     def select_background(self) -> BackgroundModel:
         """Per pixel, the component maximizing weight/stddev; ties go to the
-        lowest component index. The arrays returned are new."""
-        mean = np.empty(self.weights.shape[1:])
+        lowest component index. After `update`, the selection its helper
+        thread made, once that has ended; with no update running (as at
+        a bootstrap, or once the arrays have been read), one made now. The
+        arrays returned are new."""
+        background = self._join()
+        if background is not None:
+            return background
+        weights, means, variances = self._arrays
+        mean = np.empty(weights.shape[1:])
         variance = np.empty_like(mean)
         address = _native.address
         _native.library().mixture_select(
-            address(self.weights), address(self.means), address(self.variances),
+            address(weights), address(means), address(variances),
             mean.size, address(mean), address(variance))
         return BackgroundModel(mean, variance)
+
+    def _join(self) -> BackgroundModel | None:
+        """Wait for the running update, if any; the background it selected,
+        or None when none was running."""
+        if self._step is None:
+            return None
+        library, step, _, background = self._step
+        # no call between these two lines, so no signal handler can run
+        # between them and leave the thread unjoined
+        self._step = None
+        _checked(library.mixture_join(step))
+        return background
+
+
+def _checked(error: int) -> None:
+    """OSError for a nonzero error number a thread call returned."""
+    if error:
+        raise OSError(error, os.strerror(error))
 
 
 def noise_variance(frame: np.ndarray) -> float:

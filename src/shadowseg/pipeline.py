@@ -1,10 +1,13 @@
 """Per-frame orchestration of detection and model maintenance.
 
 Each frame is labeled against the models as they stood after the
-previous frame, then every model is updated: label bias from the fresh
-counts, shadow transform from the shadow-labeled pixels, per-pixel
-mixtures from the raw intensities, and the background summary from the
-updated mixtures.
+previous frame, and every model takes the frame. The per-pixel mixtures
+read only the raw intensities, so once the frame's potential tables are
+built, a helper thread updates them and selects the next background
+from them while the HCF sweep labels the frame. Then the label bias
+takes the fresh counts and the shadow transform the shadow-labeled
+pixels, fitted against the background the frame was labeled with, and
+the helper is joined.
 
 The edge model is derived from the background where detection reads
 it: its means are the central differences of the background means
@@ -128,35 +131,42 @@ def process_frame(state: EngineState, frame, dump=None) -> tuple[np.ndarray, Fra
     the values carried into the next frame.
     `dump`, when given, is called as `dump(u1, u2)` with the intensity and
     edge potential tables, (3, H, W) each, before they are labeled.
+
+    The mixtures take the frame on a helper thread while it is labeled
+    (`MixtureGrid.update`), and are joined before this returns. When the
+    labeling or a model update raises, the helper is joined before the
+    exception leaves, and the background, prior, shadow and frame count
+    of `state` stay as they were, but its mixtures have taken the frame.
     """
-    frame = _checked_frame(frame, state.background.mean.shape)
+    bg = state.background       # detection and the shadow fit read this one
+    frame = _checked_frame(frame, bg.mean.shape)
     cfg = state.config
 
     # the edge grids are call arguments, not locals, so that they are
     # freed before the sweep allocates its work arrays
-    u1, u2 = build_potential_tables(frame, *frame_edges(frame), state.background.mean,
-                                    *background_edge_model(state.background),
-                                    pooled_variance(state.background), state.shadow)
+    u1, u2 = build_potential_tables(frame, *frame_edges(frame), bg.mean,
+                                    *background_edge_model(bg), pooled_variance(bg),
+                                    state.shadow)
     if dump is not None:
         dump(u1, u2)
-    result = hcf_minimize(u1, u2, state.prior)
-    labels = result.labels
-
-    counts = result.label_counts
-    state.prior = update_label_bias(state.prior, counts, cfg.alpha)
-
-    shadow_mask = labels == SHADOW
-    fit = fit_shadow(frame[shadow_mask], state.background.mean[shadow_mask])
-    if fit is not None:
-        frac = counts[1] / labels.size
-        state.shadow = update_shadow(state.shadow, fit, frac, cfg.alpha)
-
     state.mixtures.update(frame, cfg.alpha)
-    state.background = state.mixtures.select_background()
+    try:
+        result = hcf_minimize(u1, u2, state.prior)
+        labels, counts = result.labels, result.label_counts
+        prior = update_label_bias(state.prior, counts, cfg.alpha)
+
+        shadow = state.shadow
+        shadow_mask = labels == SHADOW
+        fit = fit_shadow(frame[shadow_mask], bg.mean[shadow_mask])
+        if fit is not None:
+            shadow = update_shadow(shadow, fit, counts[1] / labels.size, cfg.alpha)
+    finally:
+        background = state.mixtures.select_background()
+    state.background, state.prior, state.shadow = background, prior, shadow
     state.k += 1
 
     diag = FrameDiagnostics(k=state.k, energy=result.energy,
                             n_background=counts[0], n_shadow=counts[1], n_foreground=counts[2],
-                            gain=state.shadow.gain, offset=state.shadow.offset,
+                            gain=shadow.gain, offset=shadow.offset,
                             visits=result.visits)
     return labels, diag

@@ -1,7 +1,13 @@
 """Mixture-of-Gaussians background maintenance: matching, recursive
 updates, replacement, background selection, and the vectorized grid."""
 
+import copy
+import errno
 import math
+import os
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from oracles import (
     select_background,
     update_mixture,
 )
+from shadowseg import _native
 from shadowseg.background import (INIT_VARIANCE, INIT_WEIGHT, VARIANCE_FLOOR,
                                   BackgroundModel, MixtureGrid, init_static, noise_variance)
 
@@ -225,3 +232,78 @@ def test_grid_seed_puts_frame_in_first_component():
     assert np.allclose(grid.variances, INIT_VARIANCE)
     bg = grid.select_background()
     assert np.allclose(bg.mean, frame)
+
+
+def random_grid_arrays(rng, h, w):
+    weights = rng.dirichlet(np.ones(3), size=(h, w)).transpose(2, 0, 1)
+    return weights, rng.uniform(0, 255, size=(3, h, w)), rng.uniform(4, 400, size=(3, h, w))
+
+
+def test_a_copy_of_a_grid_being_updated_holds_the_whole_update():
+    # the update runs on a helper thread; a copy or a pickle waits for it
+    rng = np.random.default_rng(5)
+    arrays = random_grid_arrays(rng, 120, 160)
+    frame = rng.uniform(0, 255, size=(120, 160))
+    reference = MixtureGrid(*arrays)
+    reference.update(frame, 0.1)
+    background = reference.select_background()
+    want = [a.tobytes() for a in (reference.weights, reference.means, reference.variances,
+                                  background.mean, background.variance)]
+    for make in (copy.copy, copy.deepcopy, lambda grid: pickle.loads(pickle.dumps(grid))):
+        grid = MixtureGrid(*arrays)
+        grid.update(frame, 0.1)
+        made = make(grid)
+        selected = made.select_background()
+        assert [a.tobytes() for a in (made.weights, made.means, made.variances,
+                                      selected.mean, selected.variance)] == want
+
+
+def test_grids_updated_from_more_threads_than_cores_match_one_thread():
+    # each caller's grid runs its own helper threads; a step joined late
+    # or twice would tear a selection or a lane
+    rng = np.random.default_rng(7)
+    arrays = random_grid_arrays(rng, 40, 50)
+    frames = [rng.uniform(0, 255, size=(40, 50)) for _ in range(20)]
+
+    def run():
+        grid, out = MixtureGrid(*arrays), []
+        for frame in frames:
+            grid.update(frame, 0.1)
+            background = grid.select_background()
+            out += [background.mean.tobytes(), background.variance.tobytes()]
+        return out + [a.tobytes() for a in (grid.weights, grid.means, grid.variances)]
+
+    want = run()
+    results = {}
+    callers = [threading.Thread(target=lambda i=i: results.update({i: run()}))
+               for i in range((os.cpu_count() or 1) + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(results) == len(callers)
+    assert all(result == want for result in results.values())
+
+
+def test_a_thread_that_cannot_start_raises_and_updates_nothing(monkeypatch):
+    rng = np.random.default_rng(6)
+    arrays = random_grid_arrays(rng, 4, 5)
+    grid = MixtureGrid(*arrays)
+    monkeypatch.setattr(_native.library(), "mixture_start", lambda *args: errno.EAGAIN)
+    with pytest.raises(OSError) as refused:
+        grid.update(rng.uniform(0, 255, size=(4, 5)), 0.1)
+    assert refused.value.errno == errno.EAGAIN
+    monkeypatch.undo()
+    assert [a.tobytes() for a in (grid.weights, grid.means, grid.variances)] == [
+        np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+    background = grid.select_background()
+    for r in range(4):
+        for c in range(5):
+            assert (background.mean[r, c], background.variance[r, c]) == select_background(
+                pixel(grid, r, c))

@@ -10,13 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import detection_arguments, total_energy
-from shadowseg import EngineConfig, EngineState, process_frame
+from oracles import detection_arguments, pixel, total_energy, update_mixture
+from shadowseg import EngineConfig, EngineState, cli, pipeline, process_frame
 from shadowseg.background import VARIANCE_FLOOR, BackgroundModel
 from shadowseg.energy import BACKGROUND, SHADOW
 from shadowseg.likelihood import build_potential_tables
 from shadowseg.pipeline import pooled_variance
-from shadowseg.synth import SynthScene, background_pattern, render_scene
+from shadowseg.synth import SynthScene, background_pattern, generate_synthetic, render_scene
 
 
 def bootstrap_frames(pattern, n=5, sigma=2.0, seed=40):
@@ -167,6 +167,56 @@ def test_mixture_update_uses_per_pixel_variances():
     after = state.background.variance
     assert after.std() > 0.0
     assert np.all(after >= VARIANCE_FLOOR)
+
+
+def test_a_sweep_that_raises_leaves_the_state_but_the_mixtures_take_the_frame(monkeypatch):
+    pattern = background_pattern(12, 12)
+    state = EngineState.from_static(bootstrap_frames(pattern))
+    process_frame(state, pattern)
+    frame = pattern + np.random.default_rng(46).normal(0, 2, size=(12, 12))
+    frame[4:8, 4:8] = 230.0
+    models = (state.background, state.prior, state.shadow)
+    k, bias, shadow = state.k, state.prior.bias.copy(), copy.deepcopy(state.shadow)
+    mixtures = {(r, c): update_mixture(pixel(state.mixtures, r, c), frame[r, c],
+                                       state.config.alpha)
+                for r in range(12) for c in range(12)}
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "hcf_minimize", out_of_memory)
+    with pytest.raises(MemoryError):
+        process_frame(state, frame)
+    assert state.mixtures._step is None     # joined before the exception left
+    assert all(a is b for a, b in zip((state.background, state.prior, state.shadow), models))
+    assert state.k == k and state.shadow == shadow
+    assert state.prior.bias.tobytes() == bias.tobytes()
+    for (r, c), mixture in mixtures.items():
+        got = [(x.weight, x.mean, x.variance) for x in pixel(state.mixtures, r, c).components]
+        want = [(x.weight, x.mean, x.variance) for x in mixture.components]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads Linux's /proc")
+def test_every_mixture_step_is_joined(tmp_path):
+    # a helper that has ended leaves /proc/self/task even unjoined, so the
+    # count sees a step still running; the grid's own record shows the join
+    def threads():
+        return len(os.listdir("/proc/self/task"))
+
+    before = threads()
+    pattern = background_pattern(48, 64)
+    state = EngineState.from_static(bootstrap_frames(pattern))
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        process_frame(state, pattern + rng.normal(0, 2, size=pattern.shape))
+        assert state.mixtures._step is None
+    assert threads() == before
+    generate_synthetic(SynthScene(height=16, width=16, n_frames=4, lead_in=2), tmp_path,
+                       seed=8)
+    assert cli.main(["segment", "--input", str(tmp_path / "frames"),
+                     "--out", str(tmp_path / "labels")]) == 0
+    assert threads() == before
 
 
 def test_prior_bias_tracks_label_frequencies():

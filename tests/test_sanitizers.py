@@ -2,9 +2,10 @@
 UndefinedBehaviorSanitizer: on the HCF tie, clamp-end, signed-zero,
 bitmap-boundary and spread-magnitude corpora, a table the sweep refuses
 as non-finite, mixtures whose best-ranked component is often not their
-first, the edges of 3x3, 3xW, Hx3 and odd-width grids, one 64x64 engine
-frame and one 63x65 engine frame, whose odd pixel count ends the
-vectorized loops on their scalar epilogue, all five kernels run, and the
+first, a 320x240 grid dropped while its update runs on the helper
+thread, the edges of 3x3, 3xW, Hx3 and odd-width grids, one 64x64
+engine frame and one 63x65 engine frame, whose odd pixel count ends the
+vectorized loops on their scalar epilogue, every kernel runs, and the
 sanitized build must report nothing and return exactly what the normal
 build returns.
 
@@ -20,6 +21,7 @@ kernels of the library named as its argument, or the normal build without
 one."""
 
 import ctypes
+import gc
 import hashlib
 import itertools
 import os
@@ -60,6 +62,13 @@ def kernel_digest() -> str:
     background = MixtureGrid(*tied_mixtures(np.random.default_rng(240), 65)).select_background()
     digest.update(background.mean.tobytes())
     digest.update(background.variance.tobytes())
+    # a grid dropped while its update runs: the finalizer must join the
+    # helper thread before the arrays it writes are freed
+    rng = np.random.default_rng(242)
+    grid = MixtureGrid.seed(rng.uniform(0.0, 255.0, size=(240, 320)), 25.0)
+    grid.update(rng.uniform(0.0, 255.0, size=(240, 320)), 0.1)
+    del grid
+    gc.collect()
     rng = np.random.default_rng(241)
     for shape in EDGE_SHAPES:
         for edges in frame_edges(rng.uniform(0.0, 255.0, size=shape)):
